@@ -69,32 +69,44 @@ def instance_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = 
     return graph_node(out_data, parents, grad_fn)
 
 
+# window positions in argmax order: ties go to the first
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def max_pool2x2(x: Tensor) -> Tensor:
-    """2x downsample by max pooling; gradient routes to the argmax only."""
+    """2x downsample by max pooling; gradient routes to the argmax only.
+
+    Built from the four strided views of the 2x2 windows.  Where several
+    positions tie for the maximum, the gradient goes to the first of them in
+    the order (0,0), (0,1), (1,0), (1,1).
+    """
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even for 2x2 max pool, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    windows = x.data.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, 4)
-    idx = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    views = [x.data[:, :, i::2, j::2] for i, j in _WINDOW]
+    out_data = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
 
     def grad_fn(g):
-        dwin = np.zeros((b, c, h2, w2, 4), dtype=g.dtype)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        x.accumulate_grad(
-            dwin.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w))
+        dx = np.empty_like(x.data)
+        free = np.ones(out_data.shape, dtype=bool)
+        for (i, j), v in zip(_WINDOW, views):
+            hit = free & (v == out_data)
+            dx[:, :, i::2, j::2] = np.where(hit, g, 0)
+            free &= ~hit
+        x.accumulate_grad(dx)
 
     return graph_node(out_data, (x,), grad_fn)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
     """2x nearest-neighbor upsampling; gradient sums over each 2x2 block."""
-    b, c, h, w = x.shape
     out_data = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def grad_fn(g):
-        x.accumulate_grad(g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)))
+        gx = g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]
+        gx += g[:, :, 1::2, 0::2]
+        gx += g[:, :, 1::2, 1::2]
+        x.accumulate_grad(gx)
 
     return graph_node(out_data, (x,), grad_fn)
 
@@ -102,7 +114,9 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
 def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Apply the same linear map (C -> N) at every pixel of a (B, C, H, W) map.
 
-    Equivalent to a 1x1 convolution but cheaper: one batched GEMM.
+    Equivalent to a 1x1 convolution but cheaper: one batched GEMM.  Gradients
+    are computed only for the operands that track them, so a constant head
+    costs one GEMM in backward.
     """
     b, c, h, w_sp = x.shape
     cin, n = w.shape
@@ -113,9 +127,12 @@ def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
     def grad_fn(g):
         g2 = g.reshape(b, n, h * w_sp)
-        w.accumulate_grad(np.matmul(xr, g2.transpose(0, 2, 1)).sum(axis=0))
-        bias.accumulate_grad(g2.sum(axis=(0, 2)))
-        x.accumulate_grad(np.matmul(w.data[None], g2).reshape(x.shape))
+        if w.requires_grad:
+            w.accumulate_grad(np.matmul(xr, g2.transpose(0, 2, 1)).sum(axis=0))
+        if bias.requires_grad:
+            bias.accumulate_grad(g2.sum(axis=(0, 2)))
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(w.data[None], g2).reshape(x.shape))
 
     return graph_node(out_data, (x, w, bias), grad_fn)
 

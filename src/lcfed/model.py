@@ -53,7 +53,7 @@ class SegmentationModel:
             self.encoders.append(ConvBlock(cin, c, rng, layers.GROUP_BODY, dtype))
             cin = c
 
-        # decoder mirrors the encoder: upsample, 1x1 projection, skip concat, conv block
+        # decoder mirrors the encoder: 1x1 projection, upsample, skip concat, conv block
         self.up_projs = []
         self.decoders = []
         for i in range(len(ch) - 2, -1, -1):
@@ -121,7 +121,9 @@ class SegmentationModel:
 
     def decode(self, f: Tensor, skips) -> Tensor:
         for proj, dec, skip in zip(self.up_projs, self.decoders, reversed(skips)):
-            f = proj(upsample_nearest2x(f))
+            # nearest upsampling commutes with the per-pixel 1x1 projection, so
+            # projecting first gives the same values on a quarter of the pixels
+            f = upsample_nearest2x(proj(f))
             f = dec(concat([skip, f], axis=1))
         return f
 

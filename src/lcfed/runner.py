@@ -11,6 +11,7 @@ Run-directory layout:
 
 from __future__ import annotations
 
+import ctypes
 import os
 
 import numpy as np
@@ -21,6 +22,16 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 
 CSV_HEADER = "round,site,iou,assd,loss_joint,loss_coarse,loss_calib,loss_con"
+
+# glibc malloc tuning for a training step's large, short-lived numpy arrays.
+# By default glibc raises its mmap threshold as big blocks are freed and trims
+# the heap top whenever 128 KB lie free there, so the heap grows and shrinks
+# every step and fresh pages fault in again.  Fixing both thresholds keeps the
+# step's arrays (up to tens of MB) on a heap that stays mapped.
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 256 << 20
+_M_TRIM_THRESHOLD = -1   # parameter numbers from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
 
 
 def _fmt(x: float) -> str:
@@ -46,6 +57,18 @@ def build_datasets(cfg: ExperimentConfig) -> list:
                                        cfg.image_size, cfg.classes)
 
 
+def steady_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds; False where there is no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no libc handle, or not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1)
+
+
 def _metrics_path(out_dir):
     return os.path.join(out_dir, "metrics.csv")
 
@@ -66,6 +89,7 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
     cfg.validate()
     if not cfg.out_dir:
         raise ValueError("config needs an output directory")
+    steady_heap()
     out_dir = cfg.out_dir
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
     digest = cfg.digest()

@@ -8,7 +8,11 @@ each in reverse topological order and then discards the graph.
 
 Conventions:
   * gradients accumulate (+=) into ``.grad``; call ``zero_grad()`` between
-    optimizer steps,
+    optimizer steps.  An intermediate's first gradient is stored as a copy,
+    not added to a zero buffer,
+  * constants (tensors that neither require a gradient nor come out of a
+    tracked op) receive no gradient: their ``.grad`` stays None and ops skip
+    computing it,
   * conv2d is cross-correlation (no kernel flip),
   * dtype follows the input arrays; tests run in float64, training may run
     in float32.
@@ -91,9 +95,13 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
 
     def accumulate_grad(self, g: np.ndarray):
+        if not self.requires_grad:
+            return  # a constant: graph_node marks every tensor with tracked parents
+        g = _unbroadcast(np.asarray(g), self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(np.asarray(g), self.data.shape)
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     # -- autodiff ------------------------------------------------------------
 
@@ -343,12 +351,56 @@ def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return matmul(x, w) + bias
 
 
+def _pad(a: np.ndarray, lo: int, size: tuple, stride: int = 1) -> np.ndarray:
+    """Zero (C, B, *size) buffer holding a[c, b, i, j] at [c, b, lo + i*stride,
+    lo + j*stride]: padding and zero-dilation in one copy; `a` itself when
+    there is neither."""
+    c, b, h, w = a.shape
+    if lo == 0 and stride == 1 and size == (h, w):
+        return a
+    out = np.zeros((c, b) + size, dtype=a.dtype)
+    out[:, :, lo:lo + stride * (h - 1) + 1:stride, lo:lo + stride * (w - 1) + 1:stride] = a
+    return out
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(C, B, Hp, Wp) -> (C*k*k, B*ho*wo) columns; row c*k*k + di*k + dj
+    holds xp[c, :, i*stride + di, j*stride + dj] for every output (i, j).
+
+    One copy out of a strided window view; none when that view is already
+    contiguous (a 1x1, stride-1 kernel on a contiguous input).
+    """
+    c, b = xp.shape[:2]
+    sc, sb, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (c, k, k, b, ho, wo), (sc, sh, sw, sb, sh * stride, sw * stride), writeable=False)
+    return np.ascontiguousarray(windows).reshape(c * k * k, b * ho * wo)
+
+
+def _batch_major(a: np.ndarray, shape: tuple, bias: np.ndarray | None = None) -> np.ndarray:
+    """(C, B*H*W) GEMM result -> contiguous (B, C, H, W) array of `shape`,
+    plus a per-channel bias when given."""
+    b, c = shape[:2]
+    src = a.reshape(c, b, -1).transpose(1, 0, 2)
+    out = np.empty((b, c, src.shape[2]), dtype=a.dtype)
+    if bias is None:
+        np.copyto(out, src)
+    else:
+        np.add(src, bias[:, None], out=out)
+    return out.reshape(shape)
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int | None = None) -> Tensor:
     """Cross-correlation of (B, Cin, H, W) with (Cout, Cin, k, k) kernels.
 
-    Default padding k//2 preserves spatial size at stride 1.  Implemented as
-    im2col plus one batched GEMM; the backward pass reuses the column buffer.
+    Default padding k//2 preserves spatial size at stride 1; padding must lie
+    in [0, k-1].  The batch is folded into the columns of one
+    (Cin*k*k, B*Ho*Wo) im2col buffer, so the forward pass and the kernel
+    gradient are one GEMM each.  The input gradient is one more: the
+    correlation of the zero-dilated, padded output gradient with the
+    flipped, channel-transposed kernels.  Gradients are computed only for
+    the operands that track them.
     """
     b, cin, h, w = x.shape
     cout, kc, kh, kw = kernels.shape
@@ -358,37 +410,31 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         raise ValueError(f"channel mismatch: input has {cin}, kernels expect {kc}")
     k = kh
     pad = k // 2 if padding is None else padding
+    if not 0 <= pad < k:
+        raise ValueError(f"padding must lie in [0, {k - 1}], got {pad}")
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    hp, wp = xp.shape[2], xp.shape[3]
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-
-    # cols[b, c, t, i*wo+j] = xp[b, c, i*stride+di, j*stride+dj], t = di*k+dj
-    cols = np.empty((b, cin, k * k, ho * wo), dtype=xp.dtype)
-    cv = cols.reshape(b, cin, k, k, ho, wo)
-    for di in range(k):
-        for dj in range(k):
-            cv[:, :, di, dj] = xp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-    cols2 = cols.reshape(b, cin * k * k, ho * wo)
-
-    wm = kernels.data.reshape(cout, cin * k * k)
-    out_data = np.matmul(wm[None], cols2).reshape(b, cout, ho, wo)
-    if bias is not None:
-        out_data += bias.data[None, :, None, None]
+    xp = _pad(x.data.transpose(1, 0, 2, 3), pad, (h + 2 * pad, w + 2 * pad))
+    cols = _im2col(xp, k, stride, ho, wo)
+    out_data = _batch_major(kernels.data.reshape(cout, cin * k * k) @ cols, (b, cout, ho, wo),
+                            None if bias is None else bias.data)
 
     def grad_fn(g):
-        g2 = g.reshape(b, cout, ho * wo)
-        kernels.accumulate_grad(
-            np.matmul(g2, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape))
-        if bias is not None:
+        if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        dcols = np.matmul(wm.T[None], g2).reshape(b, cin, k, k, ho, wo)
-        dxp = np.zeros_like(xp)
-        for di in range(k):
-            for dj in range(k):
-                dxp[:, :, di:di + stride * ho:stride, dj:dj + stride * wo:stride] += dcols[:, :, di, dj]
-        x.accumulate_grad(dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp)
+        gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+        if kernels.requires_grad:
+            # cols @ g^T runs faster in OpenBLAS than g @ cols^T for the long,
+            # thin GEMMs of the high-resolution stages
+            kernels.accumulate_grad((cols @ gt.reshape(cout, -1).T).T.reshape(kernels.shape))
+        if x.requires_grad:
+            # dx[c, y] = sum_{o, d} g[o, (y + pad - d) / stride] * K[o, c, d]: the
+            # output gradient dilated by stride and padded by k-1-pad on the low
+            # side, correlated with the kernels flipped and Cin/Cout-swapped.
+            gcols = _im2col(_pad(gt, k - 1 - pad, (h + k - 1, w + k - 1), stride), k, 1, h, w)
+            flipped = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+            x.accumulate_grad(_batch_major(flipped @ gcols, x.shape))
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
     return graph_node(out_data, parents, grad_fn)

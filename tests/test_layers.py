@@ -15,6 +15,22 @@ from gradcheck import assert_grads_close
 TINY = ModelProfile(image_size=8, channels=(2, 3, 4))
 
 
+def max_pool_grad_loop(x, g):
+    """Brute-force max-pool gradient: each window's gradient goes to its first
+    maximal entry in the order (0,0), (0,1), (1,0), (1,1)."""
+    dx = np.zeros_like(x)
+    b, c, h2, w2 = g.shape
+    for bi in range(b):
+        for ci in range(c):
+            for i in range(h2):
+                for j in range(w2):
+                    window = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+                    best = max(x[bi, ci, y, z] for y, z in window)
+                    y, z = next(p for p in window if x[bi, ci, p[0], p[1]] == best)
+                    dx[bi, ci, y, z] = g[bi, ci, i, j]
+    return dx
+
+
 class TestInstanceNorm:
     def test_constant_input_with_affine_gives_zeros(self):
         x = Tensor(np.full((2, 3, 4, 4), 7.0))
@@ -91,6 +107,32 @@ class TestResampling:
         expected[0, 0, 3, 3] = 4.0
         np.testing.assert_array_equal(tx.grad, expected)
 
+    def test_maxpool_ties_route_to_first_window_position(self):
+        # windows: all zero (as after ReLU), tie at (0,1)/(1,1), tie at (1,0)/(1,1),
+        # full tie at 2.0, unique maximum at (1,1)
+        x = np.array([[0.0, 0.0, 1.0, 3.0, 1.0, 0.0, 2.0, 2.0, 0.0, 1.0],
+                      [0.0, 0.0, 2.0, 3.0, 4.0, 4.0, 2.0, 2.0, 1.0, 5.0]]).reshape(1, 1, 2, 10)
+        tx = Tensor(x, requires_grad=True)
+        out = max_pool2x2(tx)
+        np.testing.assert_array_equal(out.data[0, 0, 0], [0.0, 3.0, 4.0, 2.0, 5.0])
+        g = np.array([1.0, 2.0, 3.0, 4.0, 5.0]).reshape(1, 1, 1, 5)
+        (out * Tensor(g)).sum().backward()
+        expected = np.zeros_like(x)
+        for col, (di, dj) in enumerate([(0, 0), (0, 1), (1, 0), (0, 0), (1, 1)]):
+            expected[0, 0, di, 2 * col + dj] = g[0, 0, 0, col]
+        np.testing.assert_array_equal(tx.grad, expected)
+
+    def test_maxpool_matches_loop_oracle_with_ties(self):
+        rng = np.random.default_rng(9)
+        # ReLU'd small integers: many all-zero and partly tied windows
+        x = np.maximum(rng.integers(-2, 3, size=(2, 3, 6, 8)), 0).astype(np.float64)
+        g = rng.standard_normal((2, 3, 3, 4))
+        tx = Tensor(x, requires_grad=True)
+        out = max_pool2x2(tx)
+        np.testing.assert_array_equal(out.data, x.reshape(2, 3, 3, 2, 4, 2).max(axis=(3, 5)))
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(tx.grad, max_pool_grad_loop(x, g))
+
     def test_odd_spatial_size_rejected(self):
         with pytest.raises(ValueError):
             max_pool2x2(Tensor(np.ones((1, 1, 5, 4))))
@@ -100,6 +142,15 @@ class TestResampling:
         tx = Tensor(x, requires_grad=True)
         upsample_nearest2x(tx).sum().backward()
         np.testing.assert_array_equal(tx.grad, np.full((1, 1, 2, 2), 4.0))
+
+    def test_upsample_backward_matches_block_reshape_sum(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 3, 4, 5))
+        g = rng.standard_normal((2, 3, 8, 10))
+        tx = Tensor(x, requires_grad=True)
+        (upsample_nearest2x(tx) * Tensor(g)).sum().backward()
+        blocks = g.reshape(2, 3, 4, 2, 5, 2).sum(axis=(3, 5))
+        np.testing.assert_allclose(tx.grad, blocks, rtol=1e-14, atol=1e-14)
 
 
 class TestPerPixelLinear:

@@ -29,6 +29,29 @@ def conv2d_loop(x, kernels, bias=None, stride=1, padding=None):
     return out
 
 
+def conv2d_grads_loop(x, kernels, g, stride=1, padding=None):
+    """Naive nested-loop gradients of sum(conv2d(x, kernels, bias) * g):
+    every output element scatters g into the input and kernel entries it read."""
+    b, cin, h, w = x.shape
+    cout, _, k, _ = kernels.shape
+    pad = k // 2 if padding is None else padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(kernels)
+    _, _, ho, wo = g.shape
+    for bi in range(b):
+        for o in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    for c in range(cin):
+                        for di in range(k):
+                            for dj in range(k):
+                                y, z = i * stride + di, j * stride + dj
+                                dxp[bi, c, y, z] += g[bi, o, i, j] * kernels[o, c, di, dj]
+                                dk[o, c, di, dj] += g[bi, o, i, j] * xp[bi, c, y, z]
+    return dxp[:, :, pad:pad + h, pad:pad + w], dk, g.sum(axis=(0, 2, 3))
+
+
 class TestElementwise:
     def test_mul_broadcast_scalar_like(self):
         out = Tensor([1.0, 2.0, 3.0]) * Tensor([2.0, 2.0, 2.0])
@@ -147,6 +170,52 @@ class TestConv2d:
             return float(conv2d_loop(x_, k_, b_).sum())
 
         assert_grads_close(f, [x, k, b], [tx.grad, tk.grad, tb.grad])
+
+    # (batch, cin, cout, size, k, stride, padding, bias)
+    ORACLE_CASES = [
+        (1, 2, 3, 5, 3, 1, None, True),
+        (3, 1, 2, 6, 3, 1, None, False),   # Cin = 1, no bias, B > 1
+        (2, 3, 4, 7, 3, 2, None, True),    # stride 2, odd size
+        (2, 2, 3, 8, 3, 2, None, False),   # stride 2, even size
+        (2, 3, 2, 5, 1, 1, None, True),    # 1x1
+        (2, 3, 2, 6, 1, 2, None, True),    # 1x1, stride 2
+        (2, 2, 2, 6, 3, 1, 0, True),       # no padding
+        (1, 2, 2, 9, 5, 3, 1, True),       # 5x5, stride 3, padding below k//2
+    ]
+
+    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
+    def test_forward_and_gradients_match_loop_oracle(self, b, cin, cout, size, k, stride,
+                                                     padding, with_bias):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((b, cin, size, size))
+        kern = rng.standard_normal((cout, cin, k, k))
+        bias = rng.standard_normal(cout) if with_bias else None
+        tx, tk = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
+        tb = Tensor(bias, requires_grad=True) if with_bias else None
+        out = T.conv2d(tx, tk, tb, stride=stride, padding=padding)
+        ref = conv2d_loop(x, kern, bias, stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+        g = rng.standard_normal(ref.shape)
+        (out * Tensor(g)).sum().backward()
+        dx, dk, db = conv2d_grads_loop(x, kern, g, stride=stride, padding=padding)
+        np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
+        if with_bias:
+            np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
+
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((2, 2, 5, 5)))
+        tk = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        tb = Tensor(np.zeros(3))
+        T.conv2d(x, tk, tb).sum().backward()
+        assert x.grad is None and tb.grad is None
+        assert np.any(tk.grad)
+
+    def test_padding_outside_kernel_rejected(self):
+        with pytest.raises(ValueError):
+            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), padding=3)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
