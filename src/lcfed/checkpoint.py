@@ -20,6 +20,8 @@ Adam moments, hw<k> hb<k> the relayed coarse heads.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .federation import FederationState, ParamSet
@@ -59,20 +61,20 @@ def save_checkpoint(path: str, state: FederationState, digest: str, master_seed:
               f"seed {master_seed}",
               "adam_t " + " ".join(adam_t),
               f"arrays {len(entries)}"]
-    blobs = []
     offset = 0
     for name, arr in entries:
-        dtype_name = str(arr.dtype)
-        blob = np.ascontiguousarray(arr).astype(_LE[dtype_name], copy=False).tobytes()
         shape = ",".join(str(s) for s in arr.shape) if arr.shape else "-"
-        header.append(f"{name} {dtype_name} {shape} {offset}")
-        blobs.append(blob)
-        offset += len(blob)
+        header.append(f"{name} {arr.dtype} {shape} {offset}")
+        offset += arr.nbytes
     header.append("end")
-    with open(path, "wb") as fh:
+    # write beside the target and rename over it, so a failed write never
+    # leaves a truncated checkpoint; arrays stream out one at a time
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for blob in blobs:
-            fh.write(blob)
+        for _, arr in entries:
+            fh.write(np.ascontiguousarray(arr, dtype=_LE[str(arr.dtype)]).data)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str):

@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                 "report": _cmd_report, "gen-data": _cmd_gen_data}
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -43,12 +43,6 @@ class ParamSet:
     def __getitem__(self, name):
         return self.values[name]
 
-    def allclose(self, other: "ParamSet", atol=0.0) -> bool:
-        if self.names() != other.names():
-            return False
-        return all(np.allclose(self.values[n], other.values[n], rtol=0, atol=atol)
-                   for n in self.values)
-
 
 def fedavg(sets: list) -> ParamSet:
     """Elementwise unweighted mean of shape-aligned parameter sets."""
@@ -81,19 +75,6 @@ class FederationState:
     betas: list          # K ParamSets for the local groups
     head_collection: HeadCollection
     adam_states: list    # K optimizer state dicts (None before the first round)
-
-    def digest(self) -> str:
-        import hashlib
-        h = hashlib.sha256()
-        h.update(str(self.round).encode())
-        for name in sorted(self.theta_g.values):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(self.theta_g.values[name]).tobytes())
-        for beta in self.betas:
-            for name in sorted(beta.values):
-                h.update(name.encode())
-                h.update(np.ascontiguousarray(beta.values[name]).tobytes())
-        return h.hexdigest()[:16]
 
 
 @dataclass
@@ -255,7 +236,11 @@ def local_update(client: Client, theta_in: ParamSet, beta_in: ParamSet,
             idx = order[start:start + cfg.batch_size]
             xb = data.train_images[idx].astype(dtype, copy=False)
             yb = data.train_masks[idx].astype(dtype, copy=False)
-            breakdown = forward_training(client, xb, yb, heads, cfg)
+            try:
+                breakdown = forward_training(client, xb, yb, heads, cfg)
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"site {client.site}, round {round_index + 1}: {err}") from err
             opt.zero_grad()
             breakdown.joint.backward()
             opt.step()

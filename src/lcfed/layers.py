@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, graph_node, relu
+from .tensor import Tensor, conv2d, graph_node, relu
 
 GROUP_BODY = "body"
 GROUP_PCS = "pcs"
@@ -32,38 +32,53 @@ def instance_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = 
     """
     d = x.data
     if d.ndim == 4:
-        axes = (2, 3)
-        m = d.shape[2] * d.shape[3]
+        axes, group_dot, m = (2, 3), "bchw,bchw->bc", d.shape[2] * d.shape[3]
     elif d.ndim == 2:
-        axes = (1,)
-        m = d.shape[1]
+        axes, group_dot, m = (1,), "bc,bc->b", d.shape[1]
     else:
         raise ValueError(f"instance_norm expects 2-D or 4-D input, got {d.ndim}-D")
     if m < 2:
         raise ValueError("normalization group has a single element; variance undefined")
 
-    mu = d.mean(axis=axes, keepdims=True)
-    var = d.var(axis=axes, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    xhat = (d - mu) / sigma
-
-    if gamma is not None:
-        gshape = (1, -1) if d.ndim == 2 else (1, -1, 1, 1)
-        out_data = xhat * gamma.data.reshape(gshape) + beta.data.reshape(gshape)
+    # reductions over the group axes work on any memory layout, so a
+    # channel-major input is never copied into rows
+    xc = d - d.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum(group_dot, xc, xc) / m + eps)
+    inv = inv.reshape(inv.shape + (1,) * len(axes))
+    if gamma is None:
+        scale = inv
+        out_data = xc * scale
     else:
-        out_data = xhat
+        pshape = (1, -1) if d.ndim == 2 else (1, -1, 1, 1)
+        gk = gamma.data.reshape(pshape)
+        scale = gk * inv
+        out_data = xc * scale
+        out_data += beta.data.reshape(pshape)
 
     def grad_fn(g):
-        if gamma is not None:
-            reduce_axes = (0,) if d.ndim == 2 else (0, 2, 3)
-            gamma.accumulate_grad((g * xhat).sum(axis=reduce_axes))
-            beta.accumulate_grad(g.sum(axis=reduce_axes))
-            gy = g * gamma.data.reshape(gshape)
+        # with sg = sum(g') and sgx = sum(g' * x_c) over a group, g' = gamma * g,
+        # dx = a*g + b*x_c + c for a = gamma/sigma, b = -sgx/(m sigma^3), c = -sg/(m sigma)
+        if d.ndim == 4:
+            # gamma is constant over a group: the sums of g itself also give
+            # the gamma and beta gradients
+            sg = g.sum(axis=axes, keepdims=True)
+            sgx = np.einsum(group_dot, g, xc).reshape(sg.shape)
+            if gamma is not None:
+                gamma.accumulate_grad((sgx * inv).sum(axis=(0, 2, 3)))
+                beta.accumulate_grad(sg.sum(axis=(0, 2, 3)))
+                sg, sgx = gk * sg, gk * sgx
         else:
-            gy = g
-        gmean = gy.mean(axis=axes, keepdims=True)
-        xmean = (gy * xhat).mean(axis=axes, keepdims=True)
-        x.accumulate_grad((gy - gmean - xhat * xmean) / sigma)
+            # a 2-D group spans the channels, so gamma weights g inside it
+            if gamma is not None:
+                gamma.accumulate_grad((g * xc * inv).sum(axis=0))
+                beta.accumulate_grad(g.sum(axis=0))
+            gy = g if gamma is None else gk * g
+            sg = gy.sum(axis=axes, keepdims=True)
+            sgx = np.einsum(group_dot, gy, xc).reshape(sg.shape)
+        dx = scale * g
+        dx += (-inv ** 3 / m * sgx) * xc
+        dx += -inv / m * sg
+        x.accumulate_grad(dx)
 
     parents = (x,) if gamma is None else (x, gamma, beta)
     return graph_node(out_data, parents, grad_fn)
@@ -159,16 +174,19 @@ class Layer:
         return list(self._params)
 
 
+def _conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
+    std = np.sqrt(2.0 / (cin * k * k))
+    return (rng.standard_normal((cout, cin, k, k)) * std).astype(dtype)
+
+
 class Conv2d(Layer):
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
                  group: str = GROUP_BODY, dtype=np.float64):
         super().__init__(group)
-        std = np.sqrt(2.0 / (cin * k * k))
-        self.weight = self._register("w", (rng.standard_normal((cout, cin, k, k)) * std).astype(dtype))
+        self.weight = self._register("w", _conv_kernels(cin, cout, k, rng, dtype))
         self.bias = self._register("b", np.zeros(cout, dtype=dtype))
 
     def __call__(self, x: Tensor, stride: int = 1) -> Tensor:
-        from .tensor import conv2d
         return conv2d(x, self.weight, self.bias, stride=stride)
 
 
@@ -209,17 +227,19 @@ class PerPixelLinear(Layer):
 
 
 class ConvBlock(Layer):
-    """conv3x3 -> instance norm -> relu."""
+    """conv3x3 -> instance norm -> relu.
+
+    The convolution has no bias: the norm subtracts each channel's mean, so a
+    bias would cancel in the forward pass and get an exactly-zero gradient.
+    """
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator,
                  group: str = GROUP_BODY, dtype=np.float64):
         super().__init__(group)
-        self.conv = Conv2d(cin, cout, 3, rng, group, dtype)
+        self.weight = self._register("conv.w", _conv_kernels(cin, cout, 3, rng, dtype))
         self.norm = InstanceNorm(cout, group, dtype)
-        for name, t in self.conv.parameters():
-            self._params.append((f"conv.{name}", t))
         for name, t in self.norm.parameters():
             self._params.append((f"norm.{name}", t))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return relu(self.norm(self.conv(x)))
+        return relu(self.norm(conv2d(x, self.weight)))

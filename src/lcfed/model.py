@@ -8,7 +8,7 @@ calibrated head applied after the disagreement-gated feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,9 @@ class SegmentationModel:
     def load_params(self, values: dict):
         by_name = {n: t for n, t, _ in self._named}
         for name, arr in values.items():
-            t = by_name[name]
+            t = by_name.get(name)
+            if t is None:
+                raise ValueError(f"model has no parameter {name!r}")
             if t.data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {t.data.shape} vs {arr.shape}")
             np.copyto(t.data, arr)

@@ -4,7 +4,8 @@ Every value flowing through the model (features, embeddings, segmentation
 maps, losses) is a ``Tensor`` wrapping a numpy array.  Ops that take part in
 gradient computation record their inputs and a closure that pushes the output
 gradient back to them; ``backward()`` on a scalar replays those closures once
-each in reverse topological order and then discards the graph.
+each in reverse topological order, releasing every node as soon as its closure
+has run.
 
 Conventions:
   * gradients accumulate (+=) into ``.grad``; call ``zero_grad()`` between
@@ -13,6 +14,11 @@ Conventions:
   * constants (tensors that neither require a gradient nor come out of a
     tracked op) receive no gradient: their ``.grad`` stays None and ops skip
     computing it,
+  * the graph frees itself during backward: a node's saved arrays, and its
+    gradient unless the caller still holds the tensor, go as soon as its
+    closure has run,
+  * op results and the gradients ops pass back may be non-contiguous views
+    (conv2d returns channel-major memory); ops must accept any layout,
   * conv2d is cross-correlation (no kernel flip),
   * dtype follows the input arrays; tests run in float64, training may run
     in float32.
@@ -108,8 +114,9 @@ class Tensor:
     def backward(self):
         """Propagate gradients from this scalar to every ancestor.
 
-        The recorded graph is discarded afterwards; a second backward from
-        the same root raises.
+        Each node is released from the graph as soon as its closure has run,
+        so saved arrays and intermediate gradients are freed during the pass;
+        a second backward from the same root raises.
         """
         if self.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {self.data.shape}")
@@ -131,14 +138,15 @@ class Tensor:
                 topo.append(node)
 
         self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(topo):
+        self._consumed = True
+        while topo:
+            node = topo.pop()
             if node._grad_fn is not None:
                 node._grad_fn(node.grad)
-        # per-forward record: drop edges so the graph is garbage-collected
-        for node in topo:
+            # cut the node loose: its closure's saved arrays, and its gradient
+            # unless the caller holds the tensor, are freed right here
             node._parents = ()
             node._grad_fn = None
-        self._consumed = True
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -284,12 +292,12 @@ def stop_gradient(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    out_data = np.maximum(x.data, 0)
 
     def grad_fn(g):
-        x.accumulate_grad(g * mask)
+        x.accumulate_grad(g * (out_data > 0))
 
-    return graph_node(np.where(mask, x.data, 0), (x,), grad_fn)
+    return graph_node(out_data, (x,), grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -377,30 +385,19 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return np.ascontiguousarray(windows).reshape(c * k * k, b * ho * wo)
 
 
-def _batch_major(a: np.ndarray, shape: tuple, bias: np.ndarray | None = None) -> np.ndarray:
-    """(C, B*H*W) GEMM result -> contiguous (B, C, H, W) array of `shape`,
-    plus a per-channel bias when given."""
-    b, c = shape[:2]
-    src = a.reshape(c, b, -1).transpose(1, 0, 2)
-    out = np.empty((b, c, src.shape[2]), dtype=a.dtype)
-    if bias is None:
-        np.copyto(out, src)
-    else:
-        np.add(src, bias[:, None], out=out)
-    return out.reshape(shape)
-
-
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int | None = None) -> Tensor:
     """Cross-correlation of (B, Cin, H, W) with (Cout, Cin, k, k) kernels.
 
     Default padding k//2 preserves spatial size at stride 1; padding must lie
     in [0, k-1].  The batch is folded into the columns of one
-    (Cin*k*k, B*Ho*Wo) im2col buffer, so the forward pass and the kernel
-    gradient are one GEMM each.  The input gradient is one more: the
-    correlation of the zero-dilated, padded output gradient with the
-    flipped, channel-transposed kernels.  Gradients are computed only for
-    the operands that track them.
+    (Cin*k*k, B*Ho*Wo) im2col buffer that lives only for the forward GEMM;
+    the result is a (B, Cout, Ho, Wo) view of channel-major memory.  The
+    input gradient is one more GEMM: the correlation of the zero-dilated,
+    padded output gradient with the flipped, channel-transposed kernels.
+    The kernel gradient is one GEMM of those same gradient columns with the
+    input; only a constant input has its own columns rebuilt for it.
+    Gradients are computed only for the operands that track them.
     """
     b, cin, h, w = x.shape
     cout, kc, kh, kw = kernels.shape
@@ -415,26 +412,32 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
 
-    xp = _pad(x.data.transpose(1, 0, 2, 3), pad, (h + 2 * pad, w + 2 * pad))
-    cols = _im2col(xp, k, stride, ho, wo)
-    out_data = _batch_major(kernels.data.reshape(cout, cin * k * k) @ cols, (b, cout, ho, wo),
-                            None if bias is None else bias.data)
+    x_cm = x.data.transpose(1, 0, 2, 3)
+    cols = _im2col(_pad(x_cm, pad, (h + 2 * pad, w + 2 * pad)), k, stride, ho, wo)
+    out_cm = kernels.data.reshape(cout, cin * k * k) @ cols
+    if bias is not None:
+        out_cm += bias.data[:, None]
 
     def grad_fn(g):
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
-        if kernels.requires_grad:
-            # cols @ g^T runs faster in OpenBLAS than g @ cols^T for the long,
-            # thin GEMMs of the high-resolution stages
-            kernels.accumulate_grad((cols @ gt.reshape(cout, -1).T).T.reshape(kernels.shape))
+        gt = g.transpose(1, 0, 2, 3)
         if x.requires_grad:
             # dx[c, y] = sum_{o, d} g[o, (y + pad - d) / stride] * K[o, c, d]: the
             # output gradient dilated by stride and padded by k-1-pad on the low
             # side, correlated with the kernels flipped and Cin/Cout-swapped.
             gcols = _im2col(_pad(gt, k - 1 - pad, (h + k - 1, w + k - 1), stride), k, 1, h, w)
+            if kernels.requires_grad:
+                # row (o, k-1-dy, k-1-dx) of gcols holds g where it meets
+                # x[c, y] through tap (dy, dx), so one GEMM and a flip give dW
+                dw = (gcols @ x_cm.reshape(cin, -1).T).reshape(cout, k, k, cin)
+                kernels.accumulate_grad(dw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
             flipped = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-            x.accumulate_grad(_batch_major(flipped @ gcols, x.shape))
+            x.accumulate_grad((flipped @ gcols).reshape(cin, b, h, w).transpose(1, 0, 2, 3))
+        elif kernels.requires_grad:
+            # a constant input builds no gcols; rebuild its (cheaper) columns
+            cols = _im2col(_pad(x_cm, pad, (h + 2 * pad, w + 2 * pad)), k, stride, ho, wo)
+            kernels.accumulate_grad((gt.reshape(cout, -1) @ cols.T).reshape(kernels.shape))
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return graph_node(out_data, parents, grad_fn)
+    return graph_node(out_cm.reshape(cout, b, ho, wo).transpose(1, 0, 2, 3), parents, grad_fn)

@@ -76,6 +76,41 @@ class TestInstanceNorm:
 
         assert_grads_close(f, [x], [tx.grad])
 
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_channel_major_input_backward_matches_fd(self, affine):
+        # the layout conv2d returns: a (B, C, H, W) view of (C, B, H, W) memory
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 3, 4))
+        view = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        gam, bet = rng.standard_normal(3), rng.standard_normal(3)
+        w = rng.standard_normal(x.shape)
+        tx = Tensor(view, requires_grad=True)
+        tg, tb = Tensor(gam, requires_grad=True), Tensor(bet, requires_grad=True)
+        out = instance_norm(tx, tg, tb) if affine else instance_norm(tx)
+        (out * out * Tensor(w)).sum().backward()
+
+        def f(x_, g_, b_):
+            mu = x_.mean(axis=(2, 3), keepdims=True)
+            o = (x_ - mu) / np.sqrt(x_.var(axis=(2, 3), keepdims=True) + 1e-5)
+            if affine:
+                o = o * g_[None, :, None, None] + b_[None, :, None, None]
+            return float((o * o * w).sum())
+
+        grads = [tx.grad, tg.grad, tb.grad] if affine else [tx.grad, None, None]
+        assert_grads_close(f, [x, gam, bet], grads)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (3, 5)])
+    def test_float32_stays_float32(self, shape):
+        rng = np.random.default_rng(4)
+        c = shape[1]
+        tx = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        tg = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
+        tb = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+        out = instance_norm(tx, tg, tb)
+        assert out.dtype == np.float32
+        (out * out).sum().backward()
+        assert tx.grad.dtype == tg.grad.dtype == tb.grad.dtype == np.float32
+
     def test_singleton_group_rejected(self):
         with pytest.raises(ValueError):
             instance_norm(Tensor(np.ones((2, 1))))
@@ -246,6 +281,16 @@ class TestModelForward:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             ModelProfile(image_size=10, channels=(2, 3, 4)).validate()
+
+    def test_conv_blocks_have_no_bias_projections_keep_theirs(self):
+        names = [n for n, _, _ in SegmentationModel(TINY, 2).named_parameters()]
+        assert not [n for n in names if n.endswith("conv.b")]
+        assert "enc0.conv.w" in names and "up0.b" in names
+
+    def test_load_unknown_name_rejected(self):
+        m = SegmentationModel(TINY, 2, rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="enc0.conv.b"):
+            m.load_params({"enc0.conv.b": np.zeros(2)})
 
     def test_load_shape_mismatch_rejected(self):
         m = SegmentationModel(TINY, 2, rng=np.random.default_rng(3))

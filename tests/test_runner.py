@@ -1,9 +1,57 @@
+import builtins
 import ctypes
+import os
 import platform
 
+import numpy as np
 import pytest
 
-from lcfed import runner
+from lcfed import checkpoint, cli, runner
+from lcfed.config import ExperimentConfig
+
+TINY = dict(mode="lcfed", dtype="float64", sites=2, rounds=2, image_size=16, channels=(4, 8),
+            batch_size=3, train_per_site=3, test_per_site=2, checkpoint_every=1,
+            benchmark_seed=1, master_seed=1)
+
+
+def tiny_cfg(out_dir) -> ExperimentConfig:
+    return ExperimentConfig(**TINY, out_dir=str(out_dir))
+
+
+def read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class _WriteFails:
+    """A binary file whose write raises after `n` successful writes."""
+
+    def __init__(self, path, mode, n):
+        self.fh = builtins.open(path, mode)
+        self.n = n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, blob):
+        if self.n == 0:
+            raise OSError("no space left on device")
+        self.n -= 1
+        return self.fh.write(blob)
+
+
+def fail_writes_to(monkeypatch, suffix: str):
+    """Make checkpoint writes to paths ending in `suffix` raise after the header
+    and one array."""
+    def fake_open(path, mode="r", *args, **kwargs):
+        if str(path).endswith(suffix):
+            return _WriteFails(path, mode, 2)
+        return builtins.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "open", fake_open, raising=False)
 
 
 class TestSteadyHeap:
@@ -21,3 +69,59 @@ class TestSteadyHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_true_on_glibc(self):
         assert runner.steady_heap() is True
+
+
+class TestCheckpointWrites:
+    def test_failed_write_keeps_previous_checkpoint_and_resume_skips_tmp(self, tmp_path,
+                                                                          monkeypatch):
+        whole = runner.run_experiment(tiny_cfg(tmp_path / "whole"))
+        ckpts = os.path.join(whole, "checkpoints")
+        first = read_bytes(os.path.join(ckpts, "round_0001.ckpt"))
+        last = read_bytes(os.path.join(ckpts, "round_0002.ckpt"))
+
+        # overwriting a checkpoint fails mid-file: the old bytes survive
+        state, digest, seed = checkpoint.load_checkpoint(os.path.join(ckpts, "round_0002.ckpt"))
+        fail_writes_to(monkeypatch, "round_0001.ckpt.tmp")
+        with pytest.raises(OSError):
+            checkpoint.save_checkpoint(os.path.join(ckpts, "round_0001.ckpt"), state, digest, seed)
+        assert read_bytes(os.path.join(ckpts, "round_0001.ckpt")) == first
+
+        # a run whose second checkpoint fails leaves a .tmp and no round_0002.ckpt
+        fail_writes_to(monkeypatch, "round_0002.ckpt.tmp")
+        cut = str(tmp_path / "cut")
+        with pytest.raises(OSError):
+            runner.run_experiment(tiny_cfg(cut))
+        monkeypatch.undo()
+        names = sorted(os.listdir(os.path.join(cut, "checkpoints")))
+        assert names == ["round_0001.ckpt", "round_0002.ckpt.tmp"]
+
+        runner.resume_experiment(cut)
+        assert read_bytes(os.path.join(cut, "checkpoints", "round_0002.ckpt")) == last
+        assert read_bytes(os.path.join(cut, "metrics.csv")) == read_bytes(
+            os.path.join(whole, "metrics.csv"))
+
+
+_build_datasets = runner.build_datasets
+
+
+def nan_site_1(cfg):
+    datasets = _build_datasets(cfg)
+    datasets[1].train_images[:] = np.nan
+    return datasets
+
+
+class TestNonFiniteLoss:
+    def test_error_names_site_and_round(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "build_datasets", nan_site_1)
+        with pytest.raises(FloatingPointError, match=r"site 1, round 1: non-finite"):
+            runner.run_experiment(tiny_cfg(tmp_path))
+
+    def test_cli_reports_error_with_exit_code_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(runner, "build_datasets", nan_site_1)
+        code = cli.main(["run", "--out", str(tmp_path), "--sites", "2", "--rounds", "1",
+                         "--set", "image_size=16", "--set", "channels=4,8",
+                         "--set", "train_per_site=3", "--set", "test_per_site=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: site 1, round 1: non-finite")
+        assert "Traceback" not in err

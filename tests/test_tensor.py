@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,81 @@ class TestConv2d:
         if with_bias:
             np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
+    def test_constant_input_kernel_gradient_matches_loop_oracle(self, b, cin, cout, size, k,
+                                                                stride, padding, with_bias):
+        # without dx there are no gradient columns: dW comes from x's own columns
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((b, cin, size, size))
+        kern = rng.standard_normal((cout, cin, k, k))
+        tk = Tensor(kern, requires_grad=True)
+        tb = Tensor(rng.standard_normal(cout), requires_grad=True) if with_bias else None
+        out = T.conv2d(Tensor(x), tk, tb, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        _, dk, db = conv2d_grads_loop(x, kern, g, stride=stride, padding=padding)
+        np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
+        if with_bias:
+            np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["channel_major", "sliced"])
+    def test_non_contiguous_input_matches_loop_oracle(self, layout):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 2, 6, 6))
+        if layout == "channel_major":
+            view = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        else:
+            big = np.zeros((3, 5, 8, 8))
+            big[:, 1:5:2, 1:7, 1:7] = x
+            view = big[:, 1:5:2, 1:7, 1:7]
+        assert not view.flags.c_contiguous
+        kern = rng.standard_normal((4, 2, 3, 3))
+        tx, tk = Tensor(view, requires_grad=True), Tensor(kern, requires_grad=True)
+        out = T.conv2d(tx, tk, stride=2)
+        np.testing.assert_allclose(out.data, conv2d_loop(x, kern, stride=2), rtol=1e-12)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        dx, dk, _ = conv2d_grads_loop(x, kern, g, stride=2)
+        np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("x_tracks", [True, False])
+    def test_non_contiguous_upstream_gradient(self, x_tracks):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 3, 5, 5))
+        kern = rng.standard_normal((4, 3, 3, 3))
+        bias = rng.standard_normal(4)
+        tx = Tensor(x, requires_grad=x_tracks)
+        tk, tb = Tensor(kern, requires_grad=True), Tensor(bias, requires_grad=True)
+        out = T.conv2d(tx, tk, tb)
+        g = rng.standard_normal(out.shape)
+        for g_view in (np.asfortranarray(g), np.ascontiguousarray(g[:, ::-1])[:, ::-1]):
+            assert not g_view.flags.c_contiguous
+            for t in (tx, tk, tb):
+                t.grad = None if t is tx else np.zeros_like(t.data)
+            out._grad_fn(g_view)
+            dx, dk, db = conv2d_grads_loop(x, kern, g)
+            np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
+            if x_tracks:
+                np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
+            else:
+                assert tx.grad is None
+
+    def test_forward_retains_less_than_one_column_buffer(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((6, 16, 64, 64)), requires_grad=True)
+        kern = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        cols_bytes = 16 * 9 * 6 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, kern)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained < cols_bytes
+
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 2, 5, 5)))
@@ -351,6 +429,42 @@ class TestBackward:
         y = x * 2.0
         (y * y).sum().backward()  # d/dx (2x)^2 = 8x
         np.testing.assert_allclose(x.grad, [24.0])
+
+
+class TestGraphRelease:
+    def test_consumer_closure_arrays_dead_before_producer_runs(self):
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        seen = []
+
+        def build():
+            # `saved` is held by the consumer's closure and nothing else
+            saved = np.array([2.0, 3.0, 4.0])
+            ref = weakref.ref(saved)
+
+            def producer_fn(g):
+                seen.append(ref() is None)
+                x.accumulate_grad(g)
+
+            def consumer_fn(g):
+                p.accumulate_grad(g * saved)
+
+            p = T.graph_node(x.data.copy(), (x,), producer_fn)
+            return T.graph_node(p.data * saved, (p,), consumer_fn).sum()
+
+        build().backward()
+        assert seen == [True]
+        np.testing.assert_array_equal(x.grad, [2.0, 3.0, 4.0])
+
+    def test_caller_held_intermediate_keeps_its_gradient(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = x * 2.0
+        root = (h * h).sum()
+        root.backward()
+        np.testing.assert_array_equal(h.grad, 2 * h.data)
+        np.testing.assert_array_equal(x.grad, 8 * x.data)
+        assert h._grad_fn is None and h._parents == ()
+        with pytest.raises(RuntimeError):
+            root.backward()
 
 
 class TestDeterminism:
