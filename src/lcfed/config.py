@@ -12,25 +12,32 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 
-MODES = ("local", "fedavg", "fedrep-head", "lcfed", "lcfed-pcs-only", "lcfed-hc-only")
-
-# mode -> (pcs, hc, share_heads, aggregate)
-_MODE_FLAGS = {
-    "local": (False, False, False, False),
-    "fedavg": (False, False, True, True),
-    "fedrep-head": (False, False, False, True),
-    "lcfed": (True, True, False, True),
-    "lcfed-pcs-only": (True, False, False, True),
-    "lcfed-hc-only": (False, True, False, True),
-}
+from .layers import GROUP_BODY, GROUP_HEAD, GROUP_PCS
 
 
 @dataclass(frozen=True)
-class RunFlags:
+class Mode:
+    """What a run does: PCS on or off, HC on or off, and the parameter groups
+    FedAvg averages (every other group stays local to its site)."""
+
     pcs: bool
     hc: bool
-    share_heads: bool
-    aggregate: bool
+    shared: tuple
+
+
+_BODY_PCS = (GROUP_BODY, GROUP_PCS)
+
+MODES = {
+    "local": Mode(pcs=False, hc=False, shared=()),
+    "fedavg": Mode(pcs=False, hc=False, shared=(*_BODY_PCS, GROUP_HEAD)),
+    "fedrep-head": Mode(pcs=False, hc=False, shared=_BODY_PCS),
+    "lcfed": Mode(pcs=True, hc=True, shared=_BODY_PCS),
+    "lcfed-pcs-only": Mode(pcs=True, hc=False, shared=_BODY_PCS),
+    "lcfed-hc-only": Mode(pcs=False, hc=True, shared=_BODY_PCS),
+}
+
+# execution settings: no trained value depends on them
+_NOT_IN_DIGEST = ("out_dir", "parallel_clients", "eval_every", "checkpoint_every")
 
 
 @dataclass
@@ -49,10 +56,6 @@ class ExperimentConfig:
     image_size: int = 64
     classes: int = 1
     channels: tuple = (8, 16, 32, 64, 128)
-    pcs_shared: bool = True
-    pcs_enabled: bool | None = None   # None: derived from mode
-    hc_enabled: bool | None = None
-    share_heads: bool | None = None
     benchmark_seed: int = 2024
     master_seed: int = 1
     train_per_site: int = 120
@@ -66,7 +69,7 @@ class ExperimentConfig:
 
     def validate(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {tuple(MODES)}")
         if self.sites < 1:
             raise ValueError("need at least one site")
         if self.rounds < 1:
@@ -92,21 +95,13 @@ class ExperimentConfig:
             raise ValueError("eval_every and checkpoint_every must be >= 0")
         return self
 
-    def flags(self) -> RunFlags:
-        pcs, hc, share, aggregate = _MODE_FLAGS[self.mode]
-        if self.pcs_enabled is not None:
-            pcs = self.pcs_enabled
-        if self.hc_enabled is not None:
-            hc = self.hc_enabled
-        if self.share_heads is not None:
-            share = self.share_heads
-        return RunFlags(pcs=pcs, hc=hc, share_heads=share, aggregate=aggregate)
-
     def digest(self) -> str:
-        """Identity of the experiment; the output location is excluded."""
+        """Identity of the experiment; execution settings are excluded, so a
+        run can resume with another output location, level of parallelism,
+        evaluation or checkpoint cadence."""
         lines = []
         for f in dataclasses.fields(self):
-            if f.name == "out_dir":
+            if f.name in _NOT_IN_DIGEST:
                 continue
             lines.append(f"{f.name}={_format_value(getattr(self, f.name))}")
         return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()[:16]
@@ -123,8 +118,6 @@ def _format_value(v) -> str:
         return ",".join(str(x) for x in v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is None:
-        return "auto"
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -135,10 +128,6 @@ def _parse_value(field: dataclasses.Field, raw: str):
     t = field.type
     if field.name == "channels":
         return tuple(int(x) for x in raw.split(","))
-    if t in ("bool | None",):
-        if raw.lower() in ("auto", "none"):
-            return None
-        return _parse_bool(raw)
     if t == "bool":
         return _parse_bool(raw)
     if t == "int":

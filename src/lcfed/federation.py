@@ -3,24 +3,24 @@
 Each round re-seeds every site's batch sampling from (master seed, site,
 round), so clients can run sequentially or in parallel workers and produce
 bit-identical results.  Aggregation is the plain unweighted mean over the
-shared parameter groups; head parameters never enter it unless the mode
-explicitly shares heads.  The head collection relayed to clients always holds
-the coarse heads as of the end of the previous round.
+parameter groups the mode's row in `config.MODES` shares; every other group
+stays with its site.  The head collection relayed to clients always holds the
+coarse heads as of the end of the previous round.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers, pcs
-from .config import ExperimentConfig
+from .config import MODES, ExperimentConfig
 from .data import SiteData
 from .hc import HeadCollection, head_calibration
 from .losses import LossBreakdown, dice_loss, joint_loss
-from .model import ModelProfile, SegmentationModel
+from .model import SegmentationModel
 from .optim import Adam
 from .tensor import Tensor
 
@@ -31,17 +31,8 @@ class ParamSet:
     def __init__(self, values: dict | None = None):
         self.values = dict(values or {})
 
-    def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self.values.items()})
-
     def names(self):
         return list(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, name):
-        return self.values[name]
 
 
 def fedavg(sets: list) -> ParamSet:
@@ -84,39 +75,28 @@ class Client:
     site: int
     model: SegmentationModel
     optimizer: Adam
-    embeddings: list = field(default_factory=list)
-
-
-def profile_from_config(cfg: ExperimentConfig) -> ModelProfile:
-    return ModelProfile(image_size=cfg.image_size, in_channels=1,
-                        classes=cfg.classes, channels=tuple(cfg.channels))
+    embeddings: np.ndarray   # (K, K) one-hot site identities, row k for site k
 
 
 def group_partition(cfg: ExperimentConfig):
     """(aggregated groups, local groups) for the configured mode."""
-    flags = cfg.flags()
-    if not flags.aggregate:
-        return (), tuple(layers.GROUPS)
-    agg = [layers.GROUP_BODY]
-    if cfg.pcs_shared:
-        agg.append(layers.GROUP_PCS)
-    if flags.share_heads:
-        agg.append(layers.GROUP_HEAD)
-    local = [g for g in layers.GROUPS if g not in agg]
-    return tuple(agg), tuple(local)
+    shared = MODES[cfg.mode].shared
+    return shared, tuple(g for g in layers.GROUPS if g not in shared)
 
 
 def np_dtype(cfg: ExperimentConfig):
     return np.float32 if cfg.dtype == "float32" else np.float64
 
 
+def new_model(cfg: ExperimentConfig, rng: np.random.Generator) -> SegmentationModel:
+    return SegmentationModel(cfg.channels, cfg.classes, cfg.sites, rng, np_dtype(cfg))
+
+
 def build_clients(cfg: ExperimentConfig) -> list:
-    profile = profile_from_config(cfg)
-    dtype = np_dtype(cfg)
-    embeddings = pcs.make_embeddings(cfg.sites)
+    embeddings = np.eye(cfg.sites)
     clients = []
     for k in range(cfg.sites):
-        model = SegmentationModel(profile, cfg.sites, np.random.default_rng(0), dtype)
+        model = new_model(cfg, np.random.default_rng(0))
         opt = Adam(((n, t) for n, t, _ in model.named_parameters()), lr=cfg.lr)
         clients.append(Client(site=k, model=model, optimizer=opt, embeddings=embeddings))
     return clients
@@ -124,10 +104,7 @@ def build_clients(cfg: ExperimentConfig) -> list:
 
 def initial_state(cfg: ExperimentConfig) -> FederationState:
     """Every site starts from the same master-seeded initialization."""
-    profile = profile_from_config(cfg)
-    dtype = np_dtype(cfg)
-    rng = np.random.default_rng([int(cfg.master_seed), 0x1A17])
-    reference = SegmentationModel(profile, cfg.sites, rng, dtype)
+    reference = new_model(cfg, np.random.default_rng([int(cfg.master_seed), 0x1A17]))
     agg_groups, local_groups = group_partition(cfg)
     theta = ParamSet(reference.get_params(agg_groups))
     betas = [ParamSet(reference.get_params(local_groups)) for _ in range(cfg.sites)]
@@ -151,12 +128,12 @@ def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
                      heads: HeadCollection, cfg: ExperimentConfig) -> LossBreakdown:
     """encoder -> channel selection -> decoder -> coarse head -> head
     calibration -> calibrated head, with the joint objective."""
-    flags = cfg.flags()
+    mode = MODES[cfg.mode]
     model = client.model
     x = Tensor(xb)
     skips, deep = model.encode(x)
 
-    if flags.pcs:
+    if mode.pcs:
         gate = pcs.augment_embedding(model.pcs_gen, client.embeddings[client.site], deep)
         con = pcs.site_contrast_loss(model.pcs_gen, deep, client.embeddings,
                                      client.site, xi_hat_k=gate)
@@ -166,7 +143,7 @@ def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
 
     f_hat = model.decode(deep, skips)
 
-    if flags.hc:
+    if mode.hc:
         coarse_map, f_star = head_calibration(
             f_hat, heads, client.site, model.coarse_head,
             delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
@@ -182,15 +159,15 @@ def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
 def forward_predict(client: Client, xb: np.ndarray, heads: HeadCollection,
                     cfg: ExperimentConfig) -> np.ndarray:
     """Calibrated segmentation probabilities for a batch."""
-    flags = cfg.flags()
+    mode = MODES[cfg.mode]
     model = client.model
     x = Tensor(xb)
     skips, deep = model.encode(x)
-    if flags.pcs:
+    if mode.pcs:
         gate = pcs.augment_embedding(model.pcs_gen, client.embeddings[client.site], deep)
         deep = pcs.select_channels(deep, gate)
     f_hat = model.decode(deep, skips)
-    if flags.hc:
+    if mode.hc:
         _, f_star = head_calibration(
             f_hat, heads, client.site, model.coarse_head,
             delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
@@ -280,14 +257,12 @@ def run_round(state: FederationState, clients: list, datasets: list,
         updates = [job(k) for k in range(len(clients))]
     updates.sort(key=lambda u: u.site)
 
-    agg_groups, local_groups = group_partition(cfg)
-    theta_new = fedavg([u.theta for u in updates]) if agg_groups else state.theta_g.copy()
+    theta_new = fedavg([u.theta for u in updates])
     betas_new = [u.beta for u in updates]
 
-    head_source = theta_new if layers.GROUP_HEAD in agg_groups else None
     weights, biases = [], []
     for u in updates:
-        source = head_source if head_source is not None else u.beta
+        source = {**theta_new.values, **u.beta.values}
         weights.append(source["head_coarse.w"].copy())
         biases.append(source["head_coarse.b"].copy())
     heads = HeadCollection(weights=weights, biases=biases, round_stamp=round_index + 1)

@@ -42,7 +42,6 @@ class LossBreakdown:
     calib: Tensor
     con: Tensor
     joint: Tensor
-    lam: float
 
     def values(self) -> dict:
         return {
@@ -59,4 +58,4 @@ def joint_loss(coarse: Tensor, calib: Tensor, con: Tensor, lam: float = DEFAULT_
         if not np.isfinite(t.data).all():
             raise FloatingPointError(f"non-finite {name} loss: {t.data!r}")
     joint = coarse + calib + con * lam
-    return LossBreakdown(coarse=coarse, calib=calib, con=con, joint=joint, lam=lam)
+    return LossBreakdown(coarse=coarse, calib=calib, con=con, joint=joint)

@@ -8,8 +8,6 @@ calibrated head applied after the disagreement-gated feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import layers
@@ -18,37 +16,19 @@ from .pcs import PCSGenerator
 from .tensor import Tensor, concat, sigmoid
 
 
-@dataclass(frozen=True)
-class ModelProfile:
-    """Desk-scale defaults; the full-resolution setting is reachable by config."""
-
-    image_size: int = 64
-    in_channels: int = 1
-    classes: int = 1
-    channels: tuple = (8, 16, 32, 64, 128)
-
-    def validate(self):
-        depth = len(self.channels) - 1
-        if self.image_size % (2 ** depth):
-            raise ValueError(
-                f"image size {self.image_size} not divisible by 2^{depth} for {len(self.channels)} stages")
-
-
 class SegmentationModel:
     """Holds all parameter tensors for one site's model instance."""
 
-    def __init__(self, profile: ModelProfile, n_sites: int,
+    def __init__(self, channels: tuple, classes: int, n_sites: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        profile.validate()
         if rng is None:
             rng = np.random.default_rng(0)
-        self.profile = profile
         self.n_sites = n_sites
         self.dtype = dtype
-        ch = profile.channels
+        ch = channels
 
         self.encoders = []
-        cin = profile.in_channels
+        cin = 1   # grayscale input
         for c in ch:
             self.encoders.append(ConvBlock(cin, c, rng, layers.GROUP_BODY, dtype))
             cin = c
@@ -61,8 +41,8 @@ class SegmentationModel:
             self.decoders.append(ConvBlock(2 * ch[i], ch[i], rng, layers.GROUP_BODY, dtype))
 
         self.pcs_gen = PCSGenerator(n_sites, ch[-1], rng, dtype=dtype)
-        self.coarse_head = PerPixelLinear(ch[0], profile.classes, rng, layers.GROUP_HEAD, dtype)
-        self.calib_head = PerPixelLinear(ch[0], profile.classes, rng, layers.GROUP_HEAD, dtype)
+        self.coarse_head = PerPixelLinear(ch[0], classes, rng, layers.GROUP_HEAD, dtype)
+        self.calib_head = PerPixelLinear(ch[0], classes, rng, layers.GROUP_HEAD, dtype)
 
         self._named = []
         for i, enc in enumerate(self.encoders):

@@ -9,39 +9,11 @@ blocking gradients through the foreign branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import layers
 from .layers import Layer, Linear, InstanceNorm
 from .tensor import Tensor, concat, global_average_pool, relu, sigmoid, stop_gradient
-
-
-@dataclass(frozen=True)
-class SiteEmbedding:
-    """Constant one-hot identity of a site; never trained."""
-
-    site_index: int
-    n_sites: int
-    raw: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if not 0 <= self.site_index < self.n_sites:
-            raise ValueError(f"site index {self.site_index} outside [0, {self.n_sites})")
-        if self.raw is None:
-            onehot = np.zeros(self.n_sites)
-            onehot[self.site_index] = 1.0
-            object.__setattr__(self, "raw", onehot)
-        else:
-            expected = np.zeros(self.n_sites)
-            expected[self.site_index] = 1.0
-            if self.raw.shape != (self.n_sites,) or not np.array_equal(self.raw, expected):
-                raise ValueError("raw embedding must be one-hot at the site index")
-
-
-def make_embeddings(n_sites: int) -> list[SiteEmbedding]:
-    return [SiteEmbedding(k, n_sites) for k in range(n_sites)]
 
 
 class PCSGenerator(Layer):
@@ -65,14 +37,14 @@ class PCSGenerator(Layer):
         return self.fc2(relu(self.norm(self.fc1(xi_rows))))
 
 
-def augment_embedding(gen: PCSGenerator, xi: SiteEmbedding, f: Tensor) -> Tensor:
-    """Gate vector in (0,1)^(B x C) from the site identity and feature statistics."""
-    if xi.n_sites != gen.n_sites:
-        raise ValueError(f"embedding length {xi.n_sites} != generator site count {gen.n_sites}")
+def augment_embedding(gen: PCSGenerator, xi: np.ndarray, f: Tensor) -> Tensor:
+    """Gate vector in (0,1)^(B x C) from the site's one-hot row and feature statistics."""
+    if xi.shape != (gen.n_sites,):
+        raise ValueError(f"embedding shape {xi.shape} != ({gen.n_sites},), one entry per site")
     if f.ndim != 4 or f.shape[1] != gen.channels:
         raise ValueError(f"feature shape {f.shape} incompatible with {gen.channels} channels")
     b = f.shape[0]
-    rows = Tensor(np.tile(xi.raw.astype(f.dtype), (b, 1)))
+    rows = Tensor(np.tile(xi.astype(f.dtype), (b, 1)))
     xi_star = gen.extend(rows)
     descriptor = global_average_pool(f)
     return sigmoid(gen.fuse(concat([descriptor, xi_star], axis=1)))
@@ -99,7 +71,7 @@ def contrast_from_gates(xi_hat_k: Tensor, others: list) -> Tensor:
     return total * (-1.0 / len(others))
 
 
-def site_contrast_loss(gen: PCSGenerator, f: Tensor, all_embeddings: list, k: int,
+def site_contrast_loss(gen: PCSGenerator, f: Tensor, all_embeddings: np.ndarray, k: int,
                        xi_hat_k: Tensor | None = None) -> Tensor:
     """Negative mean distance between site k's gate and the (detached) others.
 

@@ -51,6 +51,10 @@ def build_datasets(cfg: ExperimentConfig) -> list:
         if size != cfg.image_size:
             raise ValueError(
                 f"dataset images are {size}px but config expects {cfg.image_size}px")
+        classes = sites[0].train_masks.shape[1]
+        if classes != cfg.classes:
+            raise ValueError(
+                f"manifest masks have {classes} class(es) but config expects {cfg.classes}")
         return sites
     return data_mod.generate_benchmark(cfg.benchmark_seed, cfg.sites,
                                        cfg.train_per_site, cfg.test_per_site,

@@ -8,11 +8,11 @@ from lcfed.layers import (
     instance_norm, max_pool2x2, upsample_nearest2x, per_pixel_linear,
     Conv2d, InstanceNorm, Linear, PerPixelLinear,
 )
-from lcfed.model import ModelProfile, SegmentationModel
+from lcfed.model import SegmentationModel
 
 from gradcheck import assert_grads_close
 
-TINY = ModelProfile(image_size=8, channels=(2, 3, 4))
+TINY = dict(channels=(2, 3, 4), classes=1)   # 8 px inputs
 
 
 def max_pool_grad_loop(x, g):
@@ -235,7 +235,7 @@ class TestPerPixelLinear:
 
 class TestParameterGroups:
     def test_groups_partition_parameter_set(self):
-        model = SegmentationModel(TINY, n_sites=3, rng=np.random.default_rng(9))
+        model = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9))
         named = model.named_parameters()
         names = [n for n, _, _ in named]
         assert len(names) == len(set(names))
@@ -256,7 +256,7 @@ class TestParameterGroups:
 
 class TestModelForward:
     def test_shapes_and_range(self):
-        model = SegmentationModel(TINY, n_sites=2, rng=np.random.default_rng(10))
+        model = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(10))
         x = Tensor(np.random.default_rng(11).random((2, 1, 8, 8)))
         skips, f = model.encode(x)
         assert f.shape == (2, 4, 2, 2)
@@ -269,8 +269,8 @@ class TestModelForward:
 
     def test_load_get_roundtrip(self):
         rng = np.random.default_rng(12)
-        m1 = SegmentationModel(TINY, 2, rng=np.random.default_rng(1))
-        m2 = SegmentationModel(TINY, 2, rng=np.random.default_rng(2))
+        m1 = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(1))
+        m2 = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(2))
         params = m1.get_params(layers.GROUPS)
         m2.load_params(params)
         x = Tensor(rng.random((1, 1, 8, 8)))
@@ -278,21 +278,17 @@ class TestModelForward:
         s2, f2 = m2.encode(x)
         np.testing.assert_array_equal(f1.data, f2.data)
 
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            ModelProfile(image_size=10, channels=(2, 3, 4)).validate()
-
     def test_conv_blocks_have_no_bias_projections_keep_theirs(self):
-        names = [n for n, _, _ in SegmentationModel(TINY, 2).named_parameters()]
+        names = [n for n, _, _ in SegmentationModel(**TINY, n_sites=2).named_parameters()]
         assert not [n for n in names if n.endswith("conv.b")]
         assert "enc0.conv.w" in names and "up0.b" in names
 
     def test_load_unknown_name_rejected(self):
-        m = SegmentationModel(TINY, 2, rng=np.random.default_rng(3))
+        m = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(3))
         with pytest.raises(ValueError, match="enc0.conv.b"):
             m.load_params({"enc0.conv.b": np.zeros(2)})
 
     def test_load_shape_mismatch_rejected(self):
-        m = SegmentationModel(TINY, 2, rng=np.random.default_rng(3))
+        m = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(3))
         with pytest.raises(ValueError):
             m.load_params({"enc0.conv.w": np.zeros((1, 1, 3, 3))})

@@ -81,7 +81,6 @@ class TestJointLoss:
     def test_hand_case(self):
         lb = joint_loss(Tensor(0.5), Tensor(0.3), Tensor(-0.2), lam=0.1)
         assert lb.joint.item() == pytest.approx(0.78, abs=1e-12)
-        assert lb.lam == 0.1
 
     def test_zero_lambda(self):
         lb = joint_loss(Tensor(0.4), Tensor(0.2), Tensor(-5.0), lam=0.0)

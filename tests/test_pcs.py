@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lcfed.pcs import (
-    PCSGenerator, SiteEmbedding, augment_embedding, contrast_from_gates,
-    make_embeddings, select_channels, site_contrast_loss,
+    PCSGenerator, augment_embedding, contrast_from_gates, select_channels, site_contrast_loss,
 )
 from lcfed.tensor import Tensor
 
@@ -12,38 +11,24 @@ def make_gen(n_sites=3, channels=6, seed=0):
     return PCSGenerator(n_sites, channels, np.random.default_rng(seed))
 
 
-class TestSiteEmbedding:
-    def test_one_hot_construction(self):
-        xi = SiteEmbedding(2, 4)
-        np.testing.assert_array_equal(xi.raw, [0, 0, 1, 0])
-
-    def test_invalid_raw_rejected(self):
-        with pytest.raises(ValueError):
-            SiteEmbedding(1, 3, raw=np.array([1.0, 1.0, 0.0]))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            SiteEmbedding(3, 3)
-
-
 class TestAugment:
     def test_gate_in_open_unit_interval(self):
         gen = make_gen()
         f = Tensor(np.random.default_rng(1).standard_normal((2, 6, 4, 4)))
-        out = augment_embedding(gen, SiteEmbedding(0, 3), f).data
+        out = augment_embedding(gen, np.eye(3)[0], f).data
         assert out.shape == (2, 6)
         assert np.all((out > 0) & (out < 1))
 
     def test_different_sites_give_different_gates(self):
         gen = make_gen()
         f = Tensor(np.random.default_rng(2).standard_normal((1, 6, 4, 4)))
-        a = augment_embedding(gen, SiteEmbedding(0, 3), f).data
-        b = augment_embedding(gen, SiteEmbedding(1, 3), f).data
+        a = augment_embedding(gen, np.eye(3)[0], f).data
+        b = augment_embedding(gen, np.eye(3)[1], f).data
         assert not np.allclose(a, b)
 
     def test_zero_feature_depends_only_on_embedding_path(self):
         gen = make_gen()
-        xi = SiteEmbedding(1, 3)
+        xi = np.eye(3)[1]
         a = augment_embedding(gen, xi, Tensor(np.zeros((1, 6, 4, 4)))).data
         b = augment_embedding(gen, xi, Tensor(np.zeros((3, 6, 8, 8)))).data
         np.testing.assert_allclose(a[0], b[0], rtol=1e-12)
@@ -51,13 +36,15 @@ class TestAugment:
 
     def test_embedding_length_mismatch(self):
         gen = make_gen(n_sites=3)
-        with pytest.raises(ValueError):
-            augment_embedding(gen, SiteEmbedding(0, 4), Tensor(np.zeros((1, 6, 4, 4))))
+        f = Tensor(np.zeros((1, 6, 4, 4)))
+        for xi in (np.eye(4)[0], np.eye(3)[:1]):
+            with pytest.raises(ValueError, match="embedding shape"):
+                augment_embedding(gen, xi, f)
 
     def test_channel_mismatch(self):
         gen = make_gen(channels=6)
         with pytest.raises(ValueError):
-            augment_embedding(gen, SiteEmbedding(0, 3), Tensor(np.zeros((1, 5, 4, 4))))
+            augment_embedding(gen, np.eye(3)[0], Tensor(np.zeros((1, 5, 4, 4))))
 
 
 class TestSelectChannels:
@@ -93,7 +80,7 @@ class TestSiteContrastLoss:
         # identical extension rows for every site force identical gates
         gen.fc1.weight.data[:] = gen.fc1.weight.data[0]
         f = Tensor(np.random.default_rng(6).standard_normal((2, 6, 4, 4)))
-        loss = site_contrast_loss(gen, f, make_embeddings(3), 0)
+        loss = site_contrast_loss(gen, f, np.eye(3), 0)
         assert loss.item() == 0.0
 
     def test_hand_case(self):
@@ -106,19 +93,19 @@ class TestSiteContrastLoss:
     def test_single_site_is_zero(self):
         gen = make_gen(n_sites=1)
         f = Tensor(np.zeros((1, 6, 4, 4)))
-        assert site_contrast_loss(gen, f, make_embeddings(1), 0).item() == 0.0
-        assert site_contrast_loss(gen, f, make_embeddings(1), 0).requires_grad is False
+        assert site_contrast_loss(gen, f, np.eye(1), 0).item() == 0.0
+        assert site_contrast_loss(gen, f, np.eye(1), 0).requires_grad is False
 
     def test_loss_is_nonpositive(self):
         gen = make_gen(seed=7)
         f = Tensor(np.random.default_rng(8).standard_normal((2, 6, 4, 4)))
         for k in range(3):
-            assert site_contrast_loss(gen, f, make_embeddings(3), k).item() <= 0.0
+            assert site_contrast_loss(gen, f, np.eye(3), k).item() <= 0.0
 
     def test_foreign_branches_get_no_gradient(self):
         gen = make_gen(seed=9)
         f = Tensor(np.random.default_rng(10).standard_normal((1, 6, 4, 4)), requires_grad=True)
-        embeds = make_embeddings(3)
+        embeds = np.eye(3)
         gates = [augment_embedding(gen, xi, f) for xi in embeds]
         loss = contrast_from_gates(gates[0], [gates[1], gates[2]])
         loss.backward()
@@ -132,7 +119,7 @@ class TestSiteContrastLoss:
         gen_a = make_gen(seed=11)
         gen_b = make_gen(seed=11)
         f_data = np.random.default_rng(12).standard_normal((1, 6, 4, 4))
-        embeds = make_embeddings(3)
+        embeds = np.eye(3)
 
         site_contrast_loss(gen_a, Tensor(f_data), embeds, 0).backward()
 
@@ -155,7 +142,7 @@ class TestProperties:
     def test_gates_pairwise_distinct_at_random_init(self):
         gen = make_gen(n_sites=4, channels=8, seed=13)
         f = Tensor(np.random.default_rng(14).standard_normal((1, 8, 4, 4)))
-        gates = [augment_embedding(gen, xi, f).data for xi in make_embeddings(4)]
+        gates = [augment_embedding(gen, xi, f).data for xi in np.eye(4)]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.allclose(gates[i], gates[j])
@@ -167,7 +154,7 @@ class TestProperties:
         for seed in range(5):
             gen = make_gen(n_sites=3, channels=6, seed=seed)
             f_data = np.random.default_rng(100 + seed).standard_normal((2, 6, 4, 4))
-            embeds = make_embeddings(3)
+            embeds = np.eye(3)
 
             fixed = [augment_embedding(gen, embeds[i], Tensor(f_data)).data for i in (1, 2)]
 

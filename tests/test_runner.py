@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from lcfed import checkpoint, cli, runner
+from lcfed import checkpoint, cli, data, federation, runner
 from lcfed.config import ExperimentConfig
 
 TINY = dict(mode="lcfed", dtype="float64", sites=2, rounds=2, image_size=16, channels=(4, 8),
@@ -125,3 +125,33 @@ class TestNonFiniteLoss:
         err = capsys.readouterr().err
         assert err.startswith("error: site 1, round 1: non-finite")
         assert "Traceback" not in err
+
+
+class TestResume:
+    def test_resume_in_parallel_equals_an_uninterrupted_serial_run(self, tmp_path):
+        whole = runner.run_experiment(tiny_cfg(tmp_path / "whole"))
+        cut = runner.run_experiment(tiny_cfg(tmp_path / "cut"), stop_after_round=1)
+        config_path = os.path.join(cut, "config.txt")
+        with open(config_path) as fh:
+            text = fh.read()
+        assert "parallel_clients = false\n" in text
+        with open(config_path, "w") as fh:
+            fh.write(text.replace("parallel_clients = false", "parallel_clients = true"))
+        assert runner.resume_experiment(cut) == cut
+        for name in (os.path.join("checkpoints", "round_0002.ckpt"), "metrics.csv"):
+            assert read_bytes(os.path.join(cut, name)) == read_bytes(os.path.join(whole, name))
+
+
+class TestManifest:
+    def test_class_count_mismatch_fails_before_training(self, tmp_path, monkeypatch):
+        per_site = data.benchmark_samples(1, 2, 3, 2, 16)
+        manifest = data.write_dataset(per_site, str(tmp_path / "data"))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(federation, "forward_training", no_training)
+        cfg = tiny_cfg(tmp_path / "run")
+        cfg.classes, cfg.manifest = 2, manifest
+        with pytest.raises(ValueError, match=r"masks have 1 class\(es\) but config expects 2"):
+            runner.run_experiment(cfg)
