@@ -4,7 +4,6 @@ Layout:
     lcfed-ckpt 1
     digest <config digest>
     round <t>
-    stamp <head-collection round stamp>
     sites <K>
     seed <master seed>          # batch RNG streams derive from (seed, site, round)
     adam_t <t .. per site, - when unset>
@@ -14,8 +13,11 @@ Layout:
     end
     <raw bytes>
 
-Array name prefixes: g/ global params, b<k>/ site-local params, m<k>/ v<k>/
-Adam moments, hw<k> hb<k> the relayed coarse heads.
+Array names are the model's parameter names behind a prefix: g/ the averaged
+parameters, b<k>/ site k's local parameters (the mode's `local` patterns pick
+them), m<k>/ v<k>/ site k's Adam moments over all of its parameters.  Each
+array is stored once; the coarse heads relayed to clients are read from the
+g/ and b<k>/ arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import os
 
 import numpy as np
 
-from .federation import FederationState, ParamSet
-from .hc import HeadCollection
+from .config import MODES, ExperimentConfig
+from .federation import FederationState, ParamSet, new_model, split_params
 
 FORMAT = "lcfed-ckpt 1"
 
@@ -49,14 +51,10 @@ def save_checkpoint(path: str, state: FederationState, digest: str, master_seed:
             entries.append((f"m{k}/{name}", arr))
         for name, arr in adam["v"].items():
             entries.append((f"v{k}/{name}", arr))
-    for k in range(len(state.head_collection)):
-        entries.append((f"hw{k}", state.head_collection.weights[k]))
-        entries.append((f"hb{k}", state.head_collection.biases[k]))
 
     header = [FORMAT,
               f"digest {digest}",
               f"round {state.round}",
-              f"stamp {state.head_collection.round_stamp}",
               f"sites {len(state.betas)}",
               f"seed {master_seed}",
               "adam_t " + " ".join(adam_t),
@@ -89,47 +87,46 @@ def load_checkpoint(path: str):
     data = blob[split + len(end_marker):]
 
     meta = {}
-    arrays = {}
+    arrays = {}   # name prefix (g, b<k>, m<k>, v<k>) -> {parameter name: array}
     it = iter(header_lines[1:])
     for line in it:
         key, _, rest = line.partition(" ")
         if key == "arrays":
-            count = int(rest)
-            for _ in range(count):
+            for _ in range(int(rest)):
                 name, dtype_name, shape_s, offset_s = next(it).split(" ")
                 shape = () if shape_s == "-" else tuple(int(x) for x in shape_s.split(","))
-                n_items = int(np.prod(shape)) if shape else 1
-                itemsize = np.dtype(_LE[dtype_name]).itemsize
-                offset = int(offset_s)
-                arr = np.frombuffer(data, dtype=_LE[dtype_name], count=n_items,
-                                    offset=offset).astype(dtype_name).reshape(shape)
-                arrays[name] = arr
+                prefix, _, param = name.partition("/")
+                arrays.setdefault(prefix, {})[param] = np.frombuffer(
+                    data, dtype=_LE[dtype_name], count=int(np.prod(shape)),
+                    offset=int(offset_s)).astype(dtype_name).reshape(shape)
             break
         meta[key] = rest
 
-    n_sites = int(meta["sites"])
-    adam_t = meta["adam_t"].split(" ")
-
-    theta = ParamSet({n[2:]: a for n, a in arrays.items() if n.startswith("g/")})
-    betas = []
-    adam_states = []
-    for k in range(n_sites):
-        betas.append(ParamSet({n.split("/", 1)[1]: a for n, a in arrays.items()
-                               if n.startswith(f"b{k}/")}))
-        if adam_t[k] == "-":
-            adam_states.append(None)
-        else:
-            adam_states.append({
-                "t": int(adam_t[k]),
-                "m": {n.split("/", 1)[1]: a for n, a in arrays.items()
-                      if n.startswith(f"m{k}/")},
-                "v": {n.split("/", 1)[1]: a for n, a in arrays.items()
-                      if n.startswith(f"v{k}/")},
-            })
-    heads = HeadCollection(
-        weights=[arrays[f"hw{k}"] for k in range(n_sites)],
-        biases=[arrays[f"hb{k}"] for k in range(n_sites)],
-        round_stamp=int(meta["stamp"]))
-    state = FederationState(round=int(meta["round"]), theta_g=theta, betas=betas,
-                            head_collection=heads, adam_states=adam_states)
+    adam_states = [None if t == "-" else
+                   {"t": int(t), "m": arrays.get(f"m{k}", {}), "v": arrays.get(f"v{k}", {})}
+                   for k, t in enumerate(meta["adam_t"].split(" "))]
+    state = FederationState(
+        round=int(meta["round"]), theta_g=ParamSet(arrays.get("g")),
+        betas=[ParamSet(arrays.get(f"b{k}")) for k in range(int(meta["sites"]))],
+        adam_states=adam_states)
     return state, meta["digest"], int(meta["seed"])
+
+
+def check_arrays(path: str, state: FederationState, cfg: ExperimentConfig):
+    """Raise ValueError naming the first array, as the checkpoint at `path`
+    names it, that the state lacks or holds beyond the configured model and
+    mode."""
+    names = [n for n, _, _ in new_model(cfg, np.random.default_rng(0)).named_parameters()]
+    shared, local = (p.names() for p in split_params(dict.fromkeys(names), MODES[cfg.mode]))
+    parts = [("g/", state.theta_g.values, shared)]
+    for k, (beta, adam) in enumerate(zip(state.betas, state.adam_states)):
+        parts.append((f"b{k}/", beta.values, local))
+        if adam is not None:
+            parts += [(f"m{k}/", adam["m"], names), (f"v{k}/", adam["v"], names)]
+    for prefix, held, wanted in parts:
+        for n in wanted:
+            if n not in held:
+                raise ValueError(f"{path}: missing array {prefix}{n} for mode {cfg.mode}")
+        for n in held:
+            if n not in wanted:
+                raise ValueError(f"{path}: unexpected array {prefix}{n} for mode {cfg.mode}")

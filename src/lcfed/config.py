@@ -11,29 +11,32 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-
-from .layers import GROUP_BODY, GROUP_HEAD, GROUP_PCS
+from fnmatch import fnmatchcase
 
 
 @dataclass(frozen=True)
 class Mode:
-    """What a run does: PCS on or off, HC on or off, and the parameter groups
-    FedAvg averages (every other group stays local to its site)."""
+    """What a run does: PCS on or off (without it the model has no
+    ``pcsgen.*`` parameters), HC on or off, and `local`, the `fnmatch`
+    patterns naming the parameters each site keeps; FedAvg averages the rest."""
 
     pcs: bool
     hc: bool
-    shared: tuple
+    local: tuple
+
+    def is_local(self, name: str) -> bool:
+        return any(fnmatchcase(name, pattern) for pattern in self.local)
 
 
-_BODY_PCS = (GROUP_BODY, GROUP_PCS)
+_HEADS = ("head_*",)
 
 MODES = {
-    "local": Mode(pcs=False, hc=False, shared=()),
-    "fedavg": Mode(pcs=False, hc=False, shared=(*_BODY_PCS, GROUP_HEAD)),
-    "fedrep-head": Mode(pcs=False, hc=False, shared=_BODY_PCS),
-    "lcfed": Mode(pcs=True, hc=True, shared=_BODY_PCS),
-    "lcfed-pcs-only": Mode(pcs=True, hc=False, shared=_BODY_PCS),
-    "lcfed-hc-only": Mode(pcs=False, hc=True, shared=_BODY_PCS),
+    "local": Mode(pcs=False, hc=False, local=("*",)),
+    "fedavg": Mode(pcs=False, hc=False, local=()),
+    "fedrep-head": Mode(pcs=False, hc=False, local=_HEADS),
+    "lcfed": Mode(pcs=True, hc=True, local=_HEADS),
+    "lcfed-pcs-only": Mode(pcs=True, hc=False, local=_HEADS),
+    "lcfed-hc-only": Mode(pcs=False, hc=True, local=_HEADS),
 }
 
 # execution settings: no trained value depends on them

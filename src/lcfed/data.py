@@ -291,19 +291,29 @@ def read_pgm(path: str) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise ValueError(f"{path}: truncated or malformed PGM header")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     count = width * height
-    dtype = ">u2" if maxval > 255 else np.uint8
-    data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-    if data.size != count:
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    if len(blob) - pos < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
+    data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     return data.reshape(height, width).astype(np.float64) / maxval
 
 
 def write_dataset(per_site_samples: list, out_dir: str) -> str:
-    """Write PGM pairs plus a manifest; returns the manifest path."""
+    """Write PGM pairs plus a manifest; returns the manifest path.
+
+    A PGM mask holds one class, so every sample must have exactly one.
+    """
+    for site, samples in enumerate(per_site_samples):
+        for i, s in enumerate(samples):
+            if s.mask.shape[0] != 1:
+                raise ValueError(f"site {site} sample {i}: mask has {s.mask.shape[0]} "
+                                 "classes, but the PGM dataset format holds one")
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for site, samples in enumerate(per_site_samples):

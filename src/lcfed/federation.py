@@ -2,10 +2,11 @@
 
 Each round re-seeds every site's batch sampling from (master seed, site,
 round), so clients can run sequentially or in parallel workers and produce
-bit-identical results.  Aggregation is the plain unweighted mean over the
-parameter groups the mode's row in `config.MODES` shares; every other group
-stays with its site.  The head collection relayed to clients always holds the
-coarse heads as of the end of the previous round.
+bit-identical results.  The mode's row in `config.MODES` names the local
+parameters by pattern; aggregation is the plain unweighted mean over every
+other parameter.  The state holds each array once: the averaged set and each
+site's local set.  The coarse heads relayed to clients are read from them when
+a round starts, so they are the heads as of the end of the previous round.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers, pcs
-from .config import MODES, ExperimentConfig
+from . import pcs
+from .config import MODES, ExperimentConfig, Mode
 from .data import SiteData
 from .hc import HeadCollection, head_calibration
 from .losses import LossBreakdown, dice_loss, joint_loss
@@ -63,8 +64,7 @@ class ClientUpdate:
 class FederationState:
     round: int
     theta_g: ParamSet
-    betas: list          # K ParamSets for the local groups
-    head_collection: HeadCollection
+    betas: list          # K ParamSets of each site's local parameters
     adam_states: list    # K optimizer state dicts (None before the first round)
 
 
@@ -78,10 +78,10 @@ class Client:
     embeddings: np.ndarray   # (K, K) one-hot site identities, row k for site k
 
 
-def group_partition(cfg: ExperimentConfig):
-    """(aggregated groups, local groups) for the configured mode."""
-    shared = MODES[cfg.mode].shared
-    return shared, tuple(g for g in layers.GROUPS if g not in shared)
+def split_params(values: dict, mode: Mode):
+    """(averaged, local) ParamSets of {name: array} by the mode's local patterns."""
+    local = {n: a for n, a in values.items() if mode.is_local(n)}
+    return ParamSet({n: a for n, a in values.items() if n not in local}), ParamSet(local)
 
 
 def np_dtype(cfg: ExperimentConfig):
@@ -89,7 +89,8 @@ def np_dtype(cfg: ExperimentConfig):
 
 
 def new_model(cfg: ExperimentConfig, rng: np.random.Generator) -> SegmentationModel:
-    return SegmentationModel(cfg.channels, cfg.classes, cfg.sites, rng, np_dtype(cfg))
+    return SegmentationModel(cfg.channels, cfg.classes, cfg.sites, rng, np_dtype(cfg),
+                             pcs=MODES[cfg.mode].pcs)
 
 
 def build_clients(cfg: ExperimentConfig) -> list:
@@ -105,19 +106,20 @@ def build_clients(cfg: ExperimentConfig) -> list:
 def initial_state(cfg: ExperimentConfig) -> FederationState:
     """Every site starts from the same master-seeded initialization."""
     reference = new_model(cfg, np.random.default_rng([int(cfg.master_seed), 0x1A17]))
-    agg_groups, local_groups = group_partition(cfg)
-    theta = ParamSet(reference.get_params(agg_groups))
-    betas = [ParamSet(reference.get_params(local_groups)) for _ in range(cfg.sites)]
-    heads = _coarse_heads(reference, cfg.sites)
+    theta, beta = split_params(reference.get_params(), MODES[cfg.mode])
+    betas = [ParamSet({n: a.copy() for n, a in beta.values.items()})
+             for _ in range(cfg.sites)]
     return FederationState(round=0, theta_g=theta, betas=betas,
-                           head_collection=heads, adam_states=[None] * cfg.sites)
+                           adam_states=[None] * cfg.sites)
 
 
-def _coarse_heads(model: SegmentationModel, n_sites: int) -> HeadCollection:
-    w = model.coarse_head.weight.data.copy()
-    b = model.coarse_head.bias.data.copy()
-    return HeadCollection(weights=[w.copy() for _ in range(n_sites)],
-                          biases=[b.copy() for _ in range(n_sites)], round_stamp=0)
+def relayed_heads(state: FederationState) -> HeadCollection:
+    """Every site's coarse head as the state holds it: among the site's local
+    parameters, or among the averaged ones in a mode that shares heads.  The
+    arrays are the state's own, not copies."""
+    sources = [{**state.theta_g.values, **beta.values} for beta in state.betas]
+    return HeadCollection(weights=[src["head_coarse.w"] for src in sources],
+                          biases=[src["head_coarse.b"] for src in sources])
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +227,12 @@ def local_update(client: Client, theta_in: ParamSet, beta_in: ParamSet,
                 sums[key] += value
             batches += 1
 
-    agg_groups, local_groups = group_partition(cfg)
+    theta, beta = split_params(model.get_params(), MODES[cfg.mode])
     stats = {key: value / batches for key, value in sums.items()}
     return ClientUpdate(
         site=client.site,
-        theta=ParamSet(model.get_params(agg_groups)),
-        beta=ParamSet(model.get_params(local_groups)),
+        theta=theta,
+        beta=beta,
         stats=stats,
         optimizer_state=opt.state_dict(),
     )
@@ -244,11 +246,11 @@ def run_round(state: FederationState, clients: list, datasets: list,
     the previous state intact.
     """
     round_index = state.round
+    heads = relayed_heads(state)
 
     def job(k):
         return local_update(clients[k], state.theta_g, state.betas[k],
-                            state.adam_states[k], state.head_collection,
-                            datasets[k], cfg, round_index)
+                            state.adam_states[k], heads, datasets[k], cfg, round_index)
 
     if cfg.parallel_clients and len(clients) > 1:
         with ThreadPoolExecutor(max_workers=len(clients)) as pool:
@@ -257,21 +259,10 @@ def run_round(state: FederationState, clients: list, datasets: list,
         updates = [job(k) for k in range(len(clients))]
     updates.sort(key=lambda u: u.site)
 
-    theta_new = fedavg([u.theta for u in updates])
-    betas_new = [u.beta for u in updates]
-
-    weights, biases = [], []
-    for u in updates:
-        source = {**theta_new.values, **u.beta.values}
-        weights.append(source["head_coarse.w"].copy())
-        biases.append(source["head_coarse.b"].copy())
-    heads = HeadCollection(weights=weights, biases=biases, round_stamp=round_index + 1)
-
     new_state = FederationState(
         round=round_index + 1,
-        theta_g=theta_new,
-        betas=betas_new,
-        head_collection=heads,
+        theta_g=fedavg([u.theta for u in updates]),
+        betas=[u.beta for u in updates],
         adam_states=[u.optimizer_state for u in updates],
     )
     return new_state, [u.stats for u in updates]
@@ -283,14 +274,14 @@ def evaluate_clients(state: FederationState, clients: list, datasets: list,
     from .metrics import evaluate_site
 
     dtype = np_dtype(cfg)
+    heads = relayed_heads(state)
     reports = []
     for client, data in zip(clients, datasets):
         client.model.load_params(state.theta_g.values)
         client.model.load_params(state.betas[client.site].values)
 
         def predict(batch):
-            return forward_predict(client, batch.astype(dtype, copy=False),
-                                   state.head_collection, cfg)
+            return forward_predict(client, batch.astype(dtype, copy=False), heads, cfg)
 
         reports.append(evaluate_site(predict, data.test_images, data.test_masks,
                                      batch_size=cfg.batch_size))

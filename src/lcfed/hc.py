@@ -16,10 +16,6 @@ import numpy as np
 from .layers import per_pixel_linear
 from .tensor import Tensor, graph_node, sigmoid
 
-DEFAULT_NMS_DELTA = 11
-DEFAULT_GAUSS_SIZE = 11
-DEFAULT_GAUSS_SIGMA = 3.0
-
 
 @dataclass
 class HeadCollection:
@@ -27,7 +23,6 @@ class HeadCollection:
 
     weights: list  # K arrays of shape (C, N)
     biases: list   # K arrays of shape (N,)
-    round_stamp: int = 0
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
@@ -173,8 +168,7 @@ def calibrate(f_hat: Tensor, attention: Tensor) -> Tensor:
 
 
 def head_calibration(f_hat: Tensor, heads: HeadCollection, k: int, local_head,
-                     delta: int = DEFAULT_NMS_DELTA, size: int = DEFAULT_GAUSS_SIZE,
-                     sigma: float = DEFAULT_GAUSS_SIGMA):
+                     delta: int, size: int, sigma: float):
     """Full HC pipeline; returns (local coarse map, calibrated feature)."""
     maps = evaluate_heads(f_hat, heads, k, local_head)
     u = disagreement_map(maps, k)

@@ -1,9 +1,9 @@
 """Composable layers on top of the tensor engine.
 
-A layer owns named parameter tensors and carries a group tag that decides how
-federation treats it: ``body`` parameters are averaged globally, ``pcs``
-parameters belong to the channel-selection generator (shared by default,
-optionally personal), and ``head`` parameters always stay local to a site.
+A layer owns named parameter tensors.  It does not decide how federation
+treats them: the model prefixes each name with the layer's place in the
+network, and a mode's row in `config.MODES` picks the local parameters by
+those full names.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Tensor, conv2d, graph_node, relu
-
-GROUP_BODY = "body"
-GROUP_PCS = "pcs"
-GROUP_HEAD = "head"
-GROUPS = (GROUP_BODY, GROUP_PCS, GROUP_HEAD)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +152,9 @@ def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class Layer:
-    """Base for layers owning named parameters tagged with a federation group."""
+    """Base for layers owning named parameters."""
 
-    def __init__(self, group: str):
-        if group not in GROUPS:
-            raise ValueError(f"unknown parameter group {group!r}")
-        self.group = group
+    def __init__(self):
         self._params: list[tuple[str, Tensor]] = []
 
     def _register(self, name: str, data: np.ndarray) -> Tensor:
@@ -180,9 +172,8 @@ def _conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) 
 
 
 class Conv2d(Layer):
-    def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
-                 group: str = GROUP_BODY, dtype=np.float64):
-        super().__init__(group)
+    def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator, dtype=np.float64):
+        super().__init__()
         self.weight = self._register("w", _conv_kernels(cin, cout, k, rng, dtype))
         self.bias = self._register("b", np.zeros(cout, dtype=dtype))
 
@@ -191,9 +182,8 @@ class Conv2d(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
-                 group: str = GROUP_BODY, dtype=np.float64):
-        super().__init__(group)
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float64):
+        super().__init__()
         std = np.sqrt(2.0 / cin)
         self.weight = self._register("w", (rng.standard_normal((cin, cout)) * std).astype(dtype))
         self.bias = self._register("b", np.zeros(cout, dtype=dtype))
@@ -204,8 +194,8 @@ class Linear(Layer):
 
 
 class InstanceNorm(Layer):
-    def __init__(self, channels: int, group: str = GROUP_BODY, dtype=np.float64, eps: float = 1e-5):
-        super().__init__(group)
+    def __init__(self, channels: int, dtype=np.float64, eps: float = 1e-5):
+        super().__init__()
         self.eps = eps
         self.gamma = self._register("g", np.ones(channels, dtype=dtype))
         self.beta = self._register("o", np.zeros(channels, dtype=dtype))
@@ -215,9 +205,8 @@ class InstanceNorm(Layer):
 
 
 class PerPixelLinear(Layer):
-    def __init__(self, cin: int, n: int, rng: np.random.Generator,
-                 group: str = GROUP_HEAD, dtype=np.float64):
-        super().__init__(group)
+    def __init__(self, cin: int, n: int, rng: np.random.Generator, dtype=np.float64):
+        super().__init__()
         std = np.sqrt(1.0 / cin)
         self.weight = self._register("w", (rng.standard_normal((cin, n)) * std).astype(dtype))
         self.bias = self._register("b", np.zeros(n, dtype=dtype))
@@ -233,11 +222,10 @@ class ConvBlock(Layer):
     bias would cancel in the forward pass and get an exactly-zero gradient.
     """
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
-                 group: str = GROUP_BODY, dtype=np.float64):
-        super().__init__(group)
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float64):
+        super().__init__()
         self.weight = self._register("conv.w", _conv_kernels(cin, cout, 3, rng, dtype))
-        self.norm = InstanceNorm(cout, group, dtype)
+        self.norm = InstanceNorm(cout, dtype)
         for name, t in self.norm.parameters():
             self._params.append((f"norm.{name}", t))
 

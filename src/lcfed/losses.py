@@ -9,7 +9,6 @@ import numpy as np
 from .tensor import Tensor
 
 DICE_SMOOTH = 1e-5
-DEFAULT_LAMBDA = 0.1
 
 
 def dice_loss(s: Tensor, g, smooth: float = DICE_SMOOTH) -> Tensor:
@@ -52,7 +51,7 @@ class LossBreakdown:
         }
 
 
-def joint_loss(coarse: Tensor, calib: Tensor, con: Tensor, lam: float = DEFAULT_LAMBDA) -> LossBreakdown:
+def joint_loss(coarse: Tensor, calib: Tensor, con: Tensor, lam: float) -> LossBreakdown:
     """joint = coarse + calib + lam * con; rejects non-finite terms."""
     for name, t in (("coarse", coarse), ("calib", calib), ("con", con)):
         if not np.isfinite(t.data).all():

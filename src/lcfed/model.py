@@ -1,16 +1,18 @@
-"""U-shaped segmentation network with grouped parameters.
+"""U-shaped segmentation network with named parameters.
 
 Five encoding stages (conv block + 2x max pool between), matching decoder
 stages with skip concatenation, a channel-selection generator attached at the
 deepest feature, and two per-pixel linear heads: a coarse head and a
-calibrated head applied after the disagreement-gated feature.
+calibrated head applied after the disagreement-gated feature.  Parameter
+names say where each one sits (``enc<i>.*``, ``up<i>.*``, ``dec<i>.*``,
+``pcsgen.*``, ``head_coarse.*``, ``head_calib.*``); a mode's row in
+`config.MODES` picks its local parameters by these names.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import layers
 from .layers import ConvBlock, Conv2d, PerPixelLinear, max_pool2x2, upsample_nearest2x
 from .pcs import PCSGenerator
 from .tensor import Tensor, concat, sigmoid
@@ -20,29 +22,29 @@ class SegmentationModel:
     """Holds all parameter tensors for one site's model instance."""
 
     def __init__(self, channels: tuple, classes: int, n_sites: int,
-                 rng: np.random.Generator | None = None, dtype=np.float64):
+                 rng: np.random.Generator | None = None, dtype=np.float64, pcs: bool = True):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.n_sites = n_sites
-        self.dtype = dtype
         ch = channels
 
         self.encoders = []
         cin = 1   # grayscale input
         for c in ch:
-            self.encoders.append(ConvBlock(cin, c, rng, layers.GROUP_BODY, dtype))
+            self.encoders.append(ConvBlock(cin, c, rng, dtype))
             cin = c
 
         # decoder mirrors the encoder: 1x1 projection, upsample, skip concat, conv block
         self.up_projs = []
         self.decoders = []
         for i in range(len(ch) - 2, -1, -1):
-            self.up_projs.append(Conv2d(ch[i + 1], ch[i], 1, rng, layers.GROUP_BODY, dtype))
-            self.decoders.append(ConvBlock(2 * ch[i], ch[i], rng, layers.GROUP_BODY, dtype))
+            self.up_projs.append(Conv2d(ch[i + 1], ch[i], 1, rng, dtype))
+            self.decoders.append(ConvBlock(2 * ch[i], ch[i], rng, dtype))
 
-        self.pcs_gen = PCSGenerator(n_sites, ch[-1], rng, dtype=dtype)
-        self.coarse_head = PerPixelLinear(ch[0], classes, rng, layers.GROUP_HEAD, dtype)
-        self.calib_head = PerPixelLinear(ch[0], classes, rng, layers.GROUP_HEAD, dtype)
+        # drawn even without PCS, so the heads get the same numbers either way
+        pcs_gen = PCSGenerator(n_sites, ch[-1], rng, dtype)
+        self.pcs_gen = pcs_gen if pcs else None
+        self.coarse_head = PerPixelLinear(ch[0], classes, rng, dtype)
+        self.calib_head = PerPixelLinear(ch[0], classes, rng, dtype)
 
         self._named = []
         for i, enc in enumerate(self.encoders):
@@ -50,7 +52,8 @@ class SegmentationModel:
         for i, (proj, dec) in enumerate(zip(self.up_projs, self.decoders)):
             self._collect(f"up{i}", proj)
             self._collect(f"dec{i}", dec)
-        self._collect("pcsgen", self.pcs_gen)
+        if pcs:
+            self._collect("pcsgen", pcs_gen)
         self._collect("head_coarse", self.coarse_head)
         self._collect("head_calib", self.calib_head)
         names = [n for n, _, _ in self._named]
@@ -59,12 +62,13 @@ class SegmentationModel:
 
     def _collect(self, prefix: str, layer):
         for name, t in layer.parameters():
-            self._named.append((f"{prefix}.{name}", t, layer.group))
+            self._named.append((f"{prefix}.{name}", t, layer))
 
     # -- parameter plumbing ---------------------------------------------------
 
     def named_parameters(self):
-        """(name, tensor, group) triples in registration order."""
+        """(name, tensor, layer) triples in registration order; the owning
+        layer fills the third slot, which `perfbench/tracer.py` unpacks."""
         return list(self._named)
 
     def parameters(self):
@@ -74,9 +78,9 @@ class SegmentationModel:
         for t in self.parameters():
             t.zero_grad()
 
-    def get_params(self, groups) -> dict:
-        """Copy out {name: array} for parameters in the given groups."""
-        return {n: t.data.copy() for n, t, g in self._named if g in groups}
+    def get_params(self) -> dict:
+        """Copy out {name: array} for every parameter, in registration order."""
+        return {n: t.data.copy() for n, t, _ in self._named}
 
     def load_params(self, values: dict):
         by_name = {n: t for n, t, _ in self._named}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import layers
 from .layers import Layer, Linear, InstanceNorm
 from .tensor import Tensor, concat, global_average_pool, relu, sigmoid, stop_gradient
 
@@ -19,15 +18,14 @@ from .tensor import Tensor, concat, global_average_pool, relu, sigmoid, stop_gra
 class PCSGenerator(Layer):
     """Extension (two FC with instance norm + relu between) and gating fusion."""
 
-    def __init__(self, n_sites: int, channels: int, rng: np.random.Generator,
-                 group: str = layers.GROUP_PCS, dtype=np.float64):
-        super().__init__(group)
+    def __init__(self, n_sites: int, channels: int, rng: np.random.Generator, dtype=np.float64):
+        super().__init__()
         self.n_sites = n_sites
         self.channels = channels
-        self.fc1 = Linear(n_sites, channels, rng, group, dtype)
-        self.norm = InstanceNorm(channels, group, dtype)
-        self.fc2 = Linear(channels, channels, rng, group, dtype)
-        self.fuse = Linear(2 * channels, channels, rng, group, dtype)
+        self.fc1 = Linear(n_sites, channels, rng, dtype)
+        self.norm = InstanceNorm(channels, dtype)
+        self.fc2 = Linear(channels, channels, rng, dtype)
+        self.fuse = Linear(2 * channels, channels, rng, dtype)
         for prefix, child in (("fc1", self.fc1), ("norm", self.norm),
                               ("fc2", self.fc2), ("fuse", self.fuse)):
             for name, t in child.parameters():

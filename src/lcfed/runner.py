@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import federation
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 
 CSV_HEADER = "round,site,iou,assd,loss_joint,loss_coarse,loss_calib,loss_con"
@@ -177,6 +177,7 @@ def resume_experiment(run_dir: str, checkpoint_path: str | None = None) -> str:
             f"checkpoint digest {digest} does not match config digest {cfg.digest()}")
     if master_seed != cfg.master_seed:
         raise ValueError("checkpoint master seed does not match the configuration")
+    check_arrays(checkpoint_path, state, cfg)
     return run_experiment(cfg, resume_state=state)
 
 

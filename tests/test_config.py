@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lcfed import federation, layers
+from lcfed import federation
 from lcfed.checkpoint import load_checkpoint
 from lcfed.config import MODES, ExperimentConfig, parse_config_text
 from lcfed.hc import head_calibration
@@ -46,6 +46,9 @@ class TestDigest:
         assert dataclasses.replace(cfg, lr=2e-4).digest() != cfg.digest()
 
 
+HEADS = ["head_coarse.w", "head_coarse.b", "head_calib.w", "head_calib.b"]
+
+
 @pytest.mark.parametrize("mode", list(MODES))
 def test_mode_row_decides_what_is_averaged_and_what_runs(mode, tmp_path, monkeypatch):
     row = MODES[mode]
@@ -61,18 +64,17 @@ def test_mode_row_decides_what_is_averaged_and_what_runs(mode, tmp_path, monkeyp
     assert bool(calibrations) == row.hc
     state, _, _ = load_checkpoint(os.path.join(run_dir, "checkpoints", "round_0001.ckpt"))
 
-    groups = {n: g for n, _, g in
-              federation.new_model(cfg, np.random.default_rng(0)).named_parameters()}
-    shared = [n for n, g in groups.items() if g in row.shared]
-    assert list(state.theta_g.values) == shared
-    for beta in state.betas:
-        assert list(beta.values) == [n for n in groups if n not in shared]
-    if mode == "local":
-        assert shared == []
-    if mode != "fedavg":
-        assert not [n for n in shared if n.startswith("head_")]
-    else:
-        assert {groups[n] for n in shared} == set(layers.GROUPS)
+    names = [n for n, _, _ in
+             federation.new_model(cfg, np.random.default_rng(0)).named_parameters()]
+    local = {"local": names, "fedavg": []}.get(mode, HEADS)
+    assert [n for n in names if row.is_local(n)] == local
+    assert list(state.theta_g.values) == [n for n in names if n not in local]
+    for beta, adam in zip(state.betas, state.adam_states):
+        assert list(beta.values) == local
+        assert list(adam["m"]) == list(adam["v"]) == names
+    held = [*state.theta_g.values, *(n for beta in state.betas for n in beta.values),
+            *(n for adam in state.adam_states for n in (*adam["m"], *adam["v"]))]
+    assert any(n.startswith("pcsgen.") for n in held) == row.pcs
 
     _, rows = read_metrics(run_dir)
     assert len(rows) == cfg.sites

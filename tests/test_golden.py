@@ -147,8 +147,9 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     client = federation.build_clients(cfg)[1]
     state = federation.initial_state(cfg)
     rng = np.random.default_rng(5)
-    for w in state.head_collection.weights:
-        w += 0.1 * rng.standard_normal(w.shape)
+    heads = federation.relayed_heads(state)
+    heads = hc.HeadCollection(weights=[w + 0.1 * rng.standard_normal(w.shape)
+                                       for w in heads.weights], biases=heads.biases)
     client.model.load_params(state.theta_g.values)
     client.model.load_params(state.betas[1].values)
 
@@ -163,7 +164,7 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
 
     site = datasets[1]
     loss = federation.forward_training(client, site.train_images, site.train_masks,
-                                       state.head_collection, cfg)
+                                       heads, cfg)
     client.model.zero_grad()
     loss.joint.backward()
 

@@ -39,12 +39,11 @@ def gaussian_loop(u, size, sigma):
     return out
 
 
-def random_heads(k, c, n, seed=0, stamp=0):
+def random_heads(k, c, n, seed=0):
     rng = np.random.default_rng(seed)
     return HeadCollection(
         weights=[rng.standard_normal((c, n)) for _ in range(k)],
         biases=[rng.standard_normal(n) for _ in range(k)],
-        round_stamp=stamp,
     )
 
 

@@ -3,11 +3,7 @@ import pytest
 
 from lcfed import tensor as T
 from lcfed.tensor import Tensor
-from lcfed import layers
-from lcfed.layers import (
-    instance_norm, max_pool2x2, upsample_nearest2x, per_pixel_linear,
-    Conv2d, InstanceNorm, Linear, PerPixelLinear,
-)
+from lcfed.layers import instance_norm, max_pool2x2, upsample_nearest2x, per_pixel_linear
 from lcfed.model import SegmentationModel
 
 from gradcheck import assert_grads_close
@@ -233,25 +229,27 @@ class TestPerPixelLinear:
                              Tensor(np.zeros(2)))
 
 
-class TestParameterGroups:
-    def test_groups_partition_parameter_set(self):
+class TestParameterNames:
+    def test_names_are_unique_and_say_where_each_parameter_sits(self):
         model = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9))
-        named = model.named_parameters()
-        names = [n for n, _, _ in named]
+        names = [n for n, _, _ in model.named_parameters()]
         assert len(names) == len(set(names))
-        by_group = {g: 0 for g in layers.GROUPS}
-        for _, t, g in named:
-            by_group[g] += 1
-        assert all(v > 0 for v in by_group.values())
-        assert sum(by_group.values()) == len(named)
-        # both heads are in the head group
-        head_names = [n for n, _, g in named if g == layers.GROUP_HEAD]
-        assert any(n.startswith("head_coarse") for n in head_names)
-        assert any(n.startswith("head_calib") for n in head_names)
+        assert {n.split(".", 1)[0] for n in names} == {
+            "enc0", "enc1", "enc2", "up0", "dec0", "up1", "dec1", "pcsgen",
+            "head_coarse", "head_calib"}
+        assert [n for n in names if n.startswith("head_")] == [
+            "head_coarse.w", "head_coarse.b", "head_calib.w", "head_calib.b"]
 
-    def test_unknown_group_rejected(self):
-        with pytest.raises(ValueError):
-            Conv2d(1, 1, 3, np.random.default_rng(0), group="nope")
+    def test_without_pcs_the_generator_is_left_out_and_the_rest_keeps_its_numbers(self):
+        full = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9))
+        lean = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9), pcs=False)
+        assert lean.pcs_gen is None
+        kept = {n: a for n, a in full.get_params().items() if not n.startswith("pcsgen.")}
+        assert len(kept) < len(full.get_params())
+        got = lean.get_params()
+        assert list(got) == list(kept)
+        for n, a in kept.items():
+            np.testing.assert_array_equal(got[n], a)
 
 
 class TestModelForward:
@@ -271,7 +269,7 @@ class TestModelForward:
         rng = np.random.default_rng(12)
         m1 = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(1))
         m2 = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(2))
-        params = m1.get_params(layers.GROUPS)
+        params = m1.get_params()
         m2.load_params(params)
         x = Tensor(rng.random((1, 1, 8, 8)))
         s1, f1 = m1.encode(x)

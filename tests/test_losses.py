@@ -98,9 +98,9 @@ class TestJointLoss:
 
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):
-            joint_loss(Tensor(np.nan), Tensor(0.0), Tensor(0.0))
+            joint_loss(Tensor(np.nan), Tensor(0.0), Tensor(0.0), lam=0.1)
         with pytest.raises(FloatingPointError):
-            joint_loss(Tensor(0.0), Tensor(np.inf), Tensor(0.0))
+            joint_loss(Tensor(0.0), Tensor(np.inf), Tensor(0.0), lam=0.1)
 
     def test_gradient_reaches_all_terms(self):
         c1 = Tensor(0.5, requires_grad=True)

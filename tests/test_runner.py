@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import ctypes
 import os
 import platform
@@ -155,3 +156,94 @@ class TestManifest:
         cfg.classes, cfg.manifest = 2, manifest
         with pytest.raises(ValueError, match=r"masks have 1 class\(es\) but config expects 2"):
             runner.run_experiment(cfg)
+
+
+def cut_run(tmp_path, mode):
+    """A run stopped after round 1 and its round-1 checkpoint path."""
+    cfg = tiny_cfg(tmp_path / mode)
+    cfg.mode = mode
+    cut = runner.run_experiment(cfg, stop_after_round=1)
+    return cfg, cut, os.path.join(cut, "checkpoints", "round_0001.ckpt")
+
+
+class TestResumeChecksArrays:
+    def test_a_non_pcs_checkpoint_that_carries_pcsgen_fails_before_round_1(
+            self, tmp_path, monkeypatch, capsys):
+        cfg, cut, path = cut_run(tmp_path, "fedrep-head")
+        # the layout written before non-PCS models left the generator out
+        state, digest, seed = checkpoint.load_checkpoint(path)
+        pcs_cfg = dataclasses.replace(cfg, mode="lcfed")
+        generator = {n: a for n, a in federation.new_model(pcs_cfg, np.random.default_rng(0))
+                     .get_params().items() if n.startswith("pcsgen.")}
+        state.theta_g.values.update(generator)
+        for adam in state.adam_states:
+            for key in ("m", "v"):
+                adam[key].update({n: np.zeros_like(a) for n, a in generator.items()})
+        checkpoint.save_checkpoint(path, state, digest, seed)
+        metrics = read_bytes(os.path.join(cut, "metrics.csv"))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(federation, "forward_training", no_training)
+        with pytest.raises(ValueError, match=r"unexpected array g/pcsgen\.fc1\.w for mode "
+                                             r"fedrep-head"):
+            runner.resume_experiment(cut)
+        assert cli.main(["resume", cut]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unexpected array g/pcsgen.fc1.w")
+        assert read_bytes(os.path.join(cut, "metrics.csv")) == metrics
+
+    def test_a_checkpoint_missing_an_array_fails_naming_it(self, tmp_path, capsys):
+        _, cut, path = cut_run(tmp_path, "lcfed")
+        state, digest, seed = checkpoint.load_checkpoint(path)
+        del state.betas[1].values["head_calib.b"]
+        checkpoint.save_checkpoint(path, state, digest, seed)
+        with pytest.raises(ValueError, match=r"missing array b1/head_calib\.b for mode lcfed"):
+            runner.resume_experiment(cut)
+        assert cli.main(["resume", cut]) == 2
+        assert "missing array b1/head_calib.b" in capsys.readouterr().err
+
+    def test_a_missing_adam_moment_fails_naming_it(self, tmp_path):
+        _, cut, path = cut_run(tmp_path, "fedavg")
+        state, digest, seed = checkpoint.load_checkpoint(path)
+        del state.adam_states[0]["v"]["enc0.conv.w"]
+        checkpoint.save_checkpoint(path, state, digest, seed)
+        with pytest.raises(ValueError, match=r"missing array v0/enc0\.conv\.w for mode fedavg"):
+            runner.resume_experiment(cut)
+
+
+class TestRelayedHeads:
+    def test_round_2_calibrates_against_each_sites_head_from_the_round_1_checkpoint(
+            self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(tmp_path)
+        cfg.sites = 3
+        update, calibration = federation.local_update, federation.head_calibration
+        current, seen = {}, []
+
+        def spy_update(*args):
+            current["round"] = args[-1]
+            try:
+                return update(*args)
+            finally:
+                current["round"] = None
+
+        def spy_calibration(f_hat, heads, *args, **kwargs):
+            if current["round"] == 1:
+                seen.append(([w.copy() for w in heads.weights], [b.copy() for b in heads.biases]))
+            return calibration(f_hat, heads, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "local_update", spy_update)
+        monkeypatch.setattr(federation, "head_calibration", spy_calibration)
+        run_dir = runner.run_experiment(cfg)
+
+        state, _, _ = checkpoint.load_checkpoint(
+            os.path.join(run_dir, "checkpoints", "round_0001.ckpt"))
+        heads_w = [beta.values["head_coarse.w"] for beta in state.betas]
+        heads_b = [beta.values["head_coarse.b"] for beta in state.betas]
+        assert not np.array_equal(heads_w[0], heads_w[1])   # the sites' heads have diverged
+        assert len(seen) == cfg.sites   # one training step per site
+        for weights, biases in seen:
+            for k in range(cfg.sites):
+                assert weights[k].tobytes() == heads_w[k].tobytes()
+                assert biases[k].tobytes() == heads_b[k].tobytes()
