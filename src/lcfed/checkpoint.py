@@ -6,7 +6,7 @@ Layout:
     round <t>
     sites <K>
     seed <master seed>          # batch RNG streams derive from (seed, site, round)
-    adam_t <t .. per site, - when unset>
+    adam_t <t .. per site>
     arrays <count>
     <name> <dtype> <shape|-> <offset>
     ...
@@ -41,12 +41,7 @@ def save_checkpoint(path: str, state: FederationState, digest: str, master_seed:
     for k, beta in enumerate(state.betas):
         for name, arr in beta.values.items():
             entries.append((f"b{k}/{name}", arr))
-    adam_t = []
     for k, adam in enumerate(state.adam_states):
-        if adam is None:
-            adam_t.append("-")
-            continue
-        adam_t.append(str(adam["t"]))
         for name, arr in adam["m"].items():
             entries.append((f"m{k}/{name}", arr))
         for name, arr in adam["v"].items():
@@ -57,7 +52,7 @@ def save_checkpoint(path: str, state: FederationState, digest: str, master_seed:
               f"round {state.round}",
               f"sites {len(state.betas)}",
               f"seed {master_seed}",
-              "adam_t " + " ".join(adam_t),
+              "adam_t " + " ".join(str(adam["t"]) for adam in state.adam_states),
               f"arrays {len(entries)}"]
     offset = 0
     for name, arr in entries:
@@ -102,8 +97,7 @@ def load_checkpoint(path: str):
             break
         meta[key] = rest
 
-    adam_states = [None if t == "-" else
-                   {"t": int(t), "m": arrays.get(f"m{k}", {}), "v": arrays.get(f"v{k}", {})}
+    adam_states = [{"t": int(t), "m": arrays.get(f"m{k}", {}), "v": arrays.get(f"v{k}", {})}
                    for k, t in enumerate(meta["adam_t"].split(" "))]
     state = FederationState(
         round=int(meta["round"]), theta_g=ParamSet(arrays.get("g")),
@@ -120,9 +114,8 @@ def check_arrays(path: str, state: FederationState, cfg: ExperimentConfig):
     shared, local = (p.names() for p in split_params(dict.fromkeys(names), MODES[cfg.mode]))
     parts = [("g/", state.theta_g.values, shared)]
     for k, (beta, adam) in enumerate(zip(state.betas, state.adam_states)):
-        parts.append((f"b{k}/", beta.values, local))
-        if adam is not None:
-            parts += [(f"m{k}/", adam["m"], names), (f"v{k}/", adam["v"], names)]
+        parts += [(f"b{k}/", beta.values, local),
+                  (f"m{k}/", adam["m"], names), (f"v{k}/", adam["v"], names)]
     for prefix, held, wanted in parts:
         for n in wanted:
             if n not in held:

@@ -36,11 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="write a synthetic benchmark to disk")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--benchmark-seed", type=int, default=2024, dest="benchmark_seed")
-    gen.add_argument("--sites", type=int, default=4)
-    gen.add_argument("--train-per-site", type=int, default=120, dest="train_per_site")
-    gen.add_argument("--test-per-site", type=int, default=30, dest="test_per_site")
-    gen.add_argument("--image-size", type=int, default=64, dest="image_size")
+    defaults = ExperimentConfig()
+    for name in ("benchmark_seed", "sites", "train_per_site", "test_per_site", "image_size"):
+        gen.add_argument("--" + name.replace("_", "-"), type=int, dest=name,
+                         default=getattr(defaults, name))
     return parser
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SHAPE_FAMILIES = ("ellipse", "blob", "polygon")
-TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -169,17 +168,17 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def generate_site(style: SiteStyle, n: int, seed, image_size: int = 64,
-                  classes: int = 1) -> list:
-    """n samples rendered per the style; deterministic in (style, n, seed)."""
-    if n < 1:
+def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
+                  image_size: int = 64, classes: int = 1) -> list:
+    """n_train then n_test samples of `site` rendered per the style;
+    deterministic in (style, n_train + n_test, seed)."""
+    if n_train + n_test < 1:
         raise ValueError("need at least one sample")
     style.validate()
     rng = np.random.default_rng(seed)
     render = _FAMILY_RENDERERS[style.shape_family]
-    n_train = int(round(TRAIN_FRACTION * n))
     samples = []
-    for idx in range(n):
+    for idx in range(n_train + n_test):
         cy = image_size * rng.uniform(0.3, 0.7)
         cx = image_size * rng.uniform(0.3, 0.7)
         area = rng.uniform(*style.size_range) * image_size * image_size
@@ -216,7 +215,7 @@ def generate_site(style: SiteStyle, n: int, seed, image_size: int = 64,
         samples.append(Sample(
             image=img,
             mask=np.stack(masks).astype(np.float64),
-            site=-1,  # filled by the benchmark assembler
+            site=site,
             split="train" if idx < n_train else "test",
         ))
     return samples
@@ -239,17 +238,10 @@ def site_data_from_samples(samples: list) -> SiteData:
 def benchmark_samples(benchmark_seed: int, n_sites: int, train_per_site: int,
                       test_per_site: int, image_size: int = 64, classes: int = 1) -> list:
     """Per-site sample lists; deterministic in the benchmark seed."""
-    styles = default_styles(benchmark_seed, n_sites)
-    per_site = []
-    n = train_per_site + test_per_site
-    for k, style in enumerate(styles):
-        samples = generate_site(style, n, seed=[int(benchmark_seed), k, 0xDA7A],
-                                image_size=image_size, classes=classes)
-        for i, s in enumerate(samples):
-            s.site = k
-            s.split = "train" if i < train_per_site else "test"
-        per_site.append(samples)
-    return per_site
+    return [generate_site(style, k, train_per_site, test_per_site,
+                          seed=[int(benchmark_seed), k, 0xDA7A],
+                          image_size=image_size, classes=classes)
+            for k, style in enumerate(default_styles(benchmark_seed, n_sites))]
 
 
 def generate_benchmark(benchmark_seed: int, n_sites: int, train_per_site: int,
@@ -296,11 +288,16 @@ def read_pgm(path: str) -> np.ndarray:
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: maxval {maxval} is outside 1..65535")
     count = width * height
     dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
     if len(blob) - pos < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
+    top = int(data.max(initial=0))
+    if top > maxval:
+        raise ValueError(f"{path}: pixel value {top} exceeds maxval {maxval}")
     return data.reshape(height, width).astype(np.float64) / maxval
 
 

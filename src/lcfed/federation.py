@@ -1,12 +1,17 @@
 """Federated rounds: broadcast, local updates, aggregation, head relay.
 
-Each round re-seeds every site's batch sampling from (master seed, site,
-round), so clients can run sequentially or in parallel workers and produce
-bit-identical results.  The mode's row in `config.MODES` names the local
-parameters by pattern; aggregation is the plain unweighted mean over every
-other parameter.  The state holds each array once: the averaged set and each
-site's local set.  The coarse heads relayed to clients are read from them when
-a round starts, so they are the heads as of the end of the previous round.
+The `FederationState` alone holds per-site state: each site's local
+parameters and Adam moments (zero before the first round) beside the averaged
+parameters.  A `Client` is a scratch model/optimizer vessel that any site can
+borrow, loaded with the site's state before each use: one vessel in a serial
+run, one per site in a parallel one.  Each round re-seeds every site's batch
+sampling from (master seed, site, round), so sites can run sequentially or in
+parallel workers and produce bit-identical results.  The mode's row in
+`config.MODES` names the local parameters by pattern; aggregation is the plain
+unweighted mean over every other parameter.  The state holds each array once:
+the averaged set and each site's local set.  The coarse heads relayed to
+clients are read from them when a round starts, so they are the heads as of
+the end of the previous round.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ def fedavg(sets: list) -> ParamSet:
 
 @dataclass
 class ClientUpdate:
-    site: int
     theta: ParamSet
     beta: ParamSet
     stats: dict
@@ -65,17 +69,15 @@ class FederationState:
     round: int
     theta_g: ParamSet
     betas: list          # K ParamSets of each site's local parameters
-    adam_states: list    # K optimizer state dicts (None before the first round)
+    adam_states: list    # K optimizer state dicts
 
 
 @dataclass
 class Client:
-    """Long-lived model/optimizer vessel for one site; state is loaded per round."""
+    """Scratch model/optimizer vessel; holds no site's state between uses."""
 
-    site: int
     model: SegmentationModel
     optimizer: Adam
-    embeddings: np.ndarray   # (K, K) one-hot site identities, row k for site k
 
 
 def split_params(values: dict, mode: Mode):
@@ -94,23 +96,26 @@ def new_model(cfg: ExperimentConfig, rng: np.random.Generator) -> SegmentationMo
 
 
 def build_clients(cfg: ExperimentConfig) -> list:
-    embeddings = np.eye(cfg.sites)
+    """One vessel for a serial run, one per site for parallel workers."""
     clients = []
-    for k in range(cfg.sites):
+    for _ in range(cfg.sites if cfg.parallel_clients else 1):
         model = new_model(cfg, np.random.default_rng(0))
         opt = Adam(((n, t) for n, t, _ in model.named_parameters()), lr=cfg.lr)
-        clients.append(Client(site=k, model=model, optimizer=opt, embeddings=embeddings))
+        clients.append(Client(model=model, optimizer=opt))
     return clients
 
 
 def initial_state(cfg: ExperimentConfig) -> FederationState:
     """Every site starts from the same master-seeded initialization."""
     reference = new_model(cfg, np.random.default_rng([int(cfg.master_seed), 0x1A17]))
-    theta, beta = split_params(reference.get_params(), MODES[cfg.mode])
+    params = reference.get_params()
+    theta, beta = split_params(params, MODES[cfg.mode])
     betas = [ParamSet({n: a.copy() for n, a in beta.values.items()})
              for _ in range(cfg.sites)]
+    zeros = {n: np.zeros_like(a) for n, a in params.items()}
     return FederationState(round=0, theta_g=theta, betas=betas,
-                           adam_states=[None] * cfg.sites)
+                           adam_states=[{"t": 0, "m": zeros, "v": zeros}
+                                        for _ in range(cfg.sites)])
 
 
 def relayed_heads(state: FederationState) -> HeadCollection:
@@ -127,7 +132,7 @@ def relayed_heads(state: FederationState) -> HeadCollection:
 # ---------------------------------------------------------------------------
 
 def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
-                     heads: HeadCollection, cfg: ExperimentConfig) -> LossBreakdown:
+                     heads: HeadCollection, site: int, cfg: ExperimentConfig) -> LossBreakdown:
     """encoder -> channel selection -> decoder -> coarse head -> head
     calibration -> calibrated head, with the joint objective."""
     mode = MODES[cfg.mode]
@@ -136,9 +141,9 @@ def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
     skips, deep = model.encode(x)
 
     if mode.pcs:
-        gate = pcs.augment_embedding(model.pcs_gen, client.embeddings[client.site], deep)
-        con = pcs.site_contrast_loss(model.pcs_gen, deep, client.embeddings,
-                                     client.site, xi_hat_k=gate)
+        embeddings = np.eye(cfg.sites)   # one-hot site identities, row k for site k
+        gate = pcs.augment_embedding(model.pcs_gen, embeddings[site], deep)
+        con = pcs.site_contrast_loss(model.pcs_gen, deep, embeddings, site, xi_hat_k=gate)
         deep = pcs.select_channels(deep, gate)
     else:
         con = Tensor(np.zeros((), dtype=xb.dtype))
@@ -147,7 +152,7 @@ def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
 
     if mode.hc:
         coarse_map, f_star = head_calibration(
-            f_hat, heads, client.site, model.coarse_head,
+            f_hat, heads, site, model.coarse_head,
             delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
     else:
         coarse_map = model.coarse_map(f_hat)
@@ -158,7 +163,7 @@ def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
                       con, lam=cfg.lambda_con)
 
 
-def forward_predict(client: Client, xb: np.ndarray, heads: HeadCollection,
+def forward_predict(client: Client, xb: np.ndarray, heads: HeadCollection, site: int,
                     cfg: ExperimentConfig) -> np.ndarray:
     """Calibrated segmentation probabilities for a batch."""
     mode = MODES[cfg.mode]
@@ -166,12 +171,12 @@ def forward_predict(client: Client, xb: np.ndarray, heads: HeadCollection,
     x = Tensor(xb)
     skips, deep = model.encode(x)
     if mode.pcs:
-        gate = pcs.augment_embedding(model.pcs_gen, client.embeddings[client.site], deep)
+        gate = pcs.augment_embedding(model.pcs_gen, np.eye(cfg.sites)[site], deep)
         deep = pcs.select_channels(deep, gate)
     f_hat = model.decode(deep, skips)
     if mode.hc:
         _, f_star = head_calibration(
-            f_hat, heads, client.site, model.coarse_head,
+            f_hat, heads, site, model.coarse_head,
             delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
     else:
         f_star = f_hat
@@ -186,27 +191,22 @@ def batch_rng(master_seed: int, site: int, round_index: int) -> np.random.Genera
     return np.random.default_rng([int(master_seed), site, round_index, 0xBA7C])
 
 
-def local_update(client: Client, theta_in: ParamSet, beta_in: ParamSet,
-                 adam_state, heads: HeadCollection, data: SiteData,
+def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSet,
+                 adam_state: dict, heads: HeadCollection, data: SiteData,
                  cfg: ExperimentConfig, round_index: int) -> ClientUpdate:
-    """Exactly cfg.local_epochs epochs of minibatch Adam on the joint loss."""
+    """Exactly cfg.local_epochs epochs of minibatch Adam on the joint loss,
+    for `site` on the borrowed vessel `client`."""
     n = data.train_images.shape[0]
     if n == 0:
-        raise ValueError(f"site {client.site}: empty training set")
+        raise ValueError(f"site {site}: empty training set")
     dtype = np_dtype(cfg)
     model = client.model
     model.load_params(theta_in.values)
     model.load_params(beta_in.values)
     opt = client.optimizer
-    opt.lr = cfg.lr
-    if adam_state is None:
-        opt.t = 0
-        for buf in (*opt.m.values(), *opt.v.values()):
-            buf[...] = 0
-    else:
-        opt.load_state_dict(adam_state)
+    opt.load_state_dict(adam_state)
 
-    rng = batch_rng(cfg.master_seed, client.site, round_index)
+    rng = batch_rng(cfg.master_seed, site, round_index)
     sums = {"coarse": 0.0, "calib": 0.0, "con": 0.0, "joint": 0.0}
     batches = 0
     for _ in range(cfg.local_epochs):
@@ -216,10 +216,10 @@ def local_update(client: Client, theta_in: ParamSet, beta_in: ParamSet,
             xb = data.train_images[idx].astype(dtype, copy=False)
             yb = data.train_masks[idx].astype(dtype, copy=False)
             try:
-                breakdown = forward_training(client, xb, yb, heads, cfg)
+                breakdown = forward_training(client, xb, yb, heads, site, cfg)
             except FloatingPointError as err:
                 raise FloatingPointError(
-                    f"site {client.site}, round {round_index + 1}: {err}") from err
+                    f"site {site}, round {round_index + 1}: {err}") from err
             opt.zero_grad()
             breakdown.joint.backward()
             opt.step()
@@ -230,7 +230,6 @@ def local_update(client: Client, theta_in: ParamSet, beta_in: ParamSet,
     theta, beta = split_params(model.get_params(), MODES[cfg.mode])
     stats = {key: value / batches for key, value in sums.items()}
     return ClientUpdate(
-        site=client.site,
         theta=theta,
         beta=beta,
         stats=stats,
@@ -249,15 +248,14 @@ def run_round(state: FederationState, clients: list, datasets: list,
     heads = relayed_heads(state)
 
     def job(k):
-        return local_update(clients[k], state.theta_g, state.betas[k],
+        return local_update(clients[k % len(clients)], k, state.theta_g, state.betas[k],
                             state.adam_states[k], heads, datasets[k], cfg, round_index)
 
     if cfg.parallel_clients and len(clients) > 1:
         with ThreadPoolExecutor(max_workers=len(clients)) as pool:
-            updates = list(pool.map(job, range(len(clients))))
+            updates = list(pool.map(job, range(cfg.sites)))
     else:
-        updates = [job(k) for k in range(len(clients))]
-    updates.sort(key=lambda u: u.site)
+        updates = [job(k) for k in range(cfg.sites)]
 
     new_state = FederationState(
         round=round_index + 1,
@@ -276,12 +274,13 @@ def evaluate_clients(state: FederationState, clients: list, datasets: list,
     dtype = np_dtype(cfg)
     heads = relayed_heads(state)
     reports = []
-    for client, data in zip(clients, datasets):
+    for k, data in enumerate(datasets):
+        client = clients[k % len(clients)]
         client.model.load_params(state.theta_g.values)
-        client.model.load_params(state.betas[client.site].values)
+        client.model.load_params(state.betas[k].values)
 
         def predict(batch):
-            return forward_predict(client, batch.astype(dtype, copy=False), heads, cfg)
+            return forward_predict(client, batch.astype(dtype, copy=False), heads, k, cfg)
 
         reports.append(evaluate_site(predict, data.test_images, data.test_masks,
                                      batch_size=cfg.batch_size))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -51,6 +52,23 @@ class TestPGM:
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated pixel data")):
             data.read_pgm(path)
 
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_maxval_outside_the_format_names_the_file(self, tmp_path, maxval):
+        path = str(tmp_path / "maxval.pgm")
+        with open(path, "wb") as fh:
+            fh.write(f"P5\n2 1\n{maxval}\n".encode() + bytes(4))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: maxval {maxval} is outside 1..65535")):
+            data.read_pgm(path)
+
+    def test_pixel_above_maxval_names_the_file(self, tmp_path):
+        path = str(tmp_path / "bright.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n3 1\n100\n" + bytes([0, 100, 101]))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: pixel value 101 exceeds maxval 100")):
+            data.read_pgm(path)
+
     def test_truncated_header_names_the_file(self, tmp_path):
         path = str(tmp_path / "header.pgm")
         with open(path, "wb") as fh:
@@ -78,3 +96,39 @@ class TestWriteDataset:
         with pytest.raises(ValueError, match="site 0 sample 0: mask has 2 classes"):
             data.write_dataset(per_site, out)
         assert not os.path.exists(out)
+
+
+class TestGenerator:
+    def test_samples_are_a_function_of_the_benchmark_seed(self):
+        def arrays(seed):
+            return [(s.site, s.split, s.image.tobytes(), s.mask.tobytes())
+                    for samples in data.benchmark_samples(seed, 2, 2, 1, 16) for s in samples]
+
+        assert arrays(5) == arrays(5)
+        assert [a[:2] for a in arrays(5)] == [a[:2] for a in arrays(6)]
+        assert [a[2:] for a in arrays(5)] != [a[2:] for a in arrays(6)]
+
+
+VALID_STYLE = data.default_styles(1, 1)[0]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("intensity_offset", -0.31, "intensity offset -0.31 out of range"),
+    ("intensity_offset", 0.31, "intensity offset 0.31 out of range"),
+    ("contrast_gain", 0.59, "contrast gain 0.59 out of range"),
+    ("contrast_gain", 1.61, "contrast gain 1.61 out of range"),
+    ("noise_std", -0.01, "noise std -0.01 out of range"),
+    ("noise_std", 0.16, "noise std 0.16 out of range"),
+    ("blur_radius", 3, "blur radius 3 not in 0..2"),
+    ("shape_family", "star", "unknown shape family 'star'"),
+    ("size_range", (0.0, 0.2), "bad size range (0.0, 0.2)"),
+    ("size_range", (0.3, 0.2), "bad size range (0.3, 0.2)"),
+    ("size_range", (0.3, 1.0), "bad size range (0.3, 1.0)"),
+])
+def test_site_style_rejects_each_out_of_range_field(field, value, message):
+    VALID_STYLE.validate()
+    style = dataclasses.replace(VALID_STYLE, **{field: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        style.validate()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        data.generate_site(style, 0, 1, 0, seed=0, image_size=16)

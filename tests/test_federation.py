@@ -1,0 +1,80 @@
+import numpy as np
+import pytest
+
+from lcfed import data, federation, runner
+from lcfed.config import ExperimentConfig
+
+TINY = dict(mode="lcfed", dtype="float64", sites=3, rounds=1, image_size=16, channels=(4, 8),
+            batch_size=3, train_per_site=3, test_per_site=2, lr=1e-2,
+            benchmark_seed=1, master_seed=1)
+
+
+def update_bytes(update: federation.ClientUpdate) -> list:
+    """Every figure of an update, as (name, bytes) in a fixed order."""
+    arrays = [(f"theta/{n}", a) for n, a in update.theta.values.items()]
+    arrays += [(f"beta/{n}", a) for n, a in update.beta.values.items()]
+    for key in ("m", "v"):
+        arrays += [(f"{key}/{n}", a) for n, a in update.optimizer_state[key].items()]
+    return ([(name, a.dtype.str, a.shape, a.tobytes()) for name, a in arrays]
+            + [("t", update.optimizer_state["t"]), ("stats", update.stats)])
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_a_serial_run_builds_one_vessel_and_a_parallel_run_one_per_site(
+        parallel, tmp_path, monkeypatch):
+    built, borrowed = [], []
+    build, update = federation.build_clients, federation.local_update
+
+    def spy_build(cfg):
+        built.append(build(cfg))
+        return built[-1]
+
+    def spy_update(client, site, *args):
+        borrowed.append((site, client))
+        return update(client, site, *args)
+
+    monkeypatch.setattr(federation, "build_clients", spy_build)
+    monkeypatch.setattr(federation, "local_update", spy_update)
+    cfg = ExperimentConfig(**TINY, parallel_clients=parallel, out_dir=str(tmp_path))
+    runner.run_experiment(cfg)
+
+    assert len(built) == 1
+    vessels = built[0]
+    assert len(vessels) == (cfg.sites if parallel else 1)
+    assert len({id(v.model) for v in vessels}) == len(vessels)
+    assert sorted(site for site, _ in borrowed) == list(range(cfg.sites))
+    for site, client in borrowed:
+        assert client is vessels[site % len(vessels)]
+
+
+def test_a_vessel_that_trained_another_site_gives_the_same_update_as_a_fresh_one():
+    cfg = ExperimentConfig(**TINY)
+    datasets = data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
+                                       cfg.test_per_site, cfg.image_size, cfg.classes)
+    # one round first, so each site's local parameters and moments differ
+    state, _ = federation.run_round(federation.initial_state(cfg),
+                                    federation.build_clients(cfg), datasets, cfg)
+    heads = federation.relayed_heads(state)
+
+    def site_update(client, k):
+        return federation.local_update(client, k, state.theta_g, state.betas[k],
+                                       state.adam_states[k], heads, datasets[k], cfg,
+                                       state.round)
+
+    used = federation.build_clients(cfg)[0]
+    site_update(used, 0)
+    assert update_bytes(site_update(used, 1)) == update_bytes(
+        site_update(federation.build_clients(cfg)[0], 1))
+
+
+def test_initial_state_holds_zero_moments_for_every_site():
+    cfg = ExperimentConfig(**TINY)
+    state = federation.initial_state(cfg)
+    names = [n for n, _, _ in federation.new_model(cfg, np.random.default_rng(0))
+             .named_parameters()]
+    assert len(state.adam_states) == cfg.sites
+    for adam in state.adam_states:
+        assert adam["t"] == 0
+        for key in ("m", "v"):
+            assert list(adam[key]) == names
+            assert all(not a.any() for a in adam[key].values())

@@ -144,7 +144,7 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     cfg = ExperimentConfig(**STEP)
     datasets = data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
                                        cfg.test_per_site, cfg.image_size, cfg.classes)
-    client = federation.build_clients(cfg)[1]
+    client = federation.build_clients(cfg)[0]
     state = federation.initial_state(cfg)
     rng = np.random.default_rng(5)
     heads = federation.relayed_heads(state)
@@ -164,7 +164,7 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
 
     site = datasets[1]
     loss = federation.forward_training(client, site.train_images, site.train_masks,
-                                       heads, cfg)
+                                       heads, 1, cfg)
     client.model.zero_grad()
     loss.joint.backward()
 

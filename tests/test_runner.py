@@ -131,6 +131,9 @@ class TestNonFiniteLoss:
 class TestResume:
     def test_resume_in_parallel_equals_an_uninterrupted_serial_run(self, tmp_path):
         whole = runner.run_experiment(tiny_cfg(tmp_path / "whole"))
+        parallel = tiny_cfg(tmp_path / "parallel")
+        parallel.parallel_clients = True
+        parallel = runner.run_experiment(parallel)
         cut = runner.run_experiment(tiny_cfg(tmp_path / "cut"), stop_after_round=1)
         config_path = os.path.join(cut, "config.txt")
         with open(config_path) as fh:
@@ -139,11 +142,36 @@ class TestResume:
         with open(config_path, "w") as fh:
             fh.write(text.replace("parallel_clients = false", "parallel_clients = true"))
         assert runner.resume_experiment(cut) == cut
-        for name in (os.path.join("checkpoints", "round_0002.ckpt"), "metrics.csv"):
-            assert read_bytes(os.path.join(cut, name)) == read_bytes(os.path.join(whole, name))
+        for run in (parallel, cut):
+            for name in (os.path.join("checkpoints", "round_0001.ckpt"),
+                         os.path.join("checkpoints", "round_0002.ckpt"), "metrics.csv"):
+                assert read_bytes(os.path.join(run, name)) == read_bytes(
+                    os.path.join(whole, name))
 
 
 class TestManifest:
+    def test_a_run_on_gen_data_files_equals_the_in_memory_run(self, tmp_path):
+        shape = ["--benchmark-seed", "1", "--sites", "2"]
+        assert cli.main(["gen-data", "--out", str(tmp_path / "data"), *shape,
+                         "--train-per-site", "3", "--test-per-site", "2",
+                         "--image-size", "16"]) == 0
+        run = ["run", *shape, "--rounds", "2", "--set", "image_size=16",
+               "--set", "channels=4,8", "--set", "batch_size=3", "--set", "train_per_site=3",
+               "--set", "test_per_site=2", "--set", "checkpoint_every=1"]
+        memory, disk = str(tmp_path / "memory"), str(tmp_path / "disk")
+        assert cli.main([*run, "--out", memory]) == 0
+        assert cli.main([*run, "--out", disk, "--set",
+                         f"manifest={tmp_path / 'data' / 'manifest.txt'}"]) == 0
+
+        def after_digest(run_dir, name, lines):
+            return read_bytes(os.path.join(run_dir, name)).split(b"\n", lines)[lines]
+
+        # the manifest is part of the config digest; everything else must agree
+        assert after_digest(disk, "metrics.csv", 1) == after_digest(memory, "metrics.csv", 1)
+        for rnd in (1, 2):
+            name = os.path.join("checkpoints", f"round_{rnd:04d}.ckpt")
+            assert after_digest(disk, name, 2) == after_digest(memory, name, 2)
+
     def test_class_count_mismatch_fails_before_training(self, tmp_path, monkeypatch):
         per_site = data.benchmark_samples(1, 2, 3, 2, 16)
         manifest = data.write_dataset(per_site, str(tmp_path / "data"))
