@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
@@ -79,21 +80,33 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if self.local_epochs < 1 or self.batch_size < 1:
             raise ValueError("local epochs and batch size must be >= 1")
+        if not math.isfinite(self.lr) or self.lr <= 0:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not math.isfinite(self.lambda_con):
+            raise ValueError(f"lambda_con must be finite, got {self.lambda_con}")
         if self.lambda_con < 0 and not self.allow_negative_lambda:
             raise ValueError("negative lambda requires allow_negative_lambda")
         for name, v in (("nms_delta", self.nms_delta), ("gauss_size", self.gauss_size)):
             if v < 1 or v % 2 == 0:
                 raise ValueError(f"{name} must be odd and >= 1, got {v}")
-        if self.gauss_sigma <= 0:
-            raise ValueError("gauss_sigma must be positive")
+        if not math.isfinite(self.gauss_sigma) or self.gauss_sigma <= 0:
+            raise ValueError(f"gauss_sigma must be finite and positive, got {self.gauss_sigma}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.classes not in (1, 2):
             raise ValueError("classes must be 1 or 2")
+        if any(c < 1 for c in self.channels):
+            raise ValueError(f"channels must all be >= 1, got {self.channels}")
         depth = len(self.channels) - 1
         if len(self.channels) < 2 or self.image_size % (2 ** depth):
             raise ValueError(
                 f"image size {self.image_size} incompatible with {len(self.channels)} stages")
+        if self.image_size // 2 ** depth < 2:
+            # instance norm needs at least two pixels per channel plane
+            raise ValueError(f"image_size {self.image_size} leaves a deepest feature below "
+                             f"2x2 after {depth} poolings; need >= {2 ** (depth + 1)}")
+        if self.train_per_site < 1 or self.test_per_site < 1:
+            raise ValueError("train_per_site and test_per_site must be >= 1")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ValueError("eval_every and checkpoint_every must be >= 0")
         return self

@@ -141,10 +141,9 @@ def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
     skips, deep = model.encode(x)
 
     if mode.pcs:
-        embeddings = np.eye(cfg.sites)   # one-hot site identities, row k for site k
-        gate = pcs.augment_embedding(model.pcs_gen, embeddings[site], deep)
-        con = pcs.site_contrast_loss(model.pcs_gen, deep, embeddings, site, xi_hat_k=gate)
-        deep = pcs.select_channels(deep, gate)
+        gates = pcs.augment_embedding(model.pcs_gen, deep)
+        con = pcs.site_contrast_loss(gates, site)
+        deep = pcs.select_channels(deep, gates[site])
     else:
         con = Tensor(np.zeros((), dtype=xb.dtype))
 
@@ -171,8 +170,7 @@ def forward_predict(client: Client, xb: np.ndarray, heads: HeadCollection, site:
     x = Tensor(xb)
     skips, deep = model.encode(x)
     if mode.pcs:
-        gate = pcs.augment_embedding(model.pcs_gen, np.eye(cfg.sites)[site], deep)
-        deep = pcs.select_channels(deep, gate)
+        deep = pcs.select_channels(deep, pcs.augment_embedding(model.pcs_gen, deep)[site])
     f_hat = model.decode(deep, skips)
     if mode.hc:
         _, f_star = head_calibration(

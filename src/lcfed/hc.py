@@ -1,10 +1,11 @@
 """Disagreement-aware head calibration.
 
-Every site's coarse head is evaluated on the local decoder feature; the
-per-pixel deviation of the local prediction from the full set becomes a
-disagreement map, sharpened by window-max suppression, spread by a
-peak-normalized Gaussian, and applied as residual spatial attention before
-the calibrated head.
+Every site's coarse head is evaluated on the local decoder feature in one
+GEMM, the K heads stacked side by side into a single weight; the per-pixel
+deviation of the local prediction from the full set becomes a disagreement
+map (one graph node with an analytic backward), sharpened by window-max
+suppression, spread by a peak-normalized Gaussian, and applied as residual
+spatial attention before the calibrated head.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import per_pixel_linear
-from .tensor import Tensor, graph_node, sigmoid
+from .tensor import Tensor, concat, graph_node, sigmoid
 
 
 @dataclass
@@ -35,42 +36,47 @@ class HeadCollection:
         return len(self.weights)
 
 
-def evaluate_heads(f_hat: Tensor, heads: HeadCollection,
-                   local_index: int | None = None, local_head=None) -> list:
-    """Segmentation maps from every site's coarse head on the local feature.
+def evaluate_heads(f_hat: Tensor, heads: HeadCollection, k: int, local_head) -> Tensor:
+    """Segmentation maps (B, K, N, H, W) from every site's coarse head on the
+    local feature, in one GEMM over the heads stacked into a (C, K*N) weight.
 
-    Foreign heads enter as constants so no gradient is computed for
-    parameters the local site does not own; the local site's own head (when
-    given) is evaluated live so it keeps training.
+    The K-1 foreign heads enter as constants so no gradient is computed for
+    parameters the local site does not own; site k's slot holds the local
+    head's own parameters, evaluated live so it keeps training.
     """
-    maps = []
-    for i in range(len(heads)):
-        if local_head is not None and i == local_index:
-            maps.append(sigmoid(local_head(f_hat)))
-        else:
-            w = Tensor(heads.weights[i].astype(f_hat.dtype, copy=False))
-            b = Tensor(heads.biases[i].astype(f_hat.dtype, copy=False))
-            maps.append(sigmoid(per_pixel_linear(f_hat, w, b)))
-    return maps
+    def stacked(arrays, local, axis):
+        return concat([local if i == k else Tensor(a.astype(f_hat.dtype, copy=False))
+                       for i, a in enumerate(arrays)], axis=axis)
+
+    w = stacked(heads.weights, local_head.weight, 1)
+    b = stacked(heads.biases, local_head.bias, 0)
+    s = sigmoid(per_pixel_linear(f_hat, w, b))
+    bsz, _, h, wd = s.shape
+    return s.reshape(bsz, len(heads), -1, h, wd)
 
 
-def disagreement_map(maps: list, k: int) -> Tensor:
-    """Per-pixel deviation of map k from the whole set.
+def disagreement_map(maps: Tensor, k: int) -> Tensor:
+    """Per-pixel deviation of map k from the whole set of (B, K, N, H, W) maps.
 
     U^c(p) = sqrt( 1/(K-1) * sum_i (S_k^c(p) - S_i^c(p))^2 ); the i = k term
-    contributes zero.  K < 2 yields an all-zero map.
+    contributes zero.  K < 2 yields an all-zero map.  One node: with
+    d_i = S_k - S_i, dU/dS_i = -d_i / ((K-1) U) and dU/dS_k gains
+    sum_i d_i / ((K-1) U); where U = 0 the gradient is clamped to 0.
     """
-    n = len(maps)
+    n = maps.shape[1]
     if n < 2:
-        return Tensor(np.zeros(maps[k].shape, dtype=maps[k].dtype))
-    total = None
-    for i, m in enumerate(maps):
-        if i == k:
-            continue
-        d = maps[k] - m
-        sq = d * d
-        total = sq if total is None else total + sq
-    return (total * (1.0 / (n - 1))).sqrt()
+        return Tensor(np.zeros(maps.shape[:1] + maps.shape[2:], dtype=maps.dtype))
+    d = maps.data[:, k:k + 1] - maps.data
+    out_data = np.sqrt((d * d).sum(axis=1) * (1.0 / (n - 1)))
+
+    def grad_fn(g):
+        scaled = np.divide(g, (n - 1) * out_data, out=np.zeros_like(out_data),
+                           where=out_data > 0)
+        grad = d * -scaled[:, None]
+        grad[:, k] = -grad.sum(axis=1)   # grad[:, k] was 0: d_k = 0
+        maps.accumulate_grad(grad)
+
+    return graph_node(out_data, (maps,), grad_fn)
 
 
 def _window_max(data: np.ndarray, delta: int) -> np.ndarray:
@@ -173,4 +179,4 @@ def head_calibration(f_hat: Tensor, heads: HeadCollection, k: int, local_head,
     maps = evaluate_heads(f_hat, heads, k, local_head)
     u = disagreement_map(maps, k)
     attention = gaussian_spread(nms2d(u, delta), size, sigma)
-    return maps[k], calibrate(f_hat, attention)
+    return maps[:, k], calibrate(f_hat, attention)

@@ -51,10 +51,15 @@ class LossBreakdown:
         }
 
 
+def _check_finite(name: str, t: Tensor):
+    if not np.isfinite(t.data).all():
+        raise FloatingPointError(f"non-finite {name} loss: {t.data!r}")
+
+
 def joint_loss(coarse: Tensor, calib: Tensor, con: Tensor, lam: float) -> LossBreakdown:
-    """joint = coarse + calib + lam * con; rejects non-finite terms."""
+    """joint = coarse + calib + lam * con; rejects non-finite terms and sum."""
     for name, t in (("coarse", coarse), ("calib", calib), ("con", con)):
-        if not np.isfinite(t.data).all():
-            raise FloatingPointError(f"non-finite {name} loss: {t.data!r}")
+        _check_finite(name, t)
     joint = coarse + calib + con * lam
+    _check_finite("joint", joint)
     return LossBreakdown(coarse=coarse, calib=calib, con=con, joint=joint)

@@ -3,8 +3,11 @@
 Each site carries a fixed one-hot identity vector.  A small generator extends
 it to channel width, fuses it with a global-average descriptor of the deepest
 encoder feature, and emits a sigmoid gate used for residual channel selection
-f' = f + f * gate.  A contrast term pushes different sites' gates apart while
-blocking gradients through the foreign branches.
+f' = f + f * gate.  One generator pass over the K*B identity rows (the
+descriptor repeated once per site) yields every site's gate as a (K, B, C)
+tensor; site k selects with `gates[k]`.  A contrast term pushes site k's gate
+away from all K gates, which enter as constants, so no gradient flows through
+the foreign branches.
 """
 
 from __future__ import annotations
@@ -35,17 +38,16 @@ class PCSGenerator(Layer):
         return self.fc2(relu(self.norm(self.fc1(xi_rows))))
 
 
-def augment_embedding(gen: PCSGenerator, xi: np.ndarray, f: Tensor) -> Tensor:
-    """Gate vector in (0,1)^(B x C) from the site's one-hot row and feature statistics."""
-    if xi.shape != (gen.n_sites,):
-        raise ValueError(f"embedding shape {xi.shape} != ({gen.n_sites},), one entry per site")
+def augment_embedding(gen: PCSGenerator, f: Tensor) -> Tensor:
+    """Every site's gate in (0,1)^(K x B x C) from its one-hot identity and the
+    feature statistics; row k*B + b of the generator pass is site k, sample b."""
     if f.ndim != 4 or f.shape[1] != gen.channels:
         raise ValueError(f"feature shape {f.shape} incompatible with {gen.channels} channels")
-    b = f.shape[0]
-    rows = Tensor(np.tile(xi.astype(f.dtype), (b, 1)))
-    xi_star = gen.extend(rows)
-    descriptor = global_average_pool(f)
-    return sigmoid(gen.fuse(concat([descriptor, xi_star], axis=1)))
+    k, b = gen.n_sites, f.shape[0]
+    identities = Tensor(np.repeat(np.eye(k, dtype=f.dtype), b, axis=0))
+    descriptors = concat([global_average_pool(f)] * k, axis=0)
+    fused = gen.fuse(concat([descriptors, gen.extend(identities)], axis=1))
+    return sigmoid(fused).reshape(k, b, gen.channels)
 
 
 def select_channels(f: Tensor, xi_hat: Tensor) -> Tensor:
@@ -56,30 +58,15 @@ def select_channels(f: Tensor, xi_hat: Tensor) -> Tensor:
     return f + f * xi_hat.reshape(b, c, 1, 1)
 
 
-def contrast_from_gates(xi_hat_k: Tensor, others: list) -> Tensor:
-    """-(1/(K-1)) * sum over others of mean |gate_k - gate_i|.
+def site_contrast_loss(gates: Tensor, k: int) -> Tensor:
+    """-(1/(K-1)) * sum over i != k of mean |gate_k - gate_i|, gate_i detached.
 
-    The mean runs over all gate entries (channels, then batch), keeping the
-    magnitude independent of the channel count.  Foreign gates are detached.
+    Computed as -K/(K-1) * mean |gates[k] - stop_gradient(gates)| over all
+    (K, B, C) entries: the i = k term and its subgradient are exactly 0.  The
+    mean keeps the magnitude independent of batch and channel count.  With
+    fewer than two sites the loss is 0.
     """
-    total = None
-    for other in others:
-        term = (xi_hat_k - stop_gradient(other)).abs().mean()
-        total = term if total is None else total + term
-    return total * (-1.0 / len(others))
-
-
-def site_contrast_loss(gen: PCSGenerator, f: Tensor, all_embeddings: np.ndarray, k: int,
-                       xi_hat_k: Tensor | None = None) -> Tensor:
-    """Negative mean distance between site k's gate and the (detached) others.
-
-    With fewer than two sites the loss is 0.
-    """
-    n = len(all_embeddings)
+    n = gates.shape[0]
     if n < 2:
-        return Tensor(np.zeros((), dtype=f.dtype))
-    if xi_hat_k is None:
-        xi_hat_k = augment_embedding(gen, all_embeddings[k], f)
-    others = [augment_embedding(gen, xi, f)
-              for i, xi in enumerate(all_embeddings) if i != k]
-    return contrast_from_gates(xi_hat_k, others)
+        return Tensor(np.zeros((), dtype=gates.dtype))
+    return (gates[k] - stop_gradient(gates)).abs().mean() * (-n / (n - 1))

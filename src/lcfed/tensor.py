@@ -211,6 +211,23 @@ class Tensor:
 
         return graph_node(out_data, (self,), grad_fn)
 
+    def __getitem__(self, index):
+        """Basic indexing (ints, slices, None, Ellipsis); the result is a view."""
+        parts = index if isinstance(index, tuple) else (index,)
+        for p in parts:
+            basic = p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice))
+            if not basic or isinstance(p, bool):
+                raise TypeError(f"only basic indexing is differentiable, got {type(p).__name__}")
+        out_data = self.data[index]
+
+        def grad_fn(g):
+            # basic indexing selects each element at most once: scatter, no adds
+            full = np.zeros_like(self.data)
+            full[index] = g
+            self.accumulate_grad(full)
+
+        return graph_node(out_data, (self,), grad_fn)
+
     def __truediv__(self, other):
         other = self._coerce(other)
         out_data = self.data / other.data
@@ -262,16 +279,6 @@ class Tensor:
             self.accumulate_grad(g * sign)
 
         return graph_node(np.abs(self.data), (self,), grad_fn)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        # derivative at exactly 0 is clamped to 0 to keep gradients finite
-        safe = np.where(out_data > 0, out_data, 1.0)
-
-        def grad_fn(g):
-            self.accumulate_grad(np.where(out_data > 0, g / (2.0 * safe), 0.0))
-
-        return graph_node(out_data, (self,), grad_fn)
 
 
 def graph_node(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:

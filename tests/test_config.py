@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from lcfed import federation
+from lcfed import cli, federation
 from lcfed.checkpoint import load_checkpoint
 from lcfed.config import MODES, ExperimentConfig, parse_config_text
 from lcfed.hc import head_calibration
@@ -35,6 +35,40 @@ class TestValidate:
     def test_unknown_mode_names_the_modes(self):
         with pytest.raises(ValueError, match="fedrep-head"):
             ExperimentConfig(mode="fedbn").validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, value):
+        with pytest.raises(ValueError, match="lambda_con must be finite"):
+            ExperimentConfig(lambda_con=value, allow_negative_lambda=True).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_gauss_sigma_rejected(self, value):
+        with pytest.raises(ValueError, match="gauss_sigma must be finite and positive"):
+            ExperimentConfig(gauss_sigma=value).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_lr_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            ExperimentConfig(lr=value).validate()
+
+
+# each passed validation once and failed only at round 1 or later, after
+# config.txt and metrics.csv were written
+@pytest.mark.parametrize("override,field", [
+    ("channels=8,0", "channels"),
+    ("image_size=16", "image_size"),
+    ("train_per_site=0", "train_per_site"),
+    ("test_per_site=0", "test_per_site"),
+    ("lambda_con=nan", "lambda_con"),
+    ("lr=-1", "lr"),
+])
+def test_cli_rejects_bad_config_before_writing_anything(override, field, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--out", str(out), "--sites", "2", "--rounds", "1",
+                 "--set", "train_per_site=3", "--set", "test_per_site=2",
+                 "--set", override]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestDigest:

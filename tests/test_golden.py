@@ -153,14 +153,14 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     client.model.load_params(state.theta_g.values)
     client.model.load_params(state.betas[1].values)
 
-    # the input image enters through encode(); foreign heads through hc's
-    # per_pixel_linear (the local head calls its layer instead)
-    inputs, foreign = [], []
+    # the input image enters through encode(); foreign heads through the
+    # concat in hc that stacks them beside the local head's live parameters
+    inputs, stacked = [], []
     encode = client.model.encode
     monkeypatch.setattr(client.model, "encode", lambda x: inputs.append(x) or encode(x))
-    ppl = hc.per_pixel_linear
-    monkeypatch.setattr(hc, "per_pixel_linear",
-                        lambda f, w, b: foreign.extend((w, b)) or ppl(f, w, b))
+    cat = hc.concat
+    monkeypatch.setattr(hc, "concat",
+                        lambda ts, axis: stacked.extend(ts) or cat(ts, axis=axis))
 
     site = datasets[1]
     loss = federation.forward_training(client, site.train_images, site.train_masks,
@@ -169,6 +169,8 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     loss.joint.backward()
 
     assert float(loss.joint.data) == pytest.approx(PINNED_STEP_JOINT, rel=RTOL, abs=0)
+    params = [t for _, t, _ in client.model.named_parameters()]
+    foreign = [t for t in stacked if not any(t is p for p in params)]
     assert len(inputs) == 1 and len(foreign) == 2 * (cfg.sites - 1)
     for t in inputs + foreign:
         assert t.grad is None

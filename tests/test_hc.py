@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from lcfed import hc
 from lcfed.hc import (
     HeadCollection, calibrate, disagreement_map, evaluate_heads,
-    gaussian_spread, nms2d,
+    gaussian_spread, head_calibration, nms2d,
 )
 from lcfed.layers import PerPixelLinear, per_pixel_linear
 from lcfed.tensor import Tensor, sigmoid
+
+from gradcheck import assert_grads_close
 
 
 def window_max_loop(u, delta):
@@ -57,82 +60,143 @@ class TestHeadCollection:
         assert len(random_heads(3, 4, 1)) == 3
 
 
+def local_head_from(heads, k):
+    """A live PerPixelLinear holding site k's relayed head."""
+    local = PerPixelLinear(*heads.weights[k].shape, np.random.default_rng(0))
+    local.weight.data[...] = heads.weights[k]
+    local.bias.data[...] = heads.biases[k]
+    return local
+
+
+def stacked(*arrays):
+    """(B, K, N, H, W) maps tensor from K arrays of shape (B, N, H, W)."""
+    return Tensor(np.stack(arrays, axis=1), requires_grad=True)
+
+
+def disagreement_loop(maps, k):
+    """Per-site oracle: sqrt of the mean squared deviation from the K-1 others."""
+    others = [maps[:, i] for i in range(maps.shape[1]) if i != k]
+    return np.sqrt(sum((maps[:, k] - m) ** 2 for m in others) / len(others))
+
+
 class TestEvaluateHeads:
     def test_identical_heads_identical_maps(self):
         heads = random_heads(1, 4, 2, seed=1)
         heads = HeadCollection(weights=[heads.weights[0]] * 3,
                                biases=[heads.biases[0]] * 3)
         f = Tensor(np.random.default_rng(2).standard_normal((2, 4, 5, 5)))
-        maps = evaluate_heads(f, heads)
-        assert len(maps) == 3
-        np.testing.assert_array_equal(maps[0].data, maps[1].data)
-        np.testing.assert_array_equal(maps[1].data, maps[2].data)
+        maps = evaluate_heads(f, heads, 1, local_head_from(heads, 1)).data
+        assert maps.shape == (2, 3, 2, 5, 5)
+        np.testing.assert_array_equal(maps[:, 0], maps[:, 1])
+        np.testing.assert_array_equal(maps[:, 1], maps[:, 2])
 
     def test_matches_per_pixel_linear_oracle(self):
-        heads = random_heads(3, 4, 2, seed=3)
-        f = Tensor(np.random.default_rng(4).standard_normal((1, 4, 5, 5)))
-        maps = evaluate_heads(f, heads)
-        for i in range(3):
-            ref = sigmoid(per_pixel_linear(
-                f, Tensor(heads.weights[i]), Tensor(heads.biases[i])))
-            np.testing.assert_allclose(maps[i].data, ref.data, rtol=1e-14)
+        for k in (0, 2):
+            self.check_values_and_gradients_against_per_head_calls(k)
 
-    def test_local_head_trains_foreign_heads_do_not(self):
-        rng = np.random.default_rng(5)
-        heads = random_heads(3, 4, 1, seed=6)
+    @staticmethod
+    def check_values_and_gradients_against_per_head_calls(k):
+        # one stacked GEMM against one per_pixel_linear per head, the foreign
+        # heads constant and the local head live in both
+        rng = np.random.default_rng(3)
+        heads = random_heads(3, 4, 2, seed=4)
+        f_data = rng.standard_normal((2, 4, 5, 5))
+        g = rng.standard_normal((2, 3, 2, 5, 5))
+
+        local_a, fa = PerPixelLinear(4, 2, np.random.default_rng(5)), Tensor(f_data, requires_grad=True)
+        maps = evaluate_heads(fa, heads, k, local_a)
+        (maps * Tensor(g)).sum().backward()
+
+        local_b, fb = PerPixelLinear(4, 2, np.random.default_rng(5)), Tensor(f_data, requires_grad=True)
+        total = None
+        for i in range(3):
+            w, b = ((local_b.weight, local_b.bias) if i == k
+                    else (Tensor(heads.weights[i]), Tensor(heads.biases[i])))
+            ref = sigmoid(per_pixel_linear(fb, w, b))
+            np.testing.assert_allclose(maps.data[:, i], ref.data, rtol=1e-14)
+            term = (ref * Tensor(g[:, i])).sum()
+            total = term if total is None else total + term
+        total.backward()
+
+        for a, b in ((fa, fb), (local_a.weight, local_b.weight), (local_a.bias, local_b.bias)):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12, atol=1e-14)
+
+    def test_local_head_trains_foreign_heads_do_not(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        heads = random_heads(3, 4, 1, seed=7)
         local = PerPixelLinear(4, 1, rng)
+        parts = []
+        cat = hc.concat
+        monkeypatch.setattr(hc, "concat", lambda ts, axis: parts.extend(ts) or cat(ts, axis=axis))
         f = Tensor(rng.standard_normal((1, 4, 5, 5)), requires_grad=True)
-        maps = evaluate_heads(f, heads, local_index=1, local_head=local)
-        u = disagreement_map(maps, 1)
-        u.sum().backward()
+        maps = evaluate_heads(f, heads, 1, local)
+        disagreement_map(maps, 1).sum().backward()
+        foreign = [t for t in parts if t is not local.weight and t is not local.bias]
+        assert len(foreign) == 4 and all(t.grad is None for t in foreign)
         assert np.any(local.weight.grad)
         assert np.all(np.isfinite(f.grad)) and np.any(f.grad)
 
 
 class TestDisagreementMap:
     def test_all_equal_maps_give_zero(self):
-        m = Tensor(np.random.default_rng(7).random((1, 2, 4, 4)))
-        u = disagreement_map([m, m, m], 0)
+        m = np.random.default_rng(7).random((1, 2, 4, 4))
+        u = disagreement_map(stacked(m, m, m), 0)
         np.testing.assert_array_equal(u.data, np.zeros((1, 2, 4, 4)))
 
     def test_two_sites_hand_case(self):
-        ones = Tensor(np.ones((1, 1, 2, 2)))
-        zeros = Tensor(np.zeros((1, 1, 2, 2)))
-        u = disagreement_map([ones, zeros], 0)
+        u = disagreement_map(stacked(np.ones((1, 1, 2, 2)), np.zeros((1, 1, 2, 2))), 0)
         np.testing.assert_array_equal(u.data, np.ones((1, 1, 2, 2)))
 
     def test_three_sites_hand_case(self):
-        mk = Tensor(np.full((1, 1, 1, 1), 0.5))
-        m0 = Tensor(np.zeros((1, 1, 1, 1)))
-        m1 = Tensor(np.ones((1, 1, 1, 1)))
-        u = disagreement_map([mk, m0, m1], 0)
+        u = disagreement_map(stacked(np.full((1, 1, 1, 1), 0.5), np.zeros((1, 1, 1, 1)),
+                                     np.ones((1, 1, 1, 1))), 0)
         assert u.data[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_map_gives_zero(self):
-        m = Tensor(np.random.default_rng(8).random((1, 1, 3, 3)))
-        np.testing.assert_array_equal(disagreement_map([m], 0).data, np.zeros((1, 1, 3, 3)))
+        m = np.random.default_rng(8).random((1, 1, 3, 3))
+        np.testing.assert_array_equal(disagreement_map(stacked(m), 0).data, np.zeros((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_matches_per_site_loop(self, k):
+        maps = np.random.default_rng(9).random((2, 4, 2, 4, 4))
+        u = disagreement_map(Tensor(maps), k).data
+        np.testing.assert_allclose(u, disagreement_loop(maps, k), rtol=1e-14)
 
     def test_invariant_to_other_site_ordering(self):
         rng = np.random.default_rng(9)
-        maps = [Tensor(rng.random((1, 2, 4, 4))) for _ in range(4)]
-        u1 = disagreement_map(maps, 1)
-        shuffled = [maps[1], maps[3], maps[0], maps[2]]
-        u2 = disagreement_map(shuffled, 0)
+        maps = [rng.random((1, 2, 4, 4)) for _ in range(4)]
+        u1 = disagreement_map(stacked(*maps), 1)
+        u2 = disagreement_map(stacked(maps[1], maps[3], maps[0], maps[2]), 0)
         np.testing.assert_allclose(u1.data, u2.data, rtol=1e-15)
 
     def test_nonnegative_and_zero_iff_agreement(self):
         rng = np.random.default_rng(10)
-        maps = [Tensor(rng.random((1, 1, 4, 4))) for _ in range(3)]
-        u = disagreement_map(maps, 2).data
+        maps = [rng.random((1, 1, 4, 4)) for _ in range(3)]
+        u = disagreement_map(stacked(*maps), 2).data
         assert np.all(u >= 0)
-        agree = np.isclose(maps[2].data, maps[0].data) & np.isclose(maps[2].data, maps[1].data)
+        agree = np.isclose(maps[2], maps[0]) & np.isclose(maps[2], maps[1])
         assert np.array_equal(u == 0, agree)
 
     def test_backward_finite_at_full_agreement(self):
-        m = Tensor(np.random.default_rng(11).random((1, 1, 3, 3)), requires_grad=True)
-        u = disagreement_map([m, m * 1.0], 0)
-        u.sum().backward()
-        assert np.all(np.isfinite(m.grad))
+        m = np.random.default_rng(11).random((1, 1, 3, 3))
+        maps = stacked(m, m)
+        disagreement_map(maps, 0).sum().backward()
+        np.testing.assert_array_equal(maps.grad, np.zeros((1, 2, 1, 3, 3)))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_gradient_matches_fd_including_agreement(self, k):
+        # one in three pixels has every site agree (U = 0): there the
+        # symmetric difference of the norm is 0, as is the clamped gradient
+        rng = np.random.default_rng(12)
+        maps = rng.random((2, 3, 2, 3, 3))
+        agree = rng.random((2, 1, 2, 3, 3)) < 1 / 3
+        maps = np.where(agree, maps[:, :1], maps)
+        w = rng.standard_normal((2, 2, 3, 3))
+        t = Tensor(maps, requires_grad=True)
+        u = disagreement_map(t, k)
+        assert np.any(u.data == 0) and np.any(u.data > 0)
+        (u * Tensor(w)).sum().backward()
+        assert_grads_close(lambda m: float((disagreement_loop(m, k) * w).sum()), [maps], [t.grad])
 
 
 class TestNms:
@@ -268,13 +332,23 @@ class TestPermutationInvariance:
         rng = np.random.default_rng(22)
         heads = random_heads(4, 3, 1, seed=23)
         f = Tensor(rng.standard_normal((1, 3, 6, 6)))
-        maps = evaluate_heads(f, heads)
-        u_before = disagreement_map(maps, 2)
+        u_before = disagreement_map(evaluate_heads(f, heads, 2, local_head_from(heads, 2)), 2)
 
         perm = [3, 1, 0, 2]  # site 2 moves to position 3
         permuted_heads = HeadCollection(
             weights=[heads.weights[p] for p in perm],
             biases=[heads.biases[p] for p in perm])
-        maps_p = evaluate_heads(f, permuted_heads)
-        u_after = disagreement_map(maps_p, perm.index(2))
-        np.testing.assert_allclose(u_before.data, u_after.data, rtol=1e-15)
+        k = perm.index(2)
+        maps_p = evaluate_heads(f, permuted_heads, k, local_head_from(permuted_heads, k))
+        np.testing.assert_allclose(u_before.data, disagreement_map(maps_p, k).data, rtol=1e-15)
+
+
+class TestHeadCalibration:
+    def test_coarse_map_is_local_slot(self):
+        rng = np.random.default_rng(24)
+        heads = random_heads(3, 4, 1, seed=25)
+        local = PerPixelLinear(4, 1, rng)
+        f = Tensor(rng.standard_normal((2, 4, 8, 8)))
+        coarse, f_star = head_calibration(f, heads, 1, local, delta=3, size=5, sigma=1.0)
+        np.testing.assert_allclose(coarse.data, sigmoid(local(f)).data, rtol=1e-14)
+        assert f_star.shape == f.shape

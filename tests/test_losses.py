@@ -102,6 +102,12 @@ class TestJointLoss:
         with pytest.raises(FloatingPointError):
             joint_loss(Tensor(0.0), Tensor(np.inf), Tensor(0.0), lam=0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_joint_rejected(self, lam):
+        # every term finite, the weighted sum not
+        with pytest.raises(FloatingPointError, match="non-finite joint"):
+            joint_loss(Tensor(0.5), Tensor(0.3), Tensor(-0.2), lam=lam)
+
     def test_gradient_reaches_all_terms(self):
         c1 = Tensor(0.5, requires_grad=True)
         c2 = Tensor(0.3, requires_grad=True)

@@ -1,50 +1,54 @@
 import numpy as np
 import pytest
 
-from lcfed.pcs import (
-    PCSGenerator, augment_embedding, contrast_from_gates, select_channels, site_contrast_loss,
-)
-from lcfed.tensor import Tensor
+from lcfed.pcs import PCSGenerator, augment_embedding, select_channels, site_contrast_loss
+from lcfed.tensor import Tensor, concat, global_average_pool, sigmoid
 
 
 def make_gen(n_sites=3, channels=6, seed=0):
     return PCSGenerator(n_sites, channels, np.random.default_rng(seed))
 
 
+def gate_loop(gen, k, f):
+    """Per-site oracle: site k's gate from its own B one-hot rows."""
+    rows = Tensor(np.tile(np.eye(gen.n_sites, dtype=f.dtype)[k], (f.shape[0], 1)))
+    return sigmoid(gen.fuse(concat([global_average_pool(f), gen.extend(rows)], axis=1)))
+
+
 class TestAugment:
     def test_gate_in_open_unit_interval(self):
         gen = make_gen()
         f = Tensor(np.random.default_rng(1).standard_normal((2, 6, 4, 4)))
-        out = augment_embedding(gen, np.eye(3)[0], f).data
-        assert out.shape == (2, 6)
+        out = augment_embedding(gen, f).data
+        assert out.shape == (3, 2, 6)
         assert np.all((out > 0) & (out < 1))
 
     def test_different_sites_give_different_gates(self):
         gen = make_gen()
         f = Tensor(np.random.default_rng(2).standard_normal((1, 6, 4, 4)))
-        a = augment_embedding(gen, np.eye(3)[0], f).data
-        b = augment_embedding(gen, np.eye(3)[1], f).data
-        assert not np.allclose(a, b)
+        gates = augment_embedding(gen, f).data
+        assert not np.allclose(gates[0], gates[1])
 
     def test_zero_feature_depends_only_on_embedding_path(self):
         gen = make_gen()
-        xi = np.eye(3)[1]
-        a = augment_embedding(gen, xi, Tensor(np.zeros((1, 6, 4, 4)))).data
-        b = augment_embedding(gen, xi, Tensor(np.zeros((3, 6, 8, 8)))).data
+        a = augment_embedding(gen, Tensor(np.zeros((1, 6, 4, 4)))).data[1]
+        b = augment_embedding(gen, Tensor(np.zeros((3, 6, 8, 8)))).data[1]
         np.testing.assert_allclose(a[0], b[0], rtol=1e-12)
         np.testing.assert_allclose(b[0], b[1], rtol=0)
 
-    def test_embedding_length_mismatch(self):
-        gen = make_gen(n_sites=3)
-        f = Tensor(np.zeros((1, 6, 4, 4)))
-        for xi in (np.eye(4)[0], np.eye(3)[:1]):
-            with pytest.raises(ValueError, match="embedding shape"):
-                augment_embedding(gen, xi, f)
+    @pytest.mark.parametrize("n_sites,batch", [(1, 2), (3, 1), (4, 3)])
+    def test_matches_per_site_loop(self, n_sites, batch):
+        gen = make_gen(n_sites=n_sites, seed=3)
+        f = Tensor(np.random.default_rng(4).standard_normal((batch, 6, 4, 4)))
+        gates = augment_embedding(gen, f).data
+        assert gates.shape == (n_sites, batch, 6)
+        for k in range(n_sites):
+            np.testing.assert_allclose(gates[k], gate_loop(gen, k, f).data, rtol=1e-14, atol=0)
 
     def test_channel_mismatch(self):
         gen = make_gen(channels=6)
         with pytest.raises(ValueError):
-            augment_embedding(gen, np.eye(3)[0], Tensor(np.zeros((1, 5, 4, 4))))
+            augment_embedding(gen, Tensor(np.zeros((1, 5, 4, 4))))
 
 
 class TestSelectChannels:
@@ -80,69 +84,76 @@ class TestSiteContrastLoss:
         # identical extension rows for every site force identical gates
         gen.fc1.weight.data[:] = gen.fc1.weight.data[0]
         f = Tensor(np.random.default_rng(6).standard_normal((2, 6, 4, 4)))
-        loss = site_contrast_loss(gen, f, np.eye(3), 0)
+        loss = site_contrast_loss(augment_embedding(gen, f), 0)
         assert loss.item() == 0.0
 
     def test_hand_case(self):
-        # K=3, gate_k=[1,0], others [0,0] and [1,1]: mean-abs gives 0.5 each
-        xi_k = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
-        others = [Tensor(np.array([[0.0, 0.0]])), Tensor(np.array([[1.0, 1.0]]))]
-        loss = contrast_from_gates(xi_k, others)
-        assert loss.item() == pytest.approx(-0.5, abs=1e-12)
+        # K=3, gates [1,0], [0,0], [1,1]: the mean-abs distances from gate 0
+        # to the others are 0.5 and 0.5; from gates 1 and 2, 0.5 and 1
+        gates = Tensor(np.array([[[1.0, 0.0]], [[0.0, 0.0]], [[1.0, 1.0]]]), requires_grad=True)
+        for k, expected in ((0, -0.5), (1, -0.75), (2, -0.75)):
+            assert site_contrast_loss(gates, k).item() == pytest.approx(expected, abs=1e-12)
 
     def test_single_site_is_zero(self):
         gen = make_gen(n_sites=1)
         f = Tensor(np.zeros((1, 6, 4, 4)))
-        assert site_contrast_loss(gen, f, np.eye(1), 0).item() == 0.0
-        assert site_contrast_loss(gen, f, np.eye(1), 0).requires_grad is False
+        loss = site_contrast_loss(augment_embedding(gen, f), 0)
+        assert loss.item() == 0.0
+        assert loss.requires_grad is False
 
     def test_loss_is_nonpositive(self):
         gen = make_gen(seed=7)
         f = Tensor(np.random.default_rng(8).standard_normal((2, 6, 4, 4)))
         for k in range(3):
-            assert site_contrast_loss(gen, f, np.eye(3), k).item() <= 0.0
+            assert site_contrast_loss(augment_embedding(gen, f), k).item() <= 0.0
 
     def test_foreign_branches_get_no_gradient(self):
         gen = make_gen(seed=9)
-        f = Tensor(np.random.default_rng(10).standard_normal((1, 6, 4, 4)), requires_grad=True)
-        embeds = np.eye(3)
-        gates = [augment_embedding(gen, xi, f) for xi in embeds]
-        loss = contrast_from_gates(gates[0], [gates[1], gates[2]])
-        loss.backward()
-        for foreign in (gates[1], gates[2]):
-            assert foreign.grad is None or not np.any(foreign.grad)
-        assert np.any(gates[0].grad)
-        assert np.all(np.isfinite(f.grad))
+        for k in range(3):
+            f = Tensor(np.random.default_rng(10).standard_normal((1, 6, 4, 4)), requires_grad=True)
+            gates = augment_embedding(gen, f)
+            site_contrast_loss(gates, k).backward()
+            for i in range(3):
+                assert np.any(gates.grad[i]) == (i == k)
+            assert np.all(np.isfinite(f.grad))
 
     def test_gradient_matches_local_branch_only(self):
-        # parameters receive exactly the gradient of the detached-foreign objective
+        for k in (0, 2):
+            self.check_gradient_matches_local_branch_only(k)
+
+    @staticmethod
+    def check_gradient_matches_local_branch_only(k):
+        # parameters and feature receive exactly the gradient of the
+        # detached-foreign objective, built here from per-site gates
         gen_a = make_gen(seed=11)
         gen_b = make_gen(seed=11)
-        f_data = np.random.default_rng(12).standard_normal((1, 6, 4, 4))
-        embeds = np.eye(3)
+        f_data = np.random.default_rng(12).standard_normal((2, 6, 4, 4))
+        fa = Tensor(f_data, requires_grad=True)
+        loss_a = site_contrast_loss(augment_embedding(gen_a, fa), k)
+        loss_a.backward()
 
-        site_contrast_loss(gen_a, Tensor(f_data), embeds, 0).backward()
-
-        # manual: gate_0 live, others fixed arrays
-        gate_0 = augment_embedding(gen_b, embeds[0], Tensor(f_data))
-        fixed = [augment_embedding(gen_b, embeds[i], Tensor(f_data)).data.copy()
-                 for i in (1, 2)]
+        fb = Tensor(f_data, requires_grad=True)
+        gate_k = gate_loop(gen_b, k, fb)
+        fixed = [gate_loop(gen_b, i, Tensor(f_data)).data.copy() for i in range(3) if i != k]
         total = None
         for arr in fixed:
-            term = (gate_0 - Tensor(arr)).abs().mean()
+            term = (gate_k - Tensor(arr)).abs().mean()
             total = term if total is None else total + term
-        (total * (-0.5)).backward()
+        loss_b = total * (-0.5)
+        loss_b.backward()
 
+        assert loss_a.item() == pytest.approx(loss_b.item(), rel=1e-14)
+        np.testing.assert_allclose(fa.grad, fb.grad, rtol=1e-10, atol=1e-15)
         for (na, ta), (nb, tb) in zip(gen_a.parameters(), gen_b.parameters()):
             assert na == nb
-            np.testing.assert_allclose(ta.grad, tb.grad, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(ta.grad, tb.grad, rtol=1e-10, atol=1e-15)
 
 
 class TestProperties:
     def test_gates_pairwise_distinct_at_random_init(self):
         gen = make_gen(n_sites=4, channels=8, seed=13)
         f = Tensor(np.random.default_rng(14).standard_normal((1, 8, 4, 4)))
-        gates = [augment_embedding(gen, xi, f).data for xi in np.eye(4)]
+        gates = augment_embedding(gen, f).data
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.allclose(gates[i], gates[j])
@@ -154,16 +165,15 @@ class TestProperties:
         for seed in range(5):
             gen = make_gen(n_sites=3, channels=6, seed=seed)
             f_data = np.random.default_rng(100 + seed).standard_normal((2, 6, 4, 4))
-            embeds = np.eye(3)
 
-            fixed = [augment_embedding(gen, embeds[i], Tensor(f_data)).data for i in (1, 2)]
+            fixed = augment_embedding(gen, Tensor(f_data)).data[1:].copy()
 
             def mean_distance():
-                gate_k = augment_embedding(gen, embeds[0], Tensor(f_data)).data
+                gate_k = augment_embedding(gen, Tensor(f_data)).data[0]
                 return np.mean([np.abs(gate_k - g).mean() for g in fixed])
 
             before = mean_distance()
-            loss = site_contrast_loss(gen, Tensor(f_data), embeds, 0) * 0.1
+            loss = site_contrast_loss(augment_embedding(gen, Tensor(f_data)), 0) * 0.1
             loss.backward()
             for _, t in gen.parameters():
                 t.data -= 1e-3 * t.grad

@@ -275,3 +275,26 @@ class TestRelayedHeads:
             for k in range(cfg.sites):
                 assert weights[k].tobytes() == heads_w[k].tobytes()
                 assert biases[k].tobytes() == heads_b[k].tobytes()
+
+
+# float32 keeps about 7 significant digits; after two rounds of Adam the
+# joint losses of a tiny run agree to ~6e-8 relative and the thresholded
+# masks are identical, so these bounds leave two orders of magnitude
+F32_IOU_ATOL = 0.005
+F32_LOSS_RTOL = 1e-5
+
+
+def test_float32_run_tracks_float64(tmp_path):
+    finals = {}
+    for dtype in ("float64", "float32"):
+        cfg = ExperimentConfig(mode="lcfed", dtype=dtype, sites=2, rounds=2, image_size=32,
+                               channels=(8, 16, 32), batch_size=3, train_per_site=9,
+                               test_per_site=3, lr=1e-2, benchmark_seed=1, master_seed=1,
+                               out_dir=str(tmp_path / dtype))
+        _, rows = runner.read_metrics(runner.run_experiment(cfg))
+        finals[dtype] = [r for r in rows if r["round"] == cfg.rounds]
+    assert len(finals["float32"]) == len(finals["float64"]) == 2
+    for r32, r64 in zip(finals["float32"], finals["float64"]):
+        assert r32["site"] == r64["site"]
+        assert r32["iou"] == pytest.approx(r64["iou"], abs=F32_IOU_ATOL)
+        assert r32["loss_joint"] == pytest.approx(r64["loss_joint"], rel=F32_LOSS_RTOL)

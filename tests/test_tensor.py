@@ -327,13 +327,6 @@ class TestReductionsAndActivations:
         ng = numeric_grad(lambda a: float(np.abs(a).sum()), [x], 0)
         assert rel_err(tx.grad, ng) < 1e-5
 
-    def test_sqrt_grad_and_zero_guard(self):
-        x = np.array([0.0, 1.0, 4.0])
-        tx = Tensor(x, requires_grad=True)
-        tx.sqrt().sum().backward()
-        np.testing.assert_allclose(tx.grad, [0.0, 0.5, 0.25])
-        assert np.all(np.isfinite(tx.grad))
-
     def test_concat_splits_gradient(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((1, 2, 3, 3))
@@ -376,6 +369,35 @@ class TestStopGradient:
         x = Tensor(v, requires_grad=True)
         (x * T.stop_gradient(x)).sum().backward()
         np.testing.assert_allclose(x.grad, v)
+
+
+class TestGetitem:
+    @pytest.mark.parametrize("index", [1, (slice(None), 2), (Ellipsis, slice(1, 3)),
+                                       (0, None, slice(None, None, 2))])
+    def test_value_and_gradient_match_fd(self, index):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((3, 4, 5))
+        w = rng.standard_normal(x[index].shape)
+        tx = Tensor(x, requires_grad=True)
+        out = tx[index]
+        np.testing.assert_array_equal(out.data, x[index])
+        (out * Tensor(w)).sum().backward()
+        assert_grads_close(lambda x_: float((x_[index] * w).sum()), [x], [tx.grad])
+
+    def test_unselected_entries_get_exact_zero(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x[1].sum().backward()
+        np.testing.assert_array_equal(x.grad, [[0, 0, 0], [1, 1, 1]])
+
+    def test_two_slices_accumulate(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        (x[0:2] + x[1:3]).sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("index", [np.array([0, 0]), [0, 1], True, (0, np.array([1]))])
+    def test_advanced_indexing_rejected(self, index):
+        with pytest.raises(TypeError, match="basic indexing"):
+            Tensor(np.zeros((2, 3)))[index]
 
 
 class TestBackward:
