@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import re
 
 import numpy as np
 
@@ -79,6 +80,9 @@ def _metrics_path(out_dir):
 
 def _ckpt_path(out_dir, round_index):
     return os.path.join(out_dir, "checkpoints", f"round_{round_index:04d}.ckpt")
+
+
+_CKPT_NAME = re.compile(r"round_([0-9]+)\.ckpt")
 
 
 def _should_eval(cfg: ExperimentConfig, round_index: int) -> bool:
@@ -152,10 +156,13 @@ def _truncate_metrics(out_dir: str, keep_up_to_round: int, digest: str):
         raise ValueError(f"{path}: config digest does not match this run")
     kept = lines[:2]
     for line in lines[2:]:
-        if int(line.split(",", 1)[0]) <= keep_up_to_round:
+        if line.strip() and int(line.split(",", 1)[0]) <= keep_up_to_round:
             kept.append(line)
-    with open(path, "w") as fh:
+    # rename a finished copy over the file, so a failed write loses no rows
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
         fh.writelines(kept)
+    os.replace(tmp, path)
 
 
 def resume_experiment(run_dir: str, checkpoint_path: str | None = None) -> str:
@@ -167,10 +174,12 @@ def resume_experiment(run_dir: str, checkpoint_path: str | None = None) -> str:
     cfg.validate()
     if checkpoint_path is None:
         ckpt_dir = os.path.join(run_dir, "checkpoints")
-        names = sorted(n for n in os.listdir(ckpt_dir) if n.endswith(".ckpt"))
-        if not names:
-            raise FileNotFoundError(f"no checkpoints in {ckpt_dir}")
-        checkpoint_path = os.path.join(ckpt_dir, names[-1])
+        # the latest round by number: round_10000 sorts before round_9999
+        by_round = {int(m.group(1)): m.group(0)
+                    for m in map(_CKPT_NAME.fullmatch, os.listdir(ckpt_dir)) if m}
+        if not by_round:
+            raise FileNotFoundError(f"no round_NNNN.ckpt checkpoints in {ckpt_dir}")
+        checkpoint_path = os.path.join(ckpt_dir, by_round[max(by_round)])
     state, digest, master_seed = load_checkpoint(checkpoint_path)
     if digest != cfg.digest():
         raise ValueError(

@@ -149,6 +149,69 @@ class TestResume:
                     os.path.join(whole, name))
 
 
+class _PickedCheckpoint(Exception):
+    pass
+
+
+class TestResumeRobustness:
+    def test_resume_picks_the_highest_numbered_round(self, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        (run / "checkpoints").mkdir(parents=True)
+        (run / "config.txt").write_text(tiny_cfg(run).to_text())
+        for name in ("round_0002.ckpt", "round_9999.ckpt", "round_10000.ckpt",
+                     "round_0003.ckpt.tmp", "scratch.ckpt", "z_round_20000.ckpt"):
+            (run / "checkpoints" / name).write_bytes(b"")
+
+        def picked(path):
+            raise _PickedCheckpoint(os.path.basename(path))
+
+        monkeypatch.setattr(runner, "load_checkpoint", picked)
+        with pytest.raises(_PickedCheckpoint, match=r"^round_10000\.ckpt$"):
+            runner.resume_experiment(str(run))
+        for name in ("round_0002.ckpt", "round_9999.ckpt", "round_10000.ckpt"):
+            (run / "checkpoints" / name).unlink()
+        with pytest.raises(FileNotFoundError, match="no round_NNNN.ckpt"):
+            runner.resume_experiment(str(run))
+
+    def test_resume_skips_blank_lines_in_metrics(self, tmp_path):
+        whole = runner.run_experiment(tiny_cfg(tmp_path / "whole"))
+        cut = runner.run_experiment(tiny_cfg(tmp_path / "cut"), stop_after_round=1)
+        metrics = os.path.join(cut, "metrics.csv")
+        with open(metrics, "a") as fh:
+            fh.write("\n")
+        runner.resume_experiment(cut)
+        assert read_bytes(metrics) == read_bytes(os.path.join(whole, "metrics.csv"))
+
+    def test_failed_metrics_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cut = runner.run_experiment(tiny_cfg(tmp_path / "cut"), stop_after_round=1)
+        metrics = os.path.join(cut, "metrics.csv")
+        before = read_bytes(metrics)
+
+        class FailsAfterOneLine:
+            def __init__(self, path, mode):
+                self.fh = builtins.open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, lines):
+                self.fh.write(lines[0])
+                raise OSError("no space left on device")
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            if "metrics.csv" in str(path) and "w" in mode:
+                return FailsAfterOneLine(path, mode)
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "open", fake_open, raising=False)
+        with pytest.raises(OSError):
+            runner._truncate_metrics(cut, 0, tiny_cfg(cut).digest())
+        assert read_bytes(metrics) == before
+
+
 class TestManifest:
     def test_a_run_on_gen_data_files_equals_the_in_memory_run(self, tmp_path):
         shape = ["--benchmark-seed", "1", "--sites", "2"]

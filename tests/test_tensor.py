@@ -186,9 +186,17 @@ class TestConv2d:
         (1, 2, 2, 9, 5, 3, 1, True),       # 5x5, stride 3, padding below k//2
     ]
 
-    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
-    def test_forward_and_gradients_match_loop_oracle(self, b, cin, cout, size, k, stride,
-                                                     padding, with_bias):
+    # (batch, cin, cout, size, k, stride, padding, bias, tile bytes): tile
+    # budgets small enough that every pass, forward and backward, splits
+    TILE_CASES = [
+        (2, 1, 2, 7, 3, 1, None, True, 1512),   # bands of 3, 4 rows (2, 2, 3 in dx)
+        (5, 2, 2, 4, 3, 1, None, False, 4608),  # 2 and 3 whole images per tile
+        (2, 1, 3, 13, 3, 2, None, True, 1008),  # stride 2: bands of 2, 2, 3 output rows
+        (2, 1, 2, 14, 5, 1, 1, True, 1),        # 5x5, padding 1: bands of 2 rows (3, 4 in dx)
+    ]
+
+    @staticmethod
+    def check_against_loop_oracle(b, cin, cout, size, k, stride, padding, with_bias):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((b, cin, size, size))
         kern = rng.standard_normal((cout, cin, k, k))
@@ -207,9 +215,9 @@ class TestConv2d:
         if with_bias:
             np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
-    def test_constant_input_kernel_gradient_matches_loop_oracle(self, b, cin, cout, size, k,
-                                                                stride, padding, with_bias):
+    @staticmethod
+    def check_constant_input_against_loop_oracle(b, cin, cout, size, k, stride, padding,
+                                                 with_bias):
         # without dx there are no gradient columns: dW comes from x's own columns
         rng = np.random.default_rng(11)
         x = rng.standard_normal((b, cin, size, size))
@@ -223,6 +231,47 @@ class TestConv2d:
         np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
         if with_bias:
             np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
+    def test_forward_and_gradients_match_loop_oracle(self, b, cin, cout, size, k, stride,
+                                                     padding, with_bias):
+        self.check_against_loop_oracle(b, cin, cout, size, k, stride, padding, with_bias)
+
+    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
+    def test_constant_input_kernel_gradient_matches_loop_oracle(self, b, cin, cout, size, k,
+                                                                stride, padding, with_bias):
+        self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, stride, padding,
+                                                      with_bias)
+
+    @pytest.mark.parametrize("constant_input", [False, True])
+    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias,tile_bytes",
+                             TILE_CASES)
+    def test_tiled_passes_match_loop_oracle(self, monkeypatch, b, cin, cout, size, k, stride,
+                                            padding, with_bias, tile_bytes, constant_input):
+        monkeypatch.setattr(T, "TILE_BYTES", tile_bytes)
+        # label each tile of columns with the pass that used it
+        tiles, phase = [], ["forward"]
+        im2col_tiles, conv2d = T._im2col_tiles, T.conv2d
+
+        def counted(*args):
+            for tile in im2col_tiles(*args):
+                tiles.append(phase[0])
+                yield tile
+
+        monkeypatch.setattr(T, "_im2col_tiles", counted)
+
+        def conv2d_then_backward(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            phase[0] = "backward"
+            return out
+
+        monkeypatch.setattr(T, "conv2d", conv2d_then_backward)
+        if constant_input:
+            self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, stride,
+                                                          padding, with_bias)
+        else:
+            self.check_against_loop_oracle(b, cin, cout, size, k, stride, padding, with_bias)
+        assert tiles.count("forward") > 1 and tiles.count("backward") > 1
 
     @pytest.mark.parametrize("layout", ["channel_major", "sliced"])
     def test_non_contiguous_input_matches_loop_oracle(self, layout):
@@ -282,6 +331,67 @@ class TestConv2d:
         assert out.requires_grad
         assert retained < cols_bytes
 
+    def test_1x1_stride_1_columns_of_a_contiguous_input_are_one_uncopied_tile(
+            self, monkeypatch):
+        monkeypatch.setattr(T, "TILE_BYTES", 1)
+        xp = np.random.default_rng(18).standard_normal((3, 4, 5, 5))
+        tiles = list(T._im2col_tiles(xp, 1, 1, 5, 5))
+        assert len(tiles) == 1 and np.shares_memory(tiles[0][2], xp)
+        # the same kernel at stride 2 copies, so it tiles
+        assert len(list(T._im2col_tiles(xp, 1, 2, 3, 3))) > 1
+
+    def test_forward_and_backward_peak_below_one_column_buffer(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((6, 16, 64, 64)), requires_grad=True)
+        kern = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+        g = Tensor(rng.standard_normal((6, 16, 64, 64)))
+        cols_bytes = 16 * 9 * 6 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            (T.conv2d(x, kern) * g).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and np.any(kern.grad)
+        assert peak < cols_bytes
+
+    # (input shape, cout, stride, input tracks its gradient): desk-sized convs
+    # that the default budget splits into many tiles
+    SPLIT_CASES = [
+        ((6, 16, 64, 64), 8, 1, True),
+        ((6, 32, 32, 32), 16, 1, True),
+        ((6, 8, 32, 32), 16, 2, True),
+        ((6, 1, 64, 64), 8, 1, False),
+    ]
+
+    @pytest.mark.parametrize("shape,cout,stride,x_tracks", SPLIT_CASES,
+                             ids=["dec3", "dec2", "stride2", "constant_input"])
+    def test_tiles_equal_a_one_tile_build(self, monkeypatch, shape, cout, stride, x_tracks):
+        # splitting a GEMM's columns reorders no sum, so the output and dx are
+        # bit-identical; dW adds the tiles' partial sums in another order
+        b, cin, h, w = shape
+        ho = (h - 1) // stride + 1
+        assert len(list(T._im2col_tiles(np.zeros((cin, b, h + 2, w + 2)), 3, stride, ho, ho))) > 1
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(shape)
+        kern = rng.standard_normal((cout, cin, 3, 3))
+
+        def run():
+            tx, tk = Tensor(x, requires_grad=x_tracks), Tensor(kern, requires_grad=True)
+            out = T.conv2d(tx, tk, stride=stride)
+            g = np.random.default_rng(16).standard_normal(out.shape)
+            (out * Tensor(g)).sum().backward()
+            return out.data, tx.grad, tk.grad
+
+        tiled = run()
+        monkeypatch.setattr(T, "TILE_BYTES", 1 << 62)
+        whole = run()
+        assert np.array_equal(tiled[0], whole[0])
+        if x_tracks:
+            assert np.array_equal(tiled[1], whole[1])
+        np.testing.assert_allclose(tiled[2], whole[2], rtol=1e-12,
+                                   atol=1e-12 * np.abs(whole[2]).max())
+
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 2, 5, 5)))
@@ -299,6 +409,11 @@ class TestConv2d:
         with pytest.raises(ValueError):
             T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 3, 3))))
 
+    @pytest.mark.parametrize("h,w", [(2, 5), (5, 1)])
+    def test_kernel_larger_than_padded_input_rejected(self, h, w):
+        with pytest.raises(ValueError, match="larger than the padded"):
+            T.conv2d(Tensor(np.ones((1, 1, h, w))), Tensor(np.ones((1, 1, 3, 3))), padding=0)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
@@ -312,6 +427,27 @@ class TestReductionsAndActivations:
         x = np.linspace(-50, 50, 101)
         out = T.sigmoid(Tensor(x)).data
         assert np.all(out > 0) and np.all(out < 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equal_to_the_masked_formula(self, dtype):
+        def masked(d):
+            out = np.empty_like(d)
+            pos = d >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+            e = np.exp(d[~pos])
+            out[~pos] = e / (1.0 + e)
+            one = d.dtype.type(1)
+            np.clip(out, np.nextafter(d.dtype.type(0), one), np.nextafter(one, 0), out=out)
+            return out
+
+        big = np.finfo(dtype).max
+        edge = np.array([0.0, -0.0, 800.0, -800.0, big, -big, np.nan, -np.nan], dtype=dtype)
+        noise = np.random.default_rng(17).standard_normal((6, 2, 16, 16)) * 30
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        for d in (edge, noise.astype(dtype)):
+            out = T.sigmoid(Tensor(d)).data
+            assert out.dtype == dtype
+            assert np.array_equal(out.view(uint), masked(d).view(uint))
 
     def test_global_average_pool_constant(self):
         x = np.full((2, 3, 4, 4), 1.25)
