@@ -17,7 +17,9 @@ Array names are the model's parameter names behind a prefix: g/ the averaged
 parameters, b<k>/ site k's local parameters (the mode's `local` patterns pick
 them), m<k>/ v<k>/ site k's Adam moments over all of its parameters.  Each
 array is stored once; the coarse heads relayed to clients are read from the
-g/ and b<k>/ arrays.
+g/ and b<k>/ arrays.  A resumed checkpoint's arrays are checked once against
+the configured model, by name, shape and dtype (`check_arrays`), so nothing
+past that boundary checks them again.
 """
 
 from __future__ import annotations
@@ -108,18 +110,23 @@ def load_checkpoint(path: str):
 
 def check_arrays(path: str, state: FederationState, cfg: ExperimentConfig):
     """Raise ValueError naming the first array, as the checkpoint at `path`
-    names it, that the state lacks or holds beyond the configured model and
-    mode."""
-    names = [n for n, _, _ in new_model(cfg, np.random.default_rng(0)).named_parameters()]
-    shared, local = (p.names() for p in split_params(dict.fromkeys(names), MODES[cfg.mode]))
+    names it, that the state lacks, holds beyond the configured model and
+    mode, or holds with another shape or dtype than the model's."""
+    model = {n: t.data for n, t, _ in
+             new_model(cfg, np.random.default_rng(0)).named_parameters()}
+    shared, local = (p.values for p in split_params(model, MODES[cfg.mode]))
     parts = [("g/", state.theta_g.values, shared)]
     for k, (beta, adam) in enumerate(zip(state.betas, state.adam_states)):
         parts += [(f"b{k}/", beta.values, local),
-                  (f"m{k}/", adam["m"], names), (f"v{k}/", adam["v"], names)]
+                  (f"m{k}/", adam["m"], model), (f"v{k}/", adam["v"], model)]
     for prefix, held, wanted in parts:
         for n in wanted:
             if n not in held:
                 raise ValueError(f"{path}: missing array {prefix}{n} for mode {cfg.mode}")
-        for n in held:
+        for n, a in held.items():
             if n not in wanted:
                 raise ValueError(f"{path}: unexpected array {prefix}{n} for mode {cfg.mode}")
+            want = wanted[n]
+            if a.shape != want.shape or a.dtype != want.dtype:
+                raise ValueError(f"{path}: array {prefix}{n} is {a.dtype} {a.shape}; "
+                                 f"the configured model's is {want.dtype} {want.shape}")

@@ -53,7 +53,6 @@ class ExperimentConfig:
     lr: float = 1e-4
     batch_size: int = 6
     lambda_con: float = 0.1
-    allow_negative_lambda: bool = False
     nms_delta: int = 11
     gauss_size: int = 11
     gauss_sigma: float = 3.0
@@ -82,10 +81,8 @@ class ExperimentConfig:
             raise ValueError("local epochs and batch size must be >= 1")
         if not math.isfinite(self.lr) or self.lr <= 0:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if not math.isfinite(self.lambda_con):
-            raise ValueError(f"lambda_con must be finite, got {self.lambda_con}")
-        if self.lambda_con < 0 and not self.allow_negative_lambda:
-            raise ValueError("negative lambda requires allow_negative_lambda")
+        if not math.isfinite(self.lambda_con) or self.lambda_con < 0:
+            raise ValueError(f"lambda_con must be finite and >= 0, got {self.lambda_con}")
         for name, v in (("nms_delta", self.nms_delta), ("gauss_size", self.gauss_size)):
             if v < 1 or v % 2 == 0:
                 raise ValueError(f"{name} must be odd and >= 1, got {v}")

@@ -9,9 +9,10 @@ sampling from (master seed, site, round), so sites can run sequentially or in
 parallel workers and produce bit-identical results.  The mode's row in
 `config.MODES` names the local parameters by pattern; aggregation is the plain
 unweighted mean over every other parameter.  The state holds each array once:
-the averaged set and each site's local set.  The coarse heads relayed to
-clients are read from them when a round starts, so they are the heads as of
-the end of the previous round.
+the averaged set and each site's local set.  When a round starts, every
+site's coarse head is read from them and stacked side by side into one
+relayed weight and bias, so the heads are those as of the end of the previous
+round.  Training and prediction run one forward composition, `_forward`.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import numpy as np
 from . import pcs
 from .config import MODES, ExperimentConfig, Mode
 from .data import SiteData
-from .hc import HeadCollection, head_calibration
+from .hc import head_calibration
 from .losses import LossBreakdown, dice_loss, joint_loss
 from .model import SegmentationModel
 from .optim import Adam
-from .tensor import Tensor
+from .tensor import Tensor, sigmoid
 
 
 class ParamSet:
@@ -37,23 +38,11 @@ class ParamSet:
     def __init__(self, values: dict | None = None):
         self.values = dict(values or {})
 
-    def names(self):
-        return list(self.values)
-
 
 def fedavg(sets: list) -> ParamSet:
-    """Elementwise unweighted mean of shape-aligned parameter sets."""
-    if not sets:
-        raise ValueError("fedavg needs at least one parameter set")
-    names = sets[0].names()
-    for s in sets[1:]:
-        if s.names() != names:
-            raise ValueError("parameter sets are not name-aligned")
-        for n in names:
-            if s.values[n].shape != sets[0].values[n].shape:
-                raise ValueError(f"shape mismatch for {n}")
+    """Elementwise unweighted mean of parameter sets that share names and shapes."""
     k = len(sets)
-    return ParamSet({n: sum(s.values[n] for s in sets) / k for n in names})
+    return ParamSet({n: sum(s.values[n] for s in sets) / k for n in sets[0].values})
 
 
 @dataclass
@@ -118,67 +107,55 @@ def initial_state(cfg: ExperimentConfig) -> FederationState:
                                         for _ in range(cfg.sites)])
 
 
-def relayed_heads(state: FederationState) -> HeadCollection:
-    """Every site's coarse head as the state holds it: among the site's local
-    parameters, or among the averaged ones in a mode that shares heads.  The
-    arrays are the state's own, not copies."""
+def relayed_heads(state: FederationState) -> tuple:
+    """Every site's coarse head as the state holds it (among the site's local
+    parameters, or among the averaged ones in a mode that shares heads),
+    stacked side by side: a (C, K*N) weight whose columns k*N..(k+1)*N-1 are
+    site k's, and the matching (K*N,) bias."""
     sources = [{**state.theta_g.values, **beta.values} for beta in state.betas]
-    return HeadCollection(weights=[src["head_coarse.w"] for src in sources],
-                          biases=[src["head_coarse.b"] for src in sources])
+    return (np.concatenate([src["head_coarse.w"] for src in sources], axis=1),
+            np.concatenate([src["head_coarse.b"] for src in sources]))
 
 
 # ---------------------------------------------------------------------------
 # forward composition
 # ---------------------------------------------------------------------------
 
-def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
-                     heads: HeadCollection, site: int, cfg: ExperimentConfig) -> LossBreakdown:
+def _forward(client: Client, xb: np.ndarray, heads: tuple, site: int, cfg: ExperimentConfig):
     """encoder -> channel selection -> decoder -> coarse head -> head
-    calibration -> calibrated head, with the joint objective."""
+    calibration -> calibrated head; returns (PCS gates or None, coarse map,
+    calibrated map)."""
     mode = MODES[cfg.mode]
     model = client.model
-    x = Tensor(xb)
-    skips, deep = model.encode(x)
-
+    skips, deep = model.encode(Tensor(xb))
+    gates = None
     if mode.pcs:
         gates = pcs.augment_embedding(model.pcs_gen, deep)
-        con = pcs.site_contrast_loss(gates, site)
         deep = pcs.select_channels(deep, gates[site])
-    else:
-        con = Tensor(np.zeros((), dtype=xb.dtype))
-
     f_hat = model.decode(deep, skips)
-
     if mode.hc:
-        coarse_map, f_star = head_calibration(
+        coarse, f_star = head_calibration(
             f_hat, heads, site, model.coarse_head,
             delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
     else:
-        coarse_map = model.coarse_map(f_hat)
-        f_star = f_hat
-
-    calibrated = model.calibrated_map(f_star)
-    return joint_loss(dice_loss(coarse_map, yb), dice_loss(calibrated, yb),
-                      con, lam=cfg.lambda_con)
+        coarse, f_star = sigmoid(model.coarse_head(f_hat)), f_hat
+    return gates, coarse, sigmoid(model.calib_head(f_star))
 
 
-def forward_predict(client: Client, xb: np.ndarray, heads: HeadCollection, site: int,
+def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
+                     heads: tuple, site: int, cfg: ExperimentConfig) -> LossBreakdown:
+    """The joint objective of the site's forward pass on a batch."""
+    gates, coarse, calibrated = _forward(client, xb, heads, site, cfg)
+    con = (Tensor(np.zeros((), dtype=xb.dtype)) if gates is None
+           else pcs.site_contrast_loss(gates, site))
+    return joint_loss(dice_loss(coarse, yb), dice_loss(calibrated, yb), con,
+                      lam=cfg.lambda_con)
+
+
+def forward_predict(client: Client, xb: np.ndarray, heads: tuple, site: int,
                     cfg: ExperimentConfig) -> np.ndarray:
     """Calibrated segmentation probabilities for a batch."""
-    mode = MODES[cfg.mode]
-    model = client.model
-    x = Tensor(xb)
-    skips, deep = model.encode(x)
-    if mode.pcs:
-        deep = pcs.select_channels(deep, pcs.augment_embedding(model.pcs_gen, deep)[site])
-    f_hat = model.decode(deep, skips)
-    if mode.hc:
-        _, f_star = head_calibration(
-            f_hat, heads, site, model.coarse_head,
-            delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
-    else:
-        f_star = f_hat
-    return model.calibrated_map(f_star).data
+    return _forward(client, xb, heads, site, cfg)[2].data
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +167,7 @@ def batch_rng(master_seed: int, site: int, round_index: int) -> np.random.Genera
 
 
 def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSet,
-                 adam_state: dict, heads: HeadCollection, data: SiteData,
+                 adam_state: dict, heads: tuple, data: SiteData,
                  cfg: ExperimentConfig, round_index: int) -> ClientUpdate:
     """Exactly cfg.local_epochs epochs of minibatch Adam on the joint loss,
     for `site` on the borrowed vessel `client`."""
@@ -199,8 +176,7 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
         raise ValueError(f"site {site}: empty training set")
     dtype = np_dtype(cfg)
     model = client.model
-    model.load_params(theta_in.values)
-    model.load_params(beta_in.values)
+    model.load_params({**theta_in.values, **beta_in.values})
     opt = client.optimizer
     opt.load_state_dict(adam_state)
 
@@ -274,8 +250,7 @@ def evaluate_clients(state: FederationState, clients: list, datasets: list,
     reports = []
     for k, data in enumerate(datasets):
         client = clients[k % len(clients)]
-        client.model.load_params(state.theta_g.values)
-        client.model.load_params(state.betas[k].values)
+        client.model.load_params({**state.theta_g.values, **state.betas[k].values})
 
         def predict(batch):
             return forward_predict(client, batch.astype(dtype, copy=False), heads, k, cfg)

@@ -1,16 +1,17 @@
 """Disagreement-aware head calibration.
 
-Every site's coarse head is evaluated on the local decoder feature in one
-GEMM, the K heads stacked side by side into a single weight; the per-pixel
-deviation of the local prediction from the full set becomes a disagreement
-map (one graph node with an analytic backward), sharpened by window-max
-suppression, spread by a peak-normalized Gaussian, and applied as residual
-spatial attention before the calibrated head.
+Every site's coarse head is evaluated on the local feature in one GEMM: the
+server relays the K heads already stacked side by side into one (C, K*N)
+weight and (K*N,) bias, and the local head's live parameters take site k's
+columns.  The per-pixel deviation of the local prediction from the full set
+becomes a disagreement map (one graph node with an analytic backward),
+sharpened by window-max suppression, spread by a peak-normalized Gaussian, and
+applied as residual spatial attention before the calibrated head.  The relayed
+heads' shapes and dtypes are checked once, when a checkpoint is resumed, not
+here on every step.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,41 +19,24 @@ from .layers import per_pixel_linear
 from .tensor import Tensor, concat, graph_node, sigmoid
 
 
-@dataclass
-class HeadCollection:
-    """All sites' coarse-head parameters as relayed by the server."""
-
-    weights: list  # K arrays of shape (C, N)
-    biases: list   # K arrays of shape (N,)
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
-        shapes = {(w.shape, b.shape) for w, b in zip(self.weights, self.biases)}
-        if len(shapes) > 1:
-            raise ValueError(f"heads must share shapes, got {shapes}")
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def evaluate_heads(f_hat: Tensor, heads: HeadCollection, k: int, local_head) -> Tensor:
+def evaluate_heads(f_hat: Tensor, heads: tuple, k: int, local_head) -> Tensor:
     """Segmentation maps (B, K, N, H, W) from every site's coarse head on the
-    local feature, in one GEMM over the heads stacked into a (C, K*N) weight.
+    local feature, in one GEMM over `heads`, the relayed (C, K*N) weight and
+    (K*N,) bias.
 
-    The K-1 foreign heads enter as constants so no gradient is computed for
-    parameters the local site does not own; site k's slot holds the local
-    head's own parameters, evaluated live so it keeps training.
+    Site k's columns k*N..(k+1)*N-1 hold the local head's own parameters,
+    evaluated live so it keeps training; the other sites' columns enter as
+    constants, so no gradient is computed for parameters the local site does
+    not own.
     """
-    def stacked(arrays, local, axis):
-        return concat([local if i == k else Tensor(a.astype(f_hat.dtype, copy=False))
-                       for i, a in enumerate(arrays)], axis=axis)
-
-    w = stacked(heads.weights, local_head.weight, 1)
-    b = stacked(heads.biases, local_head.bias, 0)
+    n = local_head.bias.shape[0]
+    lo, hi = k * n, (k + 1) * n
+    weight, bias = heads
+    w = concat([Tensor(weight[:, :lo]), local_head.weight, Tensor(weight[:, hi:])], axis=1)
+    b = concat([Tensor(bias[:lo]), local_head.bias, Tensor(bias[hi:])], axis=0)
     s = sigmoid(per_pixel_linear(f_hat, w, b))
     bsz, _, h, wd = s.shape
-    return s.reshape(bsz, len(heads), -1, h, wd)
+    return s.reshape(bsz, -1, n, h, wd)
 
 
 def disagreement_map(maps: Tensor, k: int) -> Tensor:
@@ -105,8 +89,6 @@ def nms2d(u: Tensor, delta: int) -> Tensor:
     """
     if delta < 1 or delta % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {delta}")
-    if delta == 1:
-        return u * 1.0
     mask = u.data >= _window_max(u.data, delta)
 
     def grad_fn(g):
@@ -165,15 +147,15 @@ def attention_from_classes(a: Tensor) -> Tensor:
 
 
 def calibrate(f_hat: Tensor, attention: Tensor) -> Tensor:
-    """Residual spatial gating: f* = a * f + f with a broadcast over channels."""
+    """Residual spatial gating: f* = a * f + f, with a the class-averaged
+    attention broadcast over channels."""
     if attention.shape[-2:] != f_hat.shape[-2:]:
         raise ValueError(
             f"attention {attention.shape} does not spatially match feature {f_hat.shape}")
-    a = attention if attention.shape[1] == 1 else attention_from_classes(attention)
-    return f_hat * a + f_hat
+    return f_hat * attention_from_classes(attention) + f_hat
 
 
-def head_calibration(f_hat: Tensor, heads: HeadCollection, k: int, local_head,
+def head_calibration(f_hat: Tensor, heads: tuple, k: int, local_head,
                      delta: int, size: int, sigma: float):
     """Full HC pipeline; returns (local coarse map, calibrated feature)."""
     maps = evaluate_heads(f_hat, heads, k, local_head)

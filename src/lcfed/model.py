@@ -15,7 +15,7 @@ import numpy as np
 
 from .layers import ConvBlock, Conv2d, PerPixelLinear, max_pool2x2, upsample_nearest2x
 from .pcs import PCSGenerator
-from .tensor import Tensor, concat, sigmoid
+from .tensor import Tensor, concat
 
 
 class SegmentationModel:
@@ -71,13 +71,6 @@ class SegmentationModel:
         layer fills the third slot, which `perfbench/tracer.py` unpacks."""
         return list(self._named)
 
-    def parameters(self):
-        return [t for _, t, _ in self._named]
-
-    def zero_grad(self):
-        for t in self.parameters():
-            t.zero_grad()
-
     def get_params(self) -> dict:
         """Copy out {name: array} for every parameter, in registration order."""
         return {n: t.data.copy() for n, t, _ in self._named}
@@ -112,9 +105,3 @@ class SegmentationModel:
             f = upsample_nearest2x(proj(f))
             f = dec(concat([skip, f], axis=1))
         return f
-
-    def coarse_map(self, f_hat: Tensor) -> Tensor:
-        return sigmoid(self.coarse_head(f_hat))
-
-    def calibrated_map(self, f_star: Tensor) -> Tensor:
-        return sigmoid(self.calib_head(f_star))

@@ -260,20 +260,13 @@ class Tensor:
 
         return graph_node(out_data, (self,), grad_fn)
 
-    def mean(self, axis=None):
-        if axis is None:
-            n = self.data.size
+    def mean(self):
+        n = self.data.size
 
-            def grad_fn(g):
-                self.accumulate_grad(np.full_like(self.data, float(g) / n))
+        def grad_fn(g):
+            self.accumulate_grad(np.full_like(self.data, float(g) / n))
 
-            return graph_node(np.asarray(self.data.mean(), dtype=self.data.dtype), (self,), grad_fn)
-
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        scale = 1.0
-        for a in axes:
-            scale *= self.data.shape[a]
-        return self.sum(axis=axes) * (1.0 / scale)
+        return graph_node(np.asarray(self.data.mean(), dtype=self.data.dtype), (self,), grad_fn)
 
     def abs(self):
         sign = np.sign(self.data)

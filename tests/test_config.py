@@ -17,7 +17,7 @@ TINY = dict(dtype="float64", sites=2, rounds=1, image_size=16, channels=(4, 8), 
 class TestText:
     def test_to_text_parse_round_trip(self):
         cfg = ExperimentConfig(mode="fedrep-head", sites=3, lr=3e-4, channels=(4, 8, 16),
-                               image_size=32, allow_negative_lambda=True, lambda_con=-0.5,
+                               image_size=32, lambda_con=0.25,
                                parallel_clients=True, manifest="data/manifest.txt",
                                out_dir="runs/a")
         assert parse_config_text(cfg.to_text()) == cfg
@@ -25,6 +25,10 @@ class TestText:
     def test_removed_key_is_unknown(self):
         with pytest.raises(ValueError, match="unknown config key 'pcs_shared'"):
             parse_config_text("mode = lcfed\npcs_shared = true\n")
+
+    def test_removed_negative_lambda_key_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown config key 'allow_negative_lambda'"):
+            parse_config_text("allow_negative_lambda = true\n")
 
 
 class TestValidate:
@@ -39,7 +43,12 @@ class TestValidate:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, value):
         with pytest.raises(ValueError, match="lambda_con must be finite"):
-            ExperimentConfig(lambda_con=value, allow_negative_lambda=True).validate()
+            ExperimentConfig(lambda_con=value).validate()
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda_con must be finite and >= 0, got -0.5"):
+            ExperimentConfig(lambda_con=-0.5).validate()
+        ExperimentConfig(lambda_con=0.0).validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_gauss_sigma_rejected(self, value):
@@ -60,6 +69,7 @@ class TestValidate:
     ("train_per_site=0", "train_per_site"),
     ("test_per_site=0", "test_per_site"),
     ("lambda_con=nan", "lambda_con"),
+    ("lambda_con=-0.5", "lambda_con"),
     ("lr=-1", "lr"),
 ])
 def test_cli_rejects_bad_config_before_writing_anything(override, field, tmp_path, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lcfed import data, federation, runner
-from lcfed.config import ExperimentConfig
+from lcfed.config import MODES, ExperimentConfig
+from lcfed.federation import ParamSet, fedavg
 
 TINY = dict(mode="lcfed", dtype="float64", sites=3, rounds=1, image_size=16, channels=(4, 8),
             batch_size=3, train_per_site=3, test_per_site=2, lr=1e-2,
@@ -78,3 +79,55 @@ def test_initial_state_holds_zero_moments_for_every_site():
         for key in ("m", "v"):
             assert list(adam[key]) == names
             assert all(not a.any() for a in adam[key].values())
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_prediction_is_bit_for_bit_the_calibrated_map_of_the_training_forward(
+        mode, monkeypatch):
+    cfg = ExperimentConfig(**{**TINY, "mode": mode})
+    datasets = data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
+                                       cfg.test_per_site, cfg.image_size, cfg.classes)
+    # one round first, so the sites' heads differ and HC's attention is not zero
+    state, _ = federation.run_round(federation.initial_state(cfg),
+                                    federation.build_clients(cfg), datasets, cfg)
+    heads = federation.relayed_heads(state)
+    client = federation.build_clients(cfg)[0]
+    client.model.load_params({**state.theta_g.values, **state.betas[1].values})
+    xb = datasets[1].train_images.astype(np.float64)
+    yb = datasets[1].train_masks.astype(np.float64)
+
+    maps = []   # dice_loss sees the coarse map, then the calibrated one
+    dice = federation.dice_loss
+    monkeypatch.setattr(federation, "dice_loss", lambda s, y: maps.append(s.data) or dice(s, y))
+    federation.forward_training(client, xb, yb, heads, 1, cfg)
+    predicted = federation.forward_predict(client, xb, heads, 1, cfg)
+
+    assert len(maps) == 2
+    assert predicted.dtype == maps[1].dtype and predicted.shape == maps[1].shape
+    assert predicted.tobytes() == maps[1].tobytes()
+
+
+class TestFedavg:
+    def test_mean_over_three_sets_by_hand(self):
+        sets = [ParamSet({"w": np.array([[1.0, 2.0]]), "b": np.array([3.0])}),
+                ParamSet({"w": np.array([[4.0, -2.0]]), "b": np.array([6.0])}),
+                ParamSet({"w": np.array([[7.0, 3.0]]), "b": np.array([0.0])})]
+        out = fedavg(sets).values
+        np.testing.assert_array_equal(out["w"], [[4.0, 1.0]])
+        np.testing.assert_array_equal(out["b"], [3.0])
+
+    def test_name_order_is_kept(self):
+        names = ["up1.w", "enc0.conv.w", "head_calib.b", "dec0.norm.g"]
+        sets = [ParamSet({n: np.full(2, float(i)) for n in names}) for i in range(3)]
+        assert list(fedavg(sets).values) == names
+
+    def test_one_set_returns_its_values(self):
+        a = np.random.default_rng(1).standard_normal((3, 4))
+        out = fedavg([ParamSet({"w": a})]).values["w"]
+        assert out.dtype == a.dtype and out.tobytes() == a.tobytes()
+
+    def test_float32_stays_float32(self):
+        sets = [ParamSet({"w": np.full(3, v, dtype=np.float32)}) for v in (1.0, 2.0, 4.0)]
+        out = fedavg(sets).values["w"]
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, np.float32(7.0) / np.float32(3.0))

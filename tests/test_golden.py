@@ -147,14 +147,16 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     client = federation.build_clients(cfg)[0]
     state = federation.initial_state(cfg)
     rng = np.random.default_rng(5)
-    heads = federation.relayed_heads(state)
-    heads = hc.HeadCollection(weights=[w + 0.1 * rng.standard_normal(w.shape)
-                                       for w in heads.weights], biases=heads.biases)
-    client.model.load_params(state.theta_g.values)
-    client.model.load_params(state.betas[1].values)
+    w, b = federation.relayed_heads(state)
+    # one (C, N) draw per site, in site order, stacked as the heads are
+    n = b.shape[0] // cfg.sites
+    noise = [rng.standard_normal((w.shape[0], n)) for _ in range(cfg.sites)]
+    heads = w + 0.1 * np.concatenate(noise, axis=1), b
+    client.model.load_params({**state.theta_g.values, **state.betas[1].values})
 
-    # the input image enters through encode(); foreign heads through the
-    # concat in hc that stacks them beside the local head's live parameters
+    # the input image enters through encode(); the other sites' heads through
+    # the concat in hc that splices the local head's live parameters between
+    # the relayed columns left and right of site 1's
     inputs, stacked = [], []
     encode = client.model.encode
     monkeypatch.setattr(client.model, "encode", lambda x: inputs.append(x) or encode(x))
@@ -165,13 +167,13 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     site = datasets[1]
     loss = federation.forward_training(client, site.train_images, site.train_masks,
                                        heads, 1, cfg)
-    client.model.zero_grad()
+    client.optimizer.zero_grad()
     loss.joint.backward()
 
     assert float(loss.joint.data) == pytest.approx(PINNED_STEP_JOINT, rel=RTOL, abs=0)
     params = [t for _, t, _ in client.model.named_parameters()]
     foreign = [t for t in stacked if not any(t is p for p in params)]
-    assert len(inputs) == 1 and len(foreign) == 2 * (cfg.sites - 1)
+    assert len(inputs) == 1 and len(foreign) == 4   # weight and bias, left and right
     for t in inputs + foreign:
         assert t.grad is None
     grads = {n: (float(t.grad.sum()), float(np.abs(t.grad).sum()))

@@ -3,8 +3,7 @@ import pytest
 
 from lcfed import hc
 from lcfed.hc import (
-    HeadCollection, calibrate, disagreement_map, evaluate_heads,
-    gaussian_spread, head_calibration, nms2d,
+    calibrate, disagreement_map, evaluate_heads, gaussian_spread, head_calibration, nms2d,
 )
 from lcfed.layers import PerPixelLinear, per_pixel_linear
 from lcfed.tensor import Tensor, sigmoid
@@ -43,28 +42,25 @@ def gaussian_loop(u, size, sigma):
 
 
 def random_heads(k, c, n, seed=0):
+    """K random heads stacked side by side, as the server relays them."""
     rng = np.random.default_rng(seed)
-    return HeadCollection(
-        weights=[rng.standard_normal((c, n)) for _ in range(k)],
-        biases=[rng.standard_normal(n) for _ in range(k)],
-    )
+    weights = [rng.standard_normal((c, n)) for _ in range(k)]
+    biases = [rng.standard_normal(n) for _ in range(k)]
+    return np.concatenate(weights, axis=1), np.concatenate(biases)
 
 
-class TestHeadCollection:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            HeadCollection(weights=[np.zeros((3, 1)), np.zeros((4, 1))],
-                           biases=[np.zeros(1), np.zeros(1)])
-
-    def test_len(self):
-        assert len(random_heads(3, 4, 1)) == 3
+def head_of(heads, i, n):
+    """Site i's (C, N) weight and (N,) bias: columns i*N..(i+1)*N-1."""
+    w, b = heads
+    return w[:, i * n:(i + 1) * n], b[i * n:(i + 1) * n]
 
 
-def local_head_from(heads, k):
+def local_head_from(heads, k, n):
     """A live PerPixelLinear holding site k's relayed head."""
-    local = PerPixelLinear(*heads.weights[k].shape, np.random.default_rng(0))
-    local.weight.data[...] = heads.weights[k]
-    local.bias.data[...] = heads.biases[k]
+    w, b = head_of(heads, k, n)
+    local = PerPixelLinear(*w.shape, np.random.default_rng(0))
+    local.weight.data[...] = w
+    local.bias.data[...] = b
     return local
 
 
@@ -81,11 +77,10 @@ def disagreement_loop(maps, k):
 
 class TestEvaluateHeads:
     def test_identical_heads_identical_maps(self):
-        heads = random_heads(1, 4, 2, seed=1)
-        heads = HeadCollection(weights=[heads.weights[0]] * 3,
-                               biases=[heads.biases[0]] * 3)
+        w, b = random_heads(1, 4, 2, seed=1)
+        heads = np.tile(w, 3), np.tile(b, 3)
         f = Tensor(np.random.default_rng(2).standard_normal((2, 4, 5, 5)))
-        maps = evaluate_heads(f, heads, 1, local_head_from(heads, 1)).data
+        maps = evaluate_heads(f, heads, 1, local_head_from(heads, 1, 2)).data
         assert maps.shape == (2, 3, 2, 5, 5)
         np.testing.assert_array_equal(maps[:, 0], maps[:, 1])
         np.testing.assert_array_equal(maps[:, 1], maps[:, 2])
@@ -111,7 +106,7 @@ class TestEvaluateHeads:
         total = None
         for i in range(3):
             w, b = ((local_b.weight, local_b.bias) if i == k
-                    else (Tensor(heads.weights[i]), Tensor(heads.biases[i])))
+                    else map(Tensor, head_of(heads, i, 2)))
             ref = sigmoid(per_pixel_linear(fb, w, b))
             np.testing.assert_allclose(maps.data[:, i], ref.data, rtol=1e-14)
             term = (ref * Tensor(g[:, i])).sum()
@@ -332,14 +327,14 @@ class TestPermutationInvariance:
         rng = np.random.default_rng(22)
         heads = random_heads(4, 3, 1, seed=23)
         f = Tensor(rng.standard_normal((1, 3, 6, 6)))
-        u_before = disagreement_map(evaluate_heads(f, heads, 2, local_head_from(heads, 2)), 2)
+        u_before = disagreement_map(evaluate_heads(f, heads, 2, local_head_from(heads, 2, 1)), 2)
 
         perm = [3, 1, 0, 2]  # site 2 moves to position 3
-        permuted_heads = HeadCollection(
-            weights=[heads.weights[p] for p in perm],
-            biases=[heads.biases[p] for p in perm])
+        blocks = [head_of(heads, p, 1) for p in perm]
+        permuted_heads = (np.concatenate([w for w, _ in blocks], axis=1),
+                          np.concatenate([b for _, b in blocks]))
         k = perm.index(2)
-        maps_p = evaluate_heads(f, permuted_heads, k, local_head_from(permuted_heads, k))
+        maps_p = evaluate_heads(f, permuted_heads, k, local_head_from(permuted_heads, k, 1))
         np.testing.assert_allclose(u_before.data, disagreement_map(maps_p, k).data, rtol=1e-15)
 
 

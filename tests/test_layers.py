@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lcfed import tensor as T
-from lcfed.tensor import Tensor
+from lcfed.tensor import Tensor, sigmoid
 from lcfed.layers import instance_norm, max_pool2x2, upsample_nearest2x, per_pixel_linear
 from lcfed.model import SegmentationModel
 
@@ -261,7 +261,7 @@ class TestModelForward:
         assert [s.shape for s in skips] == [(2, 2, 8, 8), (2, 3, 4, 4)]
         f_hat = model.decode(f, skips)
         assert f_hat.shape == (2, 2, 8, 8)
-        s = model.coarse_map(f_hat)
+        s = sigmoid(model.coarse_head(f_hat))
         assert s.shape == (2, 1, 8, 8)
         assert np.all((s.data > 0) & (s.data < 1))
 

@@ -3,6 +3,7 @@ import dataclasses
 import ctypes
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,34 @@ class TestResumeChecksArrays:
         with pytest.raises(ValueError, match=r"missing array v0/enc0\.conv\.w for mode fedavg"):
             runner.resume_experiment(cut)
 
+    @pytest.mark.parametrize("damage,name", [
+        # np.copyto used to broadcast a one-entry moment into every entry
+        (lambda state: state.adam_states[0]["m"].update(
+            {"enc0.conv.w": np.ones(1)}), "m0/enc0.conv.w"),
+        # a head of a two-class run in a one-class run
+        (lambda state: state.betas[1].values.update(
+            {"head_coarse.w": np.ones((TINY["channels"][0], 2))}), "b1/head_coarse.w"),
+        (lambda state: state.theta_g.values.update(
+            {"up0.b": state.theta_g.values["up0.b"].astype(np.float32)}), "g/up0.b"),
+    ], ids=["one-entry-moment", "foreign-head-shape", "float32-array"])
+    def test_a_wrong_shape_or_dtype_fails_before_round_1(
+            self, damage, name, tmp_path, monkeypatch, capsys):
+        _, cut, path = cut_run(tmp_path, "lcfed")
+        state, digest, seed = checkpoint.load_checkpoint(path)
+        damage(state)
+        checkpoint.save_checkpoint(path, state, digest, seed)
+        metrics = read_bytes(os.path.join(cut, "metrics.csv"))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(federation, "forward_training", no_training)
+        with pytest.raises(ValueError, match=rf"array {re.escape(name)} is float"):
+            runner.resume_experiment(cut)
+        assert cli.main(["resume", cut]) == 2
+        assert f"{path}: array {name} is " in capsys.readouterr().err
+        assert read_bytes(os.path.join(cut, "metrics.csv")) == metrics
+
 
 class TestRelayedHeads:
     def test_round_2_calibrates_against_each_sites_head_from_the_round_1_checkpoint(
@@ -321,7 +350,7 @@ class TestRelayedHeads:
 
         def spy_calibration(f_hat, heads, *args, **kwargs):
             if current["round"] == 1:
-                seen.append(([w.copy() for w in heads.weights], [b.copy() for b in heads.biases]))
+                seen.append(tuple(a.copy() for a in heads))
             return calibration(f_hat, heads, *args, **kwargs)
 
         monkeypatch.setattr(federation, "local_update", spy_update)
@@ -334,10 +363,15 @@ class TestRelayedHeads:
         heads_b = [beta.values["head_coarse.b"] for beta in state.betas]
         assert not np.array_equal(heads_w[0], heads_w[1])   # the sites' heads have diverged
         assert len(seen) == cfg.sites   # one training step per site
+        n = heads_b[0].shape[0]
         for weights, biases in seen:
+            # site k's head fills columns k*N..(k+1)*N-1 of the stacked relay
+            assert weights.shape == (heads_w[0].shape[0], cfg.sites * n)
+            assert biases.shape == (cfg.sites * n,)
             for k in range(cfg.sites):
-                assert weights[k].tobytes() == heads_w[k].tobytes()
-                assert biases[k].tobytes() == heads_b[k].tobytes()
+                cols = slice(k * n, (k + 1) * n)
+                assert weights[:, cols].tobytes() == heads_w[k].tobytes()
+                assert biases[cols].tobytes() == heads_b[k].tobytes()
 
 
 # float32 keeps about 7 significant digits; after two rounds of Adam the
