@@ -26,7 +26,7 @@ from . import pcs
 from .config import MODES, ExperimentConfig, Mode
 from .data import SiteData
 from .hc import head_calibration
-from .losses import LossBreakdown, dice_loss, joint_loss
+from .losses import LOSS_TERMS, LossBreakdown, dice_loss, joint_loss
 from .model import SegmentationModel
 from .optim import Adam
 from .tensor import Tensor, sigmoid
@@ -181,7 +181,7 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
     opt.load_state_dict(adam_state)
 
     rng = batch_rng(cfg.master_seed, site, round_index)
-    sums = {"coarse": 0.0, "calib": 0.0, "con": 0.0, "joint": 0.0}
+    sums = dict.fromkeys(LOSS_TERMS, 0.0)
     batches = 0
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)

@@ -14,6 +14,7 @@ here on every step.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from .layers import per_pixel_linear
 from .tensor import Tensor, concat, graph_node, sigmoid
@@ -63,24 +64,6 @@ def disagreement_map(maps: Tensor, k: int) -> Tensor:
     return graph_node(out_data, (maps,), grad_fn)
 
 
-def _window_max(data: np.ndarray, delta: int) -> np.ndarray:
-    """Max over the delta x delta neighborhood, clipped at borders (separable)."""
-    r = delta // 2
-    out = data
-    for axis in (-2, -1):
-        pad = [(0, 0)] * data.ndim
-        pad[axis] = (r, r)
-        padded = np.pad(out, pad, constant_values=-np.inf)
-        acc = None
-        for s in range(delta):
-            sl = [slice(None)] * data.ndim
-            sl[axis] = slice(s, s + data.shape[axis])
-            piece = padded[tuple(sl)]
-            acc = piece.copy() if acc is None else np.maximum(acc, piece, out=acc)
-        out = acc
-    return out
-
-
 def nms2d(u: Tensor, delta: int) -> Tensor:
     """Keep elements that are >= everything in their delta x delta window.
 
@@ -89,7 +72,9 @@ def nms2d(u: Tensor, delta: int) -> Tensor:
     """
     if delta < 1 or delta % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {delta}")
-    mask = u.data >= _window_max(u.data, delta)
+    window_max = ndimage.maximum_filter(u.data, size=(1,) * (u.ndim - 2) + (delta, delta),
+                                        mode="constant", cval=-np.inf)
+    mask = u.data >= window_max
 
     def grad_fn(g):
         u.accumulate_grad(g * mask)
@@ -97,8 +82,8 @@ def nms2d(u: Tensor, delta: int) -> Tensor:
     return graph_node(np.where(mask, u.data, 0), (u,), grad_fn)
 
 
-def gaussian_kernel_1d(size: int, sigma: float, dtype=np.float64) -> np.ndarray:
-    offsets = np.arange(size, dtype=dtype) - size // 2
+def gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
+    offsets = np.arange(size, dtype=np.float64) - size // 2
     return np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
 
 
@@ -112,7 +97,7 @@ def gaussian_spread(u: Tensor, size: int, sigma: float) -> Tensor:
         raise ValueError(f"kernel size must be odd and >= 1, got {size}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    k1 = gaussian_kernel_1d(size, sigma, np.float64).astype(u.dtype)
+    k1 = gaussian_kernel_1d(size, sigma).astype(u.dtype)
 
     def correlate(data):
         out = data

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, conv2d, graph_node, relu
+from .tensor import Tensor, conv2d, graph_node, linear, relu
 
 
 # ---------------------------------------------------------------------------
 # functional ops
 # ---------------------------------------------------------------------------
 
-def instance_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
-                  eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance, optionally with affine params.
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean / unit variance, then scale by gamma and shift
+    by beta.
 
     (B, C, H, W) inputs normalize each sample-channel plane over H*W;
     (B, C) inputs normalize each sample over its C entries.  The affine
-    scale/shift, when given, is per channel in both cases.
+    scale/shift is per channel in both cases.
     """
     d = x.data
     if d.ndim == 4:
@@ -40,15 +40,11 @@ def instance_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = 
     xc = d - d.mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(np.einsum(group_dot, xc, xc) / m + eps)
     inv = inv.reshape(inv.shape + (1,) * len(axes))
-    if gamma is None:
-        scale = inv
-        out_data = xc * scale
-    else:
-        pshape = (1, -1) if d.ndim == 2 else (1, -1, 1, 1)
-        gk = gamma.data.reshape(pshape)
-        scale = gk * inv
-        out_data = xc * scale
-        out_data += beta.data.reshape(pshape)
+    pshape = (1, -1) + (1,) * (d.ndim - 2)
+    gk = gamma.data.reshape(pshape)
+    scale = gk * inv
+    out_data = xc * scale
+    out_data += beta.data.reshape(pshape)
 
     def grad_fn(g):
         # with sg = sum(g') and sgx = sum(g' * x_c) over a group, g' = gamma * g,
@@ -58,16 +54,14 @@ def instance_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = 
             # the gamma and beta gradients
             sg = g.sum(axis=axes, keepdims=True)
             sgx = np.einsum(group_dot, g, xc).reshape(sg.shape)
-            if gamma is not None:
-                gamma.accumulate_grad((sgx * inv).sum(axis=(0, 2, 3)))
-                beta.accumulate_grad(sg.sum(axis=(0, 2, 3)))
-                sg, sgx = gk * sg, gk * sgx
+            gamma.accumulate_grad((sgx * inv).sum(axis=(0, 2, 3)))
+            beta.accumulate_grad(sg.sum(axis=(0, 2, 3)))
+            sg, sgx = gk * sg, gk * sgx
         else:
             # a 2-D group spans the channels, so gamma weights g inside it
-            if gamma is not None:
-                gamma.accumulate_grad((g * xc * inv).sum(axis=0))
-                beta.accumulate_grad(g.sum(axis=0))
-            gy = g if gamma is None else gk * g
+            gamma.accumulate_grad((g * xc * inv).sum(axis=0))
+            beta.accumulate_grad(g.sum(axis=0))
+            gy = gk * g
             sg = gy.sum(axis=axes, keepdims=True)
             sgx = np.einsum(group_dot, gy, xc).reshape(sg.shape)
         dx = scale * g
@@ -75,8 +69,7 @@ def instance_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = 
         dx += -inv / m * sg
         x.accumulate_grad(dx)
 
-    parents = (x,) if gamma is None else (x, gamma, beta)
-    return graph_node(out_data, parents, grad_fn)
+    return graph_node(out_data, (x, gamma, beta), grad_fn)
 
 
 # window positions in argmax order: ties go to the first
@@ -125,8 +118,7 @@ def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Apply the same linear map (C -> N) at every pixel of a (B, C, H, W) map.
 
     Equivalent to a 1x1 convolution but cheaper: one batched GEMM.  Gradients
-    are computed only for the operands that track them, so a constant head
-    costs one GEMM in backward.
+    are computed only for the operands that track them.
     """
     b, c, h, w_sp = x.shape
     cin, n = w.shape
@@ -177,8 +169,8 @@ class Conv2d(Layer):
         self.weight = self._register("w", _conv_kernels(cin, cout, k, rng, dtype))
         self.bias = self._register("b", np.zeros(cout, dtype=dtype))
 
-    def __call__(self, x: Tensor, stride: int = 1) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=stride)
+    def __call__(self, x: Tensor) -> Tensor:
+        return conv2d(x, self.weight, self.bias)
 
 
 class Linear(Layer):
@@ -189,7 +181,6 @@ class Linear(Layer):
         self.bias = self._register("b", np.zeros(cout, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .tensor import linear
         return linear(x, self.weight, self.bias)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,9 +23,6 @@ def dice_loss(s: Tensor, g, smooth: float = DICE_SMOOTH) -> Tensor:
         raise ValueError(f"prediction {s.shape} and target {g.shape} differ")
     if s.size == 0:
         raise ValueError("empty maps")
-    if s.ndim == 3:  # single sample (N, H, W)
-        s = s.reshape(1, *s.shape)
-        g = g.reshape(1, *g.shape)
     spatial = tuple(range(2, s.ndim))
     inter = (s * g).sum(axis=spatial)
     denom = s.sum(axis=spatial) + g.sum(axis=spatial)
@@ -37,18 +34,17 @@ def dice_loss(s: Tensor, g, smooth: float = DICE_SMOOTH) -> Tensor:
 class LossBreakdown:
     """Joint objective terms; `joint` is the scalar the optimizer descends."""
 
+    joint: Tensor
     coarse: Tensor
     calib: Tensor
     con: Tensor
-    joint: Tensor
 
     def values(self) -> dict:
-        return {
-            "coarse": self.coarse.item(),
-            "calib": self.calib.item(),
-            "con": self.con.item(),
-            "joint": self.joint.item(),
-        }
+        return {name: getattr(self, name).item() for name in LOSS_TERMS}
+
+
+# the terms' names in field order, which is the order of metrics.csv's loss columns
+LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
 
 
 def _check_finite(name: str, t: Tensor):
@@ -62,4 +58,4 @@ def joint_loss(coarse: Tensor, calib: Tensor, con: Tensor, lam: float) -> LossBr
         _check_finite(name, t)
     joint = coarse + calib + con * lam
     _check_finite("joint", joint)
-    return LossBreakdown(coarse=coarse, calib=calib, con=con, joint=joint)
+    return LossBreakdown(joint=joint, coarse=coarse, calib=calib, con=con)

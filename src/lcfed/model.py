@@ -22,9 +22,7 @@ class SegmentationModel:
     """Holds all parameter tensors for one site's model instance."""
 
     def __init__(self, channels: tuple, classes: int, n_sites: int,
-                 rng: np.random.Generator | None = None, dtype=np.float64, pcs: bool = True):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 rng: np.random.Generator, dtype=np.float64, pcs: bool = True):
         ch = channels
 
         self.encoders = []

@@ -21,8 +21,9 @@ from . import data as data_mod
 from . import federation
 from .checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
+from .losses import LOSS_TERMS
 
-CSV_HEADER = "round,site,iou,assd,loss_joint,loss_coarse,loss_calib,loss_con"
+CSV_HEADER = ",".join(["round", "site", "iou", "assd"] + [f"loss_{t}" for t in LOSS_TERMS])
 
 # glibc malloc tuning for a training step's large, short-lived numpy arrays.
 # By default glibc raises its mmap threshold as big blocks are freed and trims
@@ -44,14 +45,20 @@ def build_datasets(cfg: ExperimentConfig) -> list:
         samples = data_mod.load_directory(cfg.manifest)
         if not samples:
             raise ValueError(f"manifest {cfg.manifest} lists no samples")
+        for s in samples:
+            if s.image.shape != (cfg.image_size, cfg.image_size):
+                h, w = s.image.shape
+                raise ValueError(
+                    f"manifest {cfg.manifest}: a site {s.site} {s.split} image is {h}x{w}px "
+                    f"but config expects {cfg.image_size}x{cfg.image_size}px")
         sites = data_mod.sites_from_samples(samples)
         if len(sites) != cfg.sites:
             raise ValueError(
                 f"manifest has {len(sites)} sites but config expects {cfg.sites}")
-        size = sites[0].train_images.shape[-1]
-        if size != cfg.image_size:
-            raise ValueError(
-                f"dataset images are {size}px but config expects {cfg.image_size}px")
+        for k, site in enumerate(sites):
+            for split, images in (("train", site.train_images), ("test", site.test_images)):
+                if len(images) == 0:
+                    raise ValueError(f"manifest {cfg.manifest}: site {k} has no {split} samples")
         classes = sites[0].train_masks.shape[1]
         if classes != cfg.classes:
             raise ValueError(
@@ -128,10 +135,9 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
             if _should_eval(cfg, round_index):
                 reports = federation.evaluate_clients(state, clients, datasets, cfg)
                 for site, (report, stat) in enumerate(zip(reports, stats)):
-                    csv_fh.write(",".join([
-                        str(round_index), str(site), _fmt(report.iou), _fmt(report.assd),
-                        _fmt(stat["joint"]), _fmt(stat["coarse"]),
-                        _fmt(stat["calib"]), _fmt(stat["con"])]) + "\n")
+                    csv_fh.write(",".join(
+                        [str(round_index), str(site), _fmt(report.iou), _fmt(report.assd)]
+                        + [_fmt(stat[t]) for t in LOSS_TERMS]) + "\n")
                 csv_fh.flush()
             want_ckpt = (cfg.checkpoint_every > 0 and round_index % cfg.checkpoint_every == 0)
             if want_ckpt or round_index == cfg.rounds:
@@ -209,18 +215,8 @@ def read_metrics(run_dir: str):
     for line in lines[2:]:
         if not line:
             continue
-        parts = line.split(",")
-        row = dict(zip(columns, parts))
-        rows.append({
-            "round": int(row["round"]),
-            "site": int(row["site"]),
-            "iou": float(row["iou"]),
-            "assd": float(row["assd"]),
-            "loss_joint": float(row["loss_joint"]),
-            "loss_coarse": float(row["loss_coarse"]),
-            "loss_calib": float(row["loss_calib"]),
-            "loss_con": float(row["loss_con"]),
-        })
+        rows.append({c: int(v) if c in ("round", "site") else float(v)
+                     for c, v in zip(columns, line.split(","))})
     return digest, rows
 
 

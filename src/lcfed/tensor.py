@@ -19,7 +19,8 @@ Conventions:
     closure has run,
   * op results and the gradients ops pass back may be non-contiguous views
     (conv2d returns channel-major memory); ops must accept any layout,
-  * conv2d is cross-correlation (no kernel flip).  It builds its im2col
+  * conv2d is a same-padded (k // 2), stride-1 cross-correlation (no kernel
+    flip), so its output has its input's spatial size.  It builds its im2col
     columns one cache-sized tile at a time (``TILE_BYTES``); its output and
     input gradient are bit-identical for any tiling, while its kernel
     gradient sums per-tile parts, so its last bits depend on the tiling,
@@ -39,7 +40,6 @@ __all__ = [
     "sigmoid",
     "concat",
     "global_average_pool",
-    "matmul",
     "linear",
     "conv2d",
 ]
@@ -100,8 +100,6 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0
-        elif self.requires_grad:
-            self.grad = np.zeros_like(self.data)
 
     def accumulate_grad(self, g: np.ndarray):
         if not self.requires_grad:
@@ -168,8 +166,6 @@ class Tensor:
 
         return graph_node(out_data, (self, other), grad_fn)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         out_data = self.data - other.data
@@ -179,9 +175,6 @@ class Tensor:
             other.accumulate_grad(-g)
 
         return graph_node(out_data, (self, other), grad_fn)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -193,8 +186,6 @@ class Tensor:
 
         return graph_node(out_data, (self, other), grad_fn)
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         def grad_fn(g):
             self.accumulate_grad(-g)
@@ -204,8 +195,6 @@ class Tensor:
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         src_shape = self.data.shape
         out_data = self.data.reshape(shape)
 
@@ -345,32 +334,28 @@ def global_average_pool(x: Tensor) -> Tensor:
     return graph_node(out_data, (x,), grad_fn)
 
 
-def matmul(x: Tensor, w: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """y = x W + bias for x: (B, Cin), w: (Cin, Cout), bias: (Cout,)."""
     if x.data.shape[-1] != w.data.shape[0]:
-        raise ValueError(f"matmul inner dims differ: {x.shape} vs {w.shape}")
-    out_data = x.data @ w.data
+        raise ValueError(f"linear inner dims differ: {x.shape} vs {w.shape}")
+    out_data = x.data @ w.data + bias.data
 
     def grad_fn(g):
         x.accumulate_grad(g @ w.data.T)
         w.accumulate_grad(x.data.T @ g)
+        bias.accumulate_grad(g.sum(axis=0))
 
-    return graph_node(out_data, (x, w), grad_fn)
-
-
-def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """y = x W + bias for x: (B, Cin), w: (Cin, Cout), bias: (Cout,)."""
-    return matmul(x, w) + bias
+    return graph_node(out_data, (x, w, bias), grad_fn)
 
 
-def _pad(a: np.ndarray, lo: int, size: tuple, stride: int = 1) -> np.ndarray:
-    """Zero (C, B, *size) buffer holding a[c, b, i, j] at [c, b, lo + i*stride,
-    lo + j*stride]: padding and zero-dilation in one copy; `a` itself when
-    there is neither."""
-    c, b, h, w = a.shape
-    if lo == 0 and stride == 1 and size == (h, w):
+def _pad(a: np.ndarray, lo: int) -> np.ndarray:
+    """Zero (C, B, H + 2*lo, W + 2*lo) buffer holding a[c, b, i, j] at
+    [c, b, lo + i, lo + j]; `a` itself when lo is 0."""
+    if lo == 0:
         return a
-    out = np.zeros((c, b) + size, dtype=a.dtype)
-    out[:, :, lo:lo + stride * (h - 1) + 1:stride, lo:lo + stride * (w - 1) + 1:stride] = a
+    c, b, h, w = a.shape
+    out = np.zeros((c, b, h + 2 * lo, w + 2 * lo), dtype=a.dtype)
+    out[:, :, lo:lo + h, lo:lo + w] = a
     return out
 
 
@@ -385,13 +370,14 @@ def _pad(a: np.ndarray, lo: int, size: tuple, stride: int = 1) -> np.ndarray:
 TILE_BYTES = 256 << 10
 
 
-def _im2col_tiles(xp: np.ndarray, k: int, stride: int, ho: int, wo: int):
-    """Yield (images, rows, columns) for each tile of the (B, ho) output rows,
-    in memory order.  `columns` is the (C*k*k, n) im2col matrix of output rows
-    `rows` of images `images`: row c*k*k + di*k + dj holds
-    xp[c, b, i*stride + di, j*stride + dj] for every output (b, i, j) of the
-    tile.  Each is one copy out of a strided window view.  When that view is
-    already contiguous (a 1x1, stride-1 kernel on a contiguous input) the
+def _im2col_tiles(xp: np.ndarray, k: int):
+    """Yield (images, rows, columns) for each tile of the (B, ho) output rows
+    of a k x k window sliding at stride 1 over the padded (C, B, H, W) `xp`,
+    in memory order; ho = H - k + 1 and wo = W - k + 1.  `columns` is the
+    (C*k*k, n) im2col matrix of output rows `rows` of images `images`: row
+    c*k*k + di*k + dj holds xp[c, b, i + di, j + dj] for every output (b, i, j)
+    of the tile.  Each is one copy out of a strided window view.  When that
+    view is already contiguous (a 1x1 kernel on a contiguous input) the
     columns are xp itself: one tile, no copy.
 
     Otherwise a tile targets TILE_BYTES of columns, or C*k*k columns if that
@@ -402,10 +388,11 @@ def _im2col_tiles(xp: np.ndarray, k: int, stride: int, ho: int, wo: int):
     most one image or row.  So a tile holds one to two units, and a conv
     whose columns fill fewer than two units runs as one tile.
     """
-    c, b = xp.shape[:2]
+    c, b, h, w = xp.shape
+    ho, wo = h - k + 1, w - k + 1
     sc, sb, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, (c, k, k, b, ho, wo), (sc, sh, sw, sb, sh * stride, sw * stride), writeable=False)
+        xp, (c, k, k, b, ho, wo), (sc, sh, sw, sb, sh, sw), writeable=False)
     rows_k = c * k * k
     if windows.flags.c_contiguous:
         per_tile = b * ho
@@ -423,21 +410,21 @@ def _im2col_tiles(xp: np.ndarray, k: int, stride: int, ho: int, wo: int):
         yield images, rows, np.ascontiguousarray(windows[:, :, :, images, rows]).reshape(rows_k, -1)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int | None = None) -> Tensor:
-    """Cross-correlation of (B, Cin, H, W) with (Cout, Cin, k, k) kernels.
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Same-padded, stride-1 cross-correlation of (B, Cin, H, W) with
+    (Cout, Cin, k, k) kernels: the input is zero-padded by k//2 on each side,
+    so the output is (B, Cout, H, W).
 
-    Default padding k//2 preserves spatial size at stride 1; padding must lie
-    in [0, k-1].  The batch is folded into the columns of a (Cin*k*k, B*Ho*Wo)
-    im2col matrix that is built and used one tile of output rows at a time
+    The batch is folded into the columns of a (Cin*k*k, B*H*W) im2col matrix
+    that is built and used one tile of output rows at a time
     (`_im2col_tiles`): one GEMM per tile writes its slice of a channel-major
-    (Cout, B, Ho, Wo) array, and the result is a (B, Cout, Ho, Wo) view of it.
-    The input gradient tiles the input rows the same way: per tile, one GEMM of
-    the flipped, channel-transposed kernels with the columns of the
-    zero-dilated, padded output gradient.  The kernel gradient sums one GEMM
-    per tile of those same gradient columns with the input; only a constant
-    input has its own columns rebuilt for it, tile by tile.  A conv whose
-    columns fit in one tile runs one copy and one GEMM per pass.
+    (Cout, B, H, W) array, and the result is a (B, Cout, H, W) view of it.
+    The input gradient tiles the input rows the same way: per tile, one GEMM
+    of the flipped, channel-transposed kernels with the columns of the output
+    gradient, padded by k//2 just as the input was.  The kernel gradient sums
+    one GEMM per tile of those same gradient columns with the input; only a
+    constant input has its own columns rebuilt for it, tile by tile.  A conv
+    whose columns fit in one tile runs one copy and one GEMM per pass.
 
     Splitting a GEMM's columns reorders no sum, so the output and the input
     gradient are bit-identical to a one-tile build; the kernel gradient adds
@@ -451,21 +438,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     if kc != cin:
         raise ValueError(f"channel mismatch: input has {cin}, kernels expect {kc}")
     k = kh
-    pad = k // 2 if padding is None else padding
-    if not 0 <= pad < k:
-        raise ValueError(f"padding must lie in [0, {k - 1}], got {pad}")
-    if min(h, w) + 2 * pad < k:
-        raise ValueError(f"{k}x{k} kernel is larger than the padded {h + 2 * pad}x"
-                         f"{w + 2 * pad} input")
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
+    pad = k // 2
     dtype = np.result_type(x.data, kernels.data)
 
     x_cm = x.data.transpose(1, 0, 2, 3)
     w2d = kernels.data.reshape(cout, cin * k * k)
-    out_cm = np.empty((cout, b, ho, wo), dtype=dtype)
-    for images, rows, cols in _im2col_tiles(
-            _pad(x_cm, pad, (h + 2 * pad, w + 2 * pad)), k, stride, ho, wo):
+    out_cm = np.empty((cout, b, h, w), dtype=dtype)
+    for images, rows, cols in _im2col_tiles(_pad(x_cm, pad), k):
         np.matmul(w2d, cols, out=out_cm[:, images, rows].reshape(cout, -1))
     if bias is not None:
         out_cm += bias.data[:, None, None, None]
@@ -476,13 +455,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         gt = g.transpose(1, 0, 2, 3)
         dw = None
         if x.requires_grad:
-            # dx[c, y] = sum_{o, d} g[o, (y + pad - d) / stride] * K[o, c, d]: the
-            # output gradient dilated by stride and padded by k-1-pad on the low
-            # side, correlated with the kernels flipped and Cin/Cout-swapped.
-            gp = _pad(gt, k - 1 - pad, (h + k - 1, w + k - 1), stride)
+            # dx[c, y] = sum_{o, d} g[o, y + pad - d] * K[o, c, d]: the output
+            # gradient padded by k-1-pad == pad, correlated with the kernels
+            # flipped and Cin/Cout-swapped
             flipped = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
             dx_cm = np.empty((cin, b, h, w), dtype=dtype)
-            for images, rows, gcols in _im2col_tiles(gp, k, 1, h, w):
+            for images, rows, gcols in _im2col_tiles(_pad(gt, pad), k):
                 if kernels.requires_grad:
                     # row (o, k-1-dy, k-1-dx) of gcols holds g where it meets
                     # x[c, y] through tap (dy, dx), so a GEMM per tile and a
@@ -496,8 +474,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
                     dw.reshape(cout, k, k, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
         elif kernels.requires_grad:
             # a constant input builds no gcols; rebuild its (cheaper) columns
-            for images, rows, cols in _im2col_tiles(
-                    _pad(x_cm, pad, (h + 2 * pad, w + 2 * pad)), k, stride, ho, wo):
+            for images, rows, cols in _im2col_tiles(_pad(x_cm, pad), k):
                 part = gt[:, images, rows].reshape(cout, -1) @ cols.T
                 dw = part if dw is None else dw + part
             kernels.accumulate_grad(dw.reshape(kernels.shape))

@@ -1,12 +1,13 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
 from lcfed import cli, federation
 from lcfed.checkpoint import load_checkpoint
-from lcfed.config import MODES, ExperimentConfig, parse_config_text
+from lcfed.config import MODES, ExperimentConfig, apply_overrides, parse_config_text
 from lcfed.hc import head_calibration
 from lcfed.runner import read_metrics, run_experiment
 
@@ -59,6 +60,41 @@ class TestValidate:
     def test_lr_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="lr must be finite and positive"):
             ExperimentConfig(lr=value).validate()
+
+
+def _validate(**changes):
+    return lambda: ExperimentConfig(**changes).validate()
+
+
+# (call, error message); each raises ValueError
+BAD_CONFIGS = {
+    "sites": (_validate(sites=0), "need at least one site"),
+    "rounds": (_validate(rounds=0), "rounds must be >= 1"),
+    "local_epochs": (_validate(local_epochs=0), "local epochs and batch size must be >= 1"),
+    "batch_size": (_validate(batch_size=0), "local epochs and batch size must be >= 1"),
+    "nms_delta": (_validate(nms_delta=4), "nms_delta must be odd and >= 1, got 4"),
+    "gauss_size": (_validate(gauss_size=0), "gauss_size must be odd and >= 1, got 0"),
+    "dtype": (_validate(dtype="float16"), "dtype must be float32 or float64"),
+    "classes": (_validate(classes=3), "classes must be 1 or 2"),
+    "eval_every": (_validate(eval_every=-1), "eval_every and checkpoint_every must be >= 0"),
+    "checkpoint_every": (_validate(checkpoint_every=-1),
+                         "eval_every and checkpoint_every must be >= 0"),
+    "bad_bool": (lambda: parse_config_text("parallel_clients = maybe\n"),
+                 "cannot parse boolean from 'maybe'"),
+    "line_without_equals": (lambda: parse_config_text("mode = lcfed\nrounds 3\n"),
+                            "line 2: expected 'key = value'"),
+    "override_without_equals": (lambda: apply_overrides(ExperimentConfig(), ["rounds"]),
+                                "override 'rounds' is not key=value"),
+    "unknown_override_key": (lambda: apply_overrides(ExperimentConfig(), ["round=3"]),
+                             "unknown config key 'round'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_config_is_rejected_with_a_message(case):
+    call, message = BAD_CONFIGS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 # each passed validation once and failed only at round 1 or later, after

@@ -132,3 +132,38 @@ def test_site_style_rejects_each_out_of_range_field(field, value, message):
         style.validate()
     with pytest.raises(ValueError, match=re.escape(message)):
         data.generate_site(style, 0, 1, 0, seed=0, image_size=16)
+
+
+def _mask_of_another_size(out_dir):
+    data.write_pgm(os.path.join(out_dir, "small.pgm"), np.zeros((8, 8)), maxval=255)
+    return "0 train site0_train_0000_img.pgm small.pgm"
+
+
+# (manifest record replacing the first sample's, error type, message)
+BAD_RECORDS = {
+    "field_count": (lambda out_dir: "0 train site0_train_0000_img.pgm", ValueError,
+                    "manifest.txt:2: expected 'site split image mask'"),
+    "negative_site": (lambda out_dir: "-1 train site0_train_0000_img.pgm site0_train_0000_mask.pgm",
+                      ValueError, "manifest.txt:2: bad site '-1'"),
+    "split": (lambda out_dir: "0 valid site0_train_0000_img.pgm site0_train_0000_mask.pgm",
+              ValueError, "manifest.txt:2: bad split 'valid'"),
+    "missing_file": (lambda out_dir: "0 train gone.pgm site0_train_0000_mask.pgm",
+                     FileNotFoundError, "manifest.txt:2: missing file .*gone.pgm"),
+    "size_mismatch": (_mask_of_another_size, ValueError,
+                      r"manifest.txt:2: size mismatch site0_train_0000_img.pgm \(16, 16\) "
+                      r"vs small.pgm \(8, 8\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RECORDS))
+def test_manifest_record_is_rejected_naming_its_line(case, tmp_path):
+    record, error, message = BAD_RECORDS[case]
+    out_dir = str(tmp_path)
+    manifest = data.write_dataset(data.benchmark_samples(3, 1, 2, 1, 16), out_dir)
+    with open(manifest) as fh:
+        lines = fh.read().splitlines()
+    lines[1] = record(out_dir)
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(error, match=message):
+        data.load_directory(manifest)

@@ -215,6 +215,18 @@ class TestNms:
             out = nms2d(Tensor(u.reshape(1, 1, 16, 16)), delta).data[0, 0]
             np.testing.assert_array_equal(out, window_max_loop(u, delta))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("delta", [1, 3, 13])
+    def test_ties_match_bruteforce_oracle(self, delta, dtype):
+        # three levels make plateaus of equal values; a 13-wide window
+        # reaches past every border of the 9x11 map
+        u = np.random.default_rng(16).integers(0, 3, size=(2, 3, 9, 11)).astype(dtype)
+        out = nms2d(Tensor(u), delta).data
+        assert out.dtype == dtype
+        for b in range(2):
+            for c in range(3):
+                np.testing.assert_array_equal(out[b, c], window_max_loop(u[b, c], delta))
+
     def test_idempotent(self):
         rng = np.random.default_rng(14)
         for delta in (3, 5, 11):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lcfed.losses import dice_loss, joint_loss
+from lcfed import runner
+from lcfed.losses import LOSS_TERMS, dice_loss, joint_loss
 from lcfed.tensor import Tensor
 
 from gradcheck import assert_grads_close
@@ -95,6 +96,13 @@ class TestJointLoss:
         lb = joint_loss(Tensor(0.25), Tensor(0.5), Tensor(-0.4), lam=0.1)
         v = lb.values()
         assert v["joint"] == pytest.approx(v["coarse"] + v["calib"] + 0.1 * v["con"], abs=1e-15)
+
+    def test_terms_are_named_once_in_csv_order(self):
+        lb = joint_loss(Tensor(0.25), Tensor(0.5), Tensor(-0.4), lam=0.1)
+        assert LOSS_TERMS == ("joint", "coarse", "calib", "con")
+        assert list(lb.values()) == list(LOSS_TERMS)
+        assert runner.CSV_HEADER == (
+            "round,site,iou,assd,loss_joint,loss_coarse,loss_calib,loss_con")
 
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):

@@ -213,6 +213,13 @@ class TestResumeRobustness:
         assert read_bytes(metrics) == before
 
 
+def no_training(monkeypatch):
+    def forward_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(federation, "forward_training", forward_training)
+
+
 class TestManifest:
     def test_a_run_on_gen_data_files_equals_the_in_memory_run(self, tmp_path):
         shape = ["--benchmark-seed", "1", "--sites", "2"]
@@ -239,15 +246,46 @@ class TestManifest:
     def test_class_count_mismatch_fails_before_training(self, tmp_path, monkeypatch):
         per_site = data.benchmark_samples(1, 2, 3, 2, 16)
         manifest = data.write_dataset(per_site, str(tmp_path / "data"))
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("a training step ran")
-
-        monkeypatch.setattr(federation, "forward_training", no_training)
+        no_training(monkeypatch)
         cfg = tiny_cfg(tmp_path / "run")
         cfg.classes, cfg.manifest = 2, manifest
         with pytest.raises(ValueError, match=r"masks have 1 class\(es\) but config expects 2"):
             runner.run_experiment(cfg)
+
+
+def _shrink_one_image(per_site):
+    s = per_site[1][-1]
+    per_site[1][-1] = dataclasses.replace(s, image=s.image[:8, :8], mask=s.mask[:, :8, :8])
+
+
+def _drop(site, split):
+    def edit(per_site):
+        per_site[site] = [s for s in per_site[site] if s.split != split]
+    return edit
+
+
+# (edit of a 2-site, 16 px dataset, error message)
+BAD_MANIFESTS = {
+    "empty": (lambda per_site: per_site.clear(), "lists no samples"),
+    "one_site": (lambda per_site: per_site.pop(), "manifest has 1 sites but config expects 2"),
+    "small_image": (_shrink_one_image,
+                    "a site 1 test image is 8x8px but config expects 16x16px"),
+    "site_1_no_test": (_drop(1, "test"), "site 1 has no test samples"),
+    "site_1_no_train": (_drop(1, "train"), "site 1 has no train samples"),
+    "site_0_no_train": (_drop(0, "train"), "site 0 has no train samples"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MANIFESTS))
+def test_build_datasets_rejects_a_bad_manifest_before_training(case, tmp_path, monkeypatch):
+    edit, message = BAD_MANIFESTS[case]
+    per_site = data.benchmark_samples(1, 2, 3, 2, 16)
+    edit(per_site)
+    cfg = tiny_cfg(tmp_path / "run")
+    cfg.manifest = data.write_dataset(per_site, str(tmp_path / "data"))
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        runner.run_experiment(cfg)
 
 
 def cut_run(tmp_path, mode):
@@ -256,6 +294,40 @@ def cut_run(tmp_path, mode):
     cfg.mode = mode
     cut = runner.run_experiment(cfg, stop_after_round=1)
     return cfg, cut, os.path.join(cut, "checkpoints", "round_0001.ckpt")
+
+
+def _rewrite(path, old: bytes, new: bytes):
+    blob = read_bytes(path)
+    assert blob.count(old) == 1
+    with open(path, "wb") as fh:
+        fh.write(blob.replace(old, new))
+
+
+# (damage to a run cut after round 1, error type, message)
+BAD_RESUMES = {
+    "config_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
+                                                 b"\nlr = 0.0001\n", b"\nlr = 0.0002\n"),
+                      ValueError, "does not match config digest"),
+    "master_seed": (lambda cut, ckpt: _rewrite(ckpt, b"\nseed 1\n", b"\nseed 2\n"),
+                    ValueError, "master seed does not match"),
+    "metrics_missing": (lambda cut, ckpt: os.remove(os.path.join(cut, "metrics.csv")),
+                        FileNotFoundError, "metrics.csv is missing"),
+    "metrics_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "metrics.csv"),
+                                                  b"# config ", b"# config 0"),
+                       ValueError, "config digest does not match this run"),
+    "not_a_checkpoint": (lambda cut, ckpt: _rewrite(ckpt, b"lcfed-ckpt 1", b"lcfed-ckpt 2"),
+                         ValueError, "not a checkpoint file"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RESUMES))
+def test_resume_rejects_a_mismatched_run_before_training(case, tmp_path, monkeypatch):
+    damage, error, message = BAD_RESUMES[case]
+    _, cut, ckpt = cut_run(tmp_path, "lcfed")
+    damage(cut, ckpt)
+    no_training(monkeypatch)
+    with pytest.raises(error, match=message):
+        runner.resume_experiment(cut, ckpt)
 
 
 class TestResumeChecksArrays:
@@ -274,10 +346,7 @@ class TestResumeChecksArrays:
         checkpoint.save_checkpoint(path, state, digest, seed)
         metrics = read_bytes(os.path.join(cut, "metrics.csv"))
 
-        def no_training(*args, **kwargs):
-            raise AssertionError("a training step ran")
-
-        monkeypatch.setattr(federation, "forward_training", no_training)
+        no_training(monkeypatch)
         with pytest.raises(ValueError, match=r"unexpected array g/pcsgen\.fc1\.w for mode "
                                              r"fedrep-head"):
             runner.resume_experiment(cut)
@@ -322,10 +391,7 @@ class TestResumeChecksArrays:
         checkpoint.save_checkpoint(path, state, digest, seed)
         metrics = read_bytes(os.path.join(cut, "metrics.csv"))
 
-        def no_training(*args, **kwargs):
-            raise AssertionError("a training step ran")
-
-        monkeypatch.setattr(federation, "forward_training", no_training)
+        no_training(monkeypatch)
         with pytest.raises(ValueError, match=rf"array {re.escape(name)} is float"):
             runner.resume_experiment(cut)
         assert cli.main(["resume", cut]) == 2

@@ -10,46 +10,43 @@ from lcfed.tensor import Tensor
 from gradcheck import assert_grads_close, numeric_grad, rel_err
 
 
-def conv2d_loop(x, kernels, bias=None, stride=1, padding=None):
-    """Naive nested-loop cross-correlation oracle."""
+def conv2d_loop(x, kernels, bias=None):
+    """Naive nested-loop same-padded, stride-1 cross-correlation oracle."""
     b, cin, h, w = x.shape
     cout, _, k, _ = kernels.shape
-    pad = k // 2 if padding is None else padding
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (xp.shape[2] - k) // stride + 1
-    wo = (xp.shape[3] - k) // stride + 1
-    out = np.zeros((b, cout, ho, wo), dtype=x.dtype)
+    out = np.zeros((b, cout, h, w), dtype=x.dtype)
     for bi in range(b):
         for o in range(cout):
-            for i in range(ho):
-                for j in range(wo):
+            for i in range(h):
+                for j in range(w):
                     acc = 0.0
                     for c in range(cin):
                         for di in range(k):
                             for dj in range(k):
-                                acc += xp[bi, c, i * stride + di, j * stride + dj] * kernels[o, c, di, dj]
+                                acc += xp[bi, c, i + di, j + dj] * kernels[o, c, di, dj]
                     out[bi, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
     return out
 
 
-def conv2d_grads_loop(x, kernels, g, stride=1, padding=None):
+def conv2d_grads_loop(x, kernels, g):
     """Naive nested-loop gradients of sum(conv2d(x, kernels, bias) * g):
     every output element scatters g into the input and kernel entries it read."""
     b, cin, h, w = x.shape
     cout, _, k, _ = kernels.shape
-    pad = k // 2 if padding is None else padding
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     dxp = np.zeros_like(xp)
     dk = np.zeros_like(kernels)
-    _, _, ho, wo = g.shape
     for bi in range(b):
         for o in range(cout):
-            for i in range(ho):
-                for j in range(wo):
+            for i in range(h):
+                for j in range(w):
                     for c in range(cin):
                         for di in range(k):
                             for dj in range(k):
-                                y, z = i * stride + di, j * stride + dj
+                                y, z = i + di, j + dj
                                 dxp[bi, c, y, z] += g[bi, o, i, j] * kernels[o, c, di, dj]
                                 dk[o, c, di, dj] += g[bi, o, i, j] * xp[bi, c, y, z]
     return dxp[:, :, pad:pad + h, pad:pad + w], dk, g.sum(axis=(0, 2, 3))
@@ -130,8 +127,8 @@ class TestMatmul:
         assert_grads_close(f, [x, w, b], [tx.grad, tw.grad, tb.grad])
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        with pytest.raises(ValueError, match="inner dims"):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), Tensor(np.zeros(2)))
 
 
 class TestConv2d:
@@ -154,13 +151,6 @@ class TestConv2d:
         out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
         np.testing.assert_allclose(out.data, conv2d_loop(x, k, b), rtol=1e-12)
 
-    def test_strided_forward_matches_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 3, 7, 7))
-        k = rng.standard_normal((4, 3, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(k), stride=2)
-        np.testing.assert_allclose(out.data, conv2d_loop(x, k, stride=2), rtol=1e-12)
-
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((1, 2, 5, 5))
@@ -174,80 +164,73 @@ class TestConv2d:
 
         assert_grads_close(f, [x, k, b], [tx.grad, tk.grad, tb.grad])
 
-    # (batch, cin, cout, size, k, stride, padding, bias)
+    # (batch, cin, cout, size, k, bias)
     ORACLE_CASES = [
-        (1, 2, 3, 5, 3, 1, None, True),
-        (3, 1, 2, 6, 3, 1, None, False),   # Cin = 1, no bias, B > 1
-        (2, 3, 4, 7, 3, 2, None, True),    # stride 2, odd size
-        (2, 2, 3, 8, 3, 2, None, False),   # stride 2, even size
-        (2, 3, 2, 5, 1, 1, None, True),    # 1x1
-        (2, 3, 2, 6, 1, 2, None, True),    # 1x1, stride 2
-        (2, 2, 2, 6, 3, 1, 0, True),       # no padding
-        (1, 2, 2, 9, 5, 3, 1, True),       # 5x5, stride 3, padding below k//2
+        (1, 2, 3, 5, 3, True),
+        (3, 1, 2, 6, 3, False),   # Cin = 1, no bias, B > 1
+        (2, 3, 2, 5, 1, True),    # 1x1
+        (1, 2, 2, 9, 5, True),    # 5x5
+        (1, 1, 2, 2, 5, True),    # 5x5 on a 2x2 input: most taps read padding
     ]
 
-    # (batch, cin, cout, size, k, stride, padding, bias, tile bytes): tile
-    # budgets small enough that every pass, forward and backward, splits
+    # (batch, cin, cout, size, k, bias, tile bytes): tile budgets small enough
+    # that every pass, forward and backward, splits
     TILE_CASES = [
-        (2, 1, 2, 7, 3, 1, None, True, 1512),   # bands of 3, 4 rows (2, 2, 3 in dx)
-        (5, 2, 2, 4, 3, 1, None, False, 4608),  # 2 and 3 whole images per tile
-        (2, 1, 3, 13, 3, 2, None, True, 1008),  # stride 2: bands of 2, 2, 3 output rows
-        (2, 1, 2, 14, 5, 1, 1, True, 1),        # 5x5, padding 1: bands of 2 rows (3, 4 in dx)
+        (2, 1, 2, 7, 3, True, 1512),   # bands of 3, 4 rows (2, 2, 3 in dx)
+        (5, 2, 2, 4, 3, False, 4608),  # 2 and 3 whole images per tile
+        (2, 1, 3, 13, 3, True, 1008),  # one-row bands (2, 2, 2, 2, 2, 3 rows in dx)
+        (2, 1, 2, 14, 5, True, 1),     # 5x5: one-row bands (3, 4, 3, 4 rows in dx)
     ]
 
     @staticmethod
-    def check_against_loop_oracle(b, cin, cout, size, k, stride, padding, with_bias):
+    def check_against_loop_oracle(b, cin, cout, size, k, with_bias):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((b, cin, size, size))
         kern = rng.standard_normal((cout, cin, k, k))
         bias = rng.standard_normal(cout) if with_bias else None
         tx, tk = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
         tb = Tensor(bias, requires_grad=True) if with_bias else None
-        out = T.conv2d(tx, tk, tb, stride=stride, padding=padding)
-        ref = conv2d_loop(x, kern, bias, stride=stride, padding=padding)
+        out = T.conv2d(tx, tk, tb)
+        ref = conv2d_loop(x, kern, bias)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
         g = rng.standard_normal(ref.shape)
         (out * Tensor(g)).sum().backward()
-        dx, dk, db = conv2d_grads_loop(x, kern, g, stride=stride, padding=padding)
+        dx, dk, db = conv2d_grads_loop(x, kern, g)
         np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
         if with_bias:
             np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
 
     @staticmethod
-    def check_constant_input_against_loop_oracle(b, cin, cout, size, k, stride, padding,
-                                                 with_bias):
+    def check_constant_input_against_loop_oracle(b, cin, cout, size, k, with_bias):
         # without dx there are no gradient columns: dW comes from x's own columns
         rng = np.random.default_rng(11)
         x = rng.standard_normal((b, cin, size, size))
         kern = rng.standard_normal((cout, cin, k, k))
         tk = Tensor(kern, requires_grad=True)
         tb = Tensor(rng.standard_normal(cout), requires_grad=True) if with_bias else None
-        out = T.conv2d(Tensor(x), tk, tb, stride=stride, padding=padding)
+        out = T.conv2d(Tensor(x), tk, tb)
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        _, dk, db = conv2d_grads_loop(x, kern, g, stride=stride, padding=padding)
+        _, dk, db = conv2d_grads_loop(x, kern, g)
         np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
         if with_bias:
             np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
-    def test_forward_and_gradients_match_loop_oracle(self, b, cin, cout, size, k, stride,
-                                                     padding, with_bias):
-        self.check_against_loop_oracle(b, cin, cout, size, k, stride, padding, with_bias)
+    @pytest.mark.parametrize("b,cin,cout,size,k,with_bias", ORACLE_CASES)
+    def test_forward_and_gradients_match_loop_oracle(self, b, cin, cout, size, k, with_bias):
+        self.check_against_loop_oracle(b, cin, cout, size, k, with_bias)
 
-    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias", ORACLE_CASES)
+    @pytest.mark.parametrize("b,cin,cout,size,k,with_bias", ORACLE_CASES)
     def test_constant_input_kernel_gradient_matches_loop_oracle(self, b, cin, cout, size, k,
-                                                                stride, padding, with_bias):
-        self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, stride, padding,
-                                                      with_bias)
+                                                                with_bias):
+        self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, with_bias)
 
     @pytest.mark.parametrize("constant_input", [False, True])
-    @pytest.mark.parametrize("b,cin,cout,size,k,stride,padding,with_bias,tile_bytes",
-                             TILE_CASES)
-    def test_tiled_passes_match_loop_oracle(self, monkeypatch, b, cin, cout, size, k, stride,
-                                            padding, with_bias, tile_bytes, constant_input):
+    @pytest.mark.parametrize("b,cin,cout,size,k,with_bias,tile_bytes", TILE_CASES)
+    def test_tiled_passes_match_loop_oracle(self, monkeypatch, b, cin, cout, size, k,
+                                            with_bias, tile_bytes, constant_input):
         monkeypatch.setattr(T, "TILE_BYTES", tile_bytes)
         # label each tile of columns with the pass that used it
         tiles, phase = [], ["forward"]
@@ -267,10 +250,9 @@ class TestConv2d:
 
         monkeypatch.setattr(T, "conv2d", conv2d_then_backward)
         if constant_input:
-            self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, stride,
-                                                          padding, with_bias)
+            self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, with_bias)
         else:
-            self.check_against_loop_oracle(b, cin, cout, size, k, stride, padding, with_bias)
+            self.check_against_loop_oracle(b, cin, cout, size, k, with_bias)
         assert tiles.count("forward") > 1 and tiles.count("backward") > 1
 
     @pytest.mark.parametrize("layout", ["channel_major", "sliced"])
@@ -286,11 +268,11 @@ class TestConv2d:
         assert not view.flags.c_contiguous
         kern = rng.standard_normal((4, 2, 3, 3))
         tx, tk = Tensor(view, requires_grad=True), Tensor(kern, requires_grad=True)
-        out = T.conv2d(tx, tk, stride=2)
-        np.testing.assert_allclose(out.data, conv2d_loop(x, kern, stride=2), rtol=1e-12)
+        out = T.conv2d(tx, tk)
+        np.testing.assert_allclose(out.data, conv2d_loop(x, kern), rtol=1e-12)
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        dx, dk, _ = conv2d_grads_loop(x, kern, g, stride=2)
+        dx, dk, _ = conv2d_grads_loop(x, kern, g)
         np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
 
@@ -335,10 +317,14 @@ class TestConv2d:
             self, monkeypatch):
         monkeypatch.setattr(T, "TILE_BYTES", 1)
         xp = np.random.default_rng(18).standard_normal((3, 4, 5, 5))
-        tiles = list(T._im2col_tiles(xp, 1, 1, 5, 5))
+        tiles = list(T._im2col_tiles(xp, 1))
         assert len(tiles) == 1 and np.shares_memory(tiles[0][2], xp)
-        # the same kernel at stride 2 copies, so it tiles
-        assert len(list(T._im2col_tiles(xp, 1, 2, 3, 3))) > 1
+        # the same kernel on a non-contiguous input copies, so it tiles
+        view = xp[:, :, ::2, ::2]
+        tiles = list(T._im2col_tiles(view, 1))
+        assert len(tiles) > 1 and not any(np.shares_memory(t[2], xp) for t in tiles)
+        cols = np.concatenate([t[2] for t in tiles], axis=1)
+        np.testing.assert_array_equal(cols.reshape(view.shape), view)
 
     def test_forward_and_backward_peak_below_one_column_buffer(self):
         rng = np.random.default_rng(14)
@@ -355,30 +341,28 @@ class TestConv2d:
         assert x.grad is not None and np.any(kern.grad)
         assert peak < cols_bytes
 
-    # (input shape, cout, stride, input tracks its gradient): desk-sized convs
-    # that the default budget splits into many tiles
+    # (input shape, cout, input tracks its gradient): desk-sized convs that the
+    # default budget splits into many tiles
     SPLIT_CASES = [
-        ((6, 16, 64, 64), 8, 1, True),
-        ((6, 32, 32, 32), 16, 1, True),
-        ((6, 8, 32, 32), 16, 2, True),
-        ((6, 1, 64, 64), 8, 1, False),
+        ((6, 16, 64, 64), 8, True),
+        ((6, 32, 32, 32), 16, True),
+        ((6, 1, 64, 64), 8, False),
     ]
 
-    @pytest.mark.parametrize("shape,cout,stride,x_tracks", SPLIT_CASES,
-                             ids=["dec3", "dec2", "stride2", "constant_input"])
-    def test_tiles_equal_a_one_tile_build(self, monkeypatch, shape, cout, stride, x_tracks):
+    @pytest.mark.parametrize("shape,cout,x_tracks", SPLIT_CASES,
+                             ids=["dec3", "dec2", "constant_input"])
+    def test_tiles_equal_a_one_tile_build(self, monkeypatch, shape, cout, x_tracks):
         # splitting a GEMM's columns reorders no sum, so the output and dx are
         # bit-identical; dW adds the tiles' partial sums in another order
         b, cin, h, w = shape
-        ho = (h - 1) // stride + 1
-        assert len(list(T._im2col_tiles(np.zeros((cin, b, h + 2, w + 2)), 3, stride, ho, ho))) > 1
+        assert len(list(T._im2col_tiles(np.zeros((cin, b, h + 2, w + 2)), 3))) > 1
         rng = np.random.default_rng(15)
         x = rng.standard_normal(shape)
         kern = rng.standard_normal((cout, cin, 3, 3))
 
         def run():
             tx, tk = Tensor(x, requires_grad=x_tracks), Tensor(kern, requires_grad=True)
-            out = T.conv2d(tx, tk, stride=stride)
+            out = T.conv2d(tx, tk)
             g = np.random.default_rng(16).standard_normal(out.shape)
             (out * Tensor(g)).sum().backward()
             return out.data, tx.grad, tk.grad
@@ -401,18 +385,9 @@ class TestConv2d:
         assert x.grad is None and tb.grad is None
         assert np.any(tk.grad)
 
-    def test_padding_outside_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), padding=3)
-
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
             T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 3, 3))))
-
-    @pytest.mark.parametrize("h,w", [(2, 5), (5, 1)])
-    def test_kernel_larger_than_padded_input_rejected(self, h, w):
-        with pytest.raises(ValueError, match="larger than the padded"):
-            T.conv2d(Tensor(np.ones((1, 1, h, w))), Tensor(np.ones((1, 1, 3, 3))), padding=0)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -547,7 +522,7 @@ class TestBackward:
         x = rng.standard_normal((2, 4)) + 2.0  # positive, away from kinks
         w = rng.standard_normal((4, 3))
         tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = T.sigmoid(T.matmul(tx.abs(), tw))
+        out = T.sigmoid(T.linear(tx.abs(), tw, Tensor(np.zeros(3))))
         (out * out).mean().backward()
 
         def f(x_, w_):
