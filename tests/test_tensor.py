@@ -164,20 +164,24 @@ class TestConv2d:
 
         assert_grads_close(f, [x, k, b], [tx.grad, tk.grad, tb.grad])
 
-    # (batch, cin, cout, size, k, bias)
+    # (batch, cin, cout, size, k, bias); an explicit id keeps the name a case
+    # had when the table also carried stride and padding, here (1, None)
     ORACLE_CASES = [
-        (1, 2, 3, 5, 3, True),
-        (3, 1, 2, 6, 3, False),   # Cin = 1, no bias, B > 1
-        (2, 3, 2, 5, 1, True),    # 1x1
+        pytest.param(1, 2, 3, 5, 3, True, id="1-2-3-5-3-1-None-True"),
+        pytest.param(3, 1, 2, 6, 3, False,    # Cin = 1, no bias, B > 1
+                     id="3-1-2-6-3-1-None-False"),
+        pytest.param(2, 3, 2, 5, 1, True, id="2-3-2-5-1-1-None-True"),  # 1x1
         (1, 2, 2, 9, 5, True),    # 5x5
         (1, 1, 2, 2, 5, True),    # 5x5 on a 2x2 input: most taps read padding
     ]
 
     # (batch, cin, cout, size, k, bias, tile bytes): tile budgets small enough
-    # that every pass, forward and backward, splits
+    # that every pass, forward and backward, splits; ids as in ORACLE_CASES
     TILE_CASES = [
-        (2, 1, 2, 7, 3, True, 1512),   # bands of 3, 4 rows (2, 2, 3 in dx)
-        (5, 2, 2, 4, 3, False, 4608),  # 2 and 3 whole images per tile
+        pytest.param(2, 1, 2, 7, 3, True, 1512,   # bands of 3, 4 rows (2, 2, 3 in dx)
+                     id="2-1-2-7-3-1-None-True-1512"),
+        pytest.param(5, 2, 2, 4, 3, False, 4608,  # 2 and 3 whole images per tile
+                     id="5-2-2-4-3-1-None-False-4608"),
         (2, 1, 3, 13, 3, True, 1008),  # one-row bands (2, 2, 2, 2, 2, 3 rows in dx)
         (2, 1, 2, 14, 5, True, 1),     # 5x5: one-row bands (3, 4, 3, 4 rows in dx)
     ]
