@@ -1,132 +1,131 @@
-"""Checkpoint files: text header (names, shapes, offsets) + raw little-endian data.
+"""Checkpoint files: one JSON header line, then the arrays' raw little-endian bytes.
 
-Layout:
-    lcfed-ckpt 1
-    digest <config digest>
-    round <t>
-    sites <K>
-    seed <master seed>          # batch RNG streams derive from (seed, site, round)
-    adam_t <t .. per site>
-    arrays <count>
-    <name> <dtype> <shape|-> <offset>
-    ...
-    end
-    <raw bytes>
+    {"format": "lcfed-ckpt 2", "digest": <config digest>, "round": <t>,
+     "seed": <master seed>, "adam_t": [<Adam step count of each site>],
+     "crc32": <of the data section>, "arrays": [[<name>, <dtype>, <shape>], ...]}
+    <each array's bytes, in the order of "arrays">
 
-Array names are the model's parameter names behind a prefix: g/ the averaged
-parameters, b<k>/ site k's local parameters (the mode's `local` patterns pick
-them), m<k>/ v<k>/ site k's Adam moments over all of its parameters.  Each
-array is stored once; the coarse heads relayed to clients are read from the
-g/ and b<k>/ arrays.  A resumed checkpoint's arrays are checked once against
-the configured model, by name, shape and dtype (`check_arrays`), so nothing
-past that boundary checks them again.
+Array names are parameter names behind a prefix: g/ the averaged ones, b<k>/
+site k's local ones, m<k>/ v<k>/ site k's Adam moments of all of them;
+`_groups` states that layout for writing, reading and checking.  A file that
+does not parse, or whose data differs in length or crc32 from its header,
+fails to load with a ValueError naming it.  `check_arrays` checks a resumed
+state against the configured model once, so nothing past it checks again.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import zlib
 
 import numpy as np
 
-from .config import MODES, ExperimentConfig
-from .federation import FederationState, ParamSet, new_model, split_params
+from .config import ExperimentConfig
+from .federation import FederationState, ParamSet, initial_state
 
-FORMAT = "lcfed-ckpt 1"
+FORMAT = "lcfed-ckpt 2"
 
 _LE = {"float64": "<f8", "float32": "<f4"}
 
+_HEADER = {"digest": str, "round": int, "seed": int, "adam_t": list, "crc32": int, "arrays": list}
+
+
+def _groups(state: FederationState):
+    """(prefix, {name: array}) of every array group, in file order."""
+    yield "g/", state.theta_g.values
+    for k, beta in enumerate(state.betas):
+        yield f"b{k}/", beta.values
+    for k, adam in enumerate(state.adam_states):
+        yield f"m{k}/", adam["m"]
+        yield f"v{k}/", adam["v"]
+
 
 def save_checkpoint(path: str, state: FederationState, digest: str, master_seed: int):
-    entries = []  # (name, array)
-    for name, arr in state.theta_g.values.items():
-        entries.append((f"g/{name}", arr))
-    for k, beta in enumerate(state.betas):
-        for name, arr in beta.values.items():
-            entries.append((f"b{k}/{name}", arr))
-    for k, adam in enumerate(state.adam_states):
-        for name, arr in adam["m"].items():
-            entries.append((f"m{k}/{name}", arr))
-        for name, arr in adam["v"].items():
-            entries.append((f"v{k}/{name}", arr))
-
-    header = [FORMAT,
-              f"digest {digest}",
-              f"round {state.round}",
-              f"sites {len(state.betas)}",
-              f"seed {master_seed}",
-              "adam_t " + " ".join(str(adam["t"]) for adam in state.adam_states),
-              f"arrays {len(entries)}"]
-    offset = 0
-    for name, arr in entries:
-        shape = ",".join(str(s) for s in arr.shape) if arr.shape else "-"
-        header.append(f"{name} {arr.dtype} {shape} {offset}")
-        offset += arr.nbytes
-    header.append("end")
-    # write beside the target and rename over it, so a failed write never
-    # leaves a truncated checkpoint; arrays stream out one at a time
+    entries = [(prefix + name, str(arr.dtype),
+                np.ascontiguousarray(arr, dtype=_LE[str(arr.dtype)]))
+               for prefix, group in _groups(state) for name, arr in group.items()]
+    crc = 0
+    for _, _, arr in entries:
+        crc = zlib.crc32(arr.data, crc)
+    header = {"format": FORMAT, "digest": digest, "round": state.round, "seed": master_seed,
+              "adam_t": [adam["t"] for adam in state.adam_states], "crc32": crc,
+              "arrays": [[name, dtype, list(arr.shape)] for name, dtype, arr in entries]}
+    # a failed write must leave no truncated checkpoint: write beside it, rename over it
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype=_LE[str(arr.dtype)]).data)
+        fh.write(json.dumps(header).encode("ascii") + b"\n")
+        for _, _, arr in entries:
+            fh.write(arr.data)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str):
-    """Returns (state, digest, master_seed)."""
+    """Returns (state, digest, master_seed); a damaged file raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    end_marker = b"\nend\n"
-    split = blob.find(end_marker)
-    if split < 0 or not blob.startswith(FORMAT.encode()):
-        raise ValueError(f"{path}: not a checkpoint file")
-    header_lines = blob[:split].decode("ascii").splitlines()
-    data = blob[split + len(end_marker):]
+    head = blob.partition(b"\n")[0]
+    try:
+        return _parse(head, memoryview(blob)[len(head) + 1:])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
-    meta = {}
-    arrays = {}   # name prefix (g, b<k>, m<k>, v<k>) -> {parameter name: array}
-    it = iter(header_lines[1:])
-    for line in it:
-        key, _, rest = line.partition(" ")
-        if key == "arrays":
-            for _ in range(int(rest)):
-                name, dtype_name, shape_s, offset_s = next(it).split(" ")
-                shape = () if shape_s == "-" else tuple(int(x) for x in shape_s.split(","))
-                prefix, _, param = name.partition("/")
-                arrays.setdefault(prefix, {})[param] = np.frombuffer(
-                    data, dtype=_LE[dtype_name], count=int(np.prod(shape)),
-                    offset=int(offset_s)).astype(dtype_name).reshape(shape)
-            break
-        meta[key] = rest
 
-    adam_states = [{"t": int(t), "m": arrays.get(f"m{k}", {}), "v": arrays.get(f"v{k}", {})}
-                   for k, t in enumerate(meta["adam_t"].split(" "))]
-    state = FederationState(
-        round=int(meta["round"]), theta_g=ParamSet(arrays.get("g")),
-        betas=[ParamSet(arrays.get(f"b{k}")) for k in range(int(meta["sites"]))],
-        adam_states=adam_states)
-    return state, meta["digest"], int(meta["seed"])
+def _parse(head: bytes, data: memoryview):
+    try:
+        meta = json.loads(head)
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict) or meta.get("format") != FORMAT:
+        raise ValueError("not a checkpoint file")
+    for key, kind in _HEADER.items():
+        if type(meta.get(key)) is not kind:
+            raise ValueError(f"header key {key!r} is missing or not a {kind.__name__}")
+    if not all(type(t) is int for t in meta["adam_t"]):
+        raise ValueError(f"adam_t {meta['adam_t']} is not a list of step counts")
+    state = FederationState(round=meta["round"], theta_g=ParamSet(),
+                            betas=[ParamSet() for _ in meta["adam_t"]],
+                            adam_states=[{"t": t, "m": {}, "v": {}} for t in meta["adam_t"]])
+    groups, offset = dict(_groups(state)), 0
+    for entry in meta["arrays"]:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(x, t) for x, t in zip(entry, (str, str, list)))
+                and entry[1] in _LE and all(type(s) is int and s >= 0 for s in entry[2])):
+            raise ValueError(f"array entry {entry!r} is not [name, dtype, shape]")
+        name, dtype, shape = entry
+        prefix, sep, param = name.partition("/")
+        group = groups.get(prefix + sep)
+        if group is None or param in group:
+            raise ValueError(f"array {name} is repeated or outside the layout of "
+                             f"{len(state.betas)} sites")
+        group[param] = (dtype, shape, offset)   # read once the data section checks out
+        offset += math.prod(shape) * np.dtype(dtype).itemsize
+    if offset != len(data):
+        raise ValueError(f"data section is {len(data)} bytes; the header lists {offset}")
+    if zlib.crc32(data) != meta["crc32"]:
+        raise ValueError("data section fails its crc32 check")
+    for group in groups.values():
+        for param, (dtype, shape, offset) in group.items():
+            group[param] = np.frombuffer(data, dtype=_LE[dtype], count=math.prod(shape),
+                                         offset=offset).astype(dtype).reshape(shape)
+    return state, meta["digest"], meta["seed"]
 
 
 def check_arrays(path: str, state: FederationState, cfg: ExperimentConfig):
-    """Raise ValueError naming the first array, as the checkpoint at `path`
-    names it, that the state lacks, holds beyond the configured model and
-    mode, or holds with another shape or dtype than the model's."""
-    model = {n: t.data for n, t, _ in
-             new_model(cfg, np.random.default_rng(0)).named_parameters()}
-    shared, local = (p.values for p in split_params(model, MODES[cfg.mode]))
-    parts = [("g/", state.theta_g.values, shared)]
-    for k, (beta, adam) in enumerate(zip(state.betas, state.adam_states)):
-        parts += [(f"b{k}/", beta.values, local),
-                  (f"m{k}/", adam["m"], model), (f"v{k}/", adam["v"], model)]
-    for prefix, held, wanted in parts:
-        for n in wanted:
+    """Raise ValueError naming `path` if the state holds another site count
+    than configured, or the first array that it lacks, holds beyond the
+    configured model and mode, or holds with another shape or dtype."""
+    if len(state.betas) != cfg.sites:
+        raise ValueError(f"{path}: holds {len(state.betas)} sites; the config has {cfg.sites}")
+    for (prefix, held), (_, want) in zip(_groups(state), _groups(initial_state(cfg)),
+                                         strict=True):
+        for n in want:
             if n not in held:
                 raise ValueError(f"{path}: missing array {prefix}{n} for mode {cfg.mode}")
         for n, a in held.items():
-            if n not in wanted:
+            if n not in want:
                 raise ValueError(f"{path}: unexpected array {prefix}{n} for mode {cfg.mode}")
-            want = wanted[n]
-            if a.shape != want.shape or a.dtype != want.dtype:
+            if a.shape != want[n].shape or a.dtype != want[n].dtype:
                 raise ValueError(f"{path}: array {prefix}{n} is {a.dtype} {a.shape}; "
-                                 f"the configured model's is {want.dtype} {want.shape}")
+                                 f"the configured model's is {want[n].dtype} {want[n].shape}")

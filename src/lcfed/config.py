@@ -136,42 +136,37 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _parse_value(field: dataclasses.Field, raw: str):
-    raw = raw.strip()
-    t = field.type
-    if field.name == "channels":
-        return tuple(int(x) for x in raw.split(","))
-    if t == "bool":
-        return _parse_bool(raw)
-    if t == "int":
-        return int(raw)
-    if t == "float":
-        return float(raw)
-    return raw
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+
+# field type -> (what an error calls it, parser); other fields keep the string
+_PARSERS = {"tuple": ("list of integers", lambda raw: tuple(int(x) for x in raw.split(","))),
+            "bool": ("boolean", lambda raw: _BOOLS[raw.lower()]),
+            "int": ("integer", int), "float": ("float", float)}
+_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean from {raw!r}")
+def _set_item(cfg: ExperimentConfig, item: str, where: str):
+    """Set one 'key = value' item on `cfg`; errors name the key and `where`,
+    the config line or the override the item came from."""
+    key, eq, raw = (part.strip() for part in item.partition("="))
+    if not eq:
+        raise ValueError(f"{where}: expected 'key = value', got {item!r}")
+    if key not in _TYPES:
+        raise ValueError(f"{where}: unknown config key {key!r}")
+    kind, parse = _PARSERS.get(_TYPES[key], ("string", str))
+    try:
+        setattr(cfg, key, parse(raw))
+    except (KeyError, ValueError):
+        raise ValueError(f"{where}: {key}: cannot parse {kind} from {raw!r}") from None
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = dataclasses.replace(base) if base else ExperimentConfig()
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {ln}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in fields:
-            raise ValueError(f"line {ln}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(fields[key], raw))
+        if line:
+            _set_item(cfg, line, f"line {ln}")
     return cfg
 
 
@@ -182,12 +177,6 @@ def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentCo
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list) -> ExperimentConfig:
     """Apply 'key=value' strings on top of a config (CLI flags win)."""
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not key=value")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in fields:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(fields[key], raw))
+        _set_item(cfg, item, f"override {item!r}")
     return cfg

@@ -60,6 +60,10 @@ class FederationState:
     betas: list          # K ParamSets of each site's local parameters
     adam_states: list    # K optimizer state dicts
 
+    def site_params(self, k: int) -> dict:
+        """Site k's whole parameter set: the averaged parameters and its local ones."""
+        return {**self.theta_g.values, **self.betas[k].values}
+
 
 @dataclass
 class Client:
@@ -112,7 +116,7 @@ def relayed_heads(state: FederationState) -> tuple:
     parameters, or among the averaged ones in a mode that shares heads),
     stacked side by side: a (C, K*N) weight whose columns k*N..(k+1)*N-1 are
     site k's, and the matching (K*N,) bias."""
-    sources = [{**state.theta_g.values, **beta.values} for beta in state.betas]
+    sources = [state.site_params(k) for k in range(len(state.betas))]
     return (np.concatenate([src["head_coarse.w"] for src in sources], axis=1),
             np.concatenate([src["head_coarse.b"] for src in sources]))
 
@@ -250,7 +254,7 @@ def evaluate_clients(state: FederationState, clients: list, datasets: list,
     reports = []
     for k, data in enumerate(datasets):
         client = clients[k % len(clients)]
-        client.model.load_params({**state.theta_g.values, **state.betas[k].values})
+        client.model.load_params(state.site_params(k))
 
         def predict(batch):
             return forward_predict(client, batch.astype(dtype, copy=False), heads, k, cfg)

@@ -4,7 +4,8 @@ Run-directory layout:
     config.txt        effective configuration echo
     metrics.csv       one row per evaluated round per site (losses are the
                       round's training means; IoU/ASSD from the test split)
-    checkpoints/      round_NNNN.ckpt (binary, resumable)
+    checkpoints/      round_NNNN.ckpt, the state after round NNNN: one JSON header
+                      line, then the arrays' raw bytes (checkpoint.py)
     summary.txt       final per-site table, sites as columns, average last
     curves.csv        per-round site-averaged curves for plotting
 """
@@ -188,10 +189,10 @@ def resume_experiment(run_dir: str, checkpoint_path: str | None = None) -> str:
         checkpoint_path = os.path.join(ckpt_dir, by_round[max(by_round)])
     state, digest, master_seed = load_checkpoint(checkpoint_path)
     if digest != cfg.digest():
-        raise ValueError(
-            f"checkpoint digest {digest} does not match config digest {cfg.digest()}")
+        raise ValueError(f"{checkpoint_path}: checkpoint digest {digest} does not match "
+                         f"config digest {cfg.digest()}")
     if master_seed != cfg.master_seed:
-        raise ValueError("checkpoint master seed does not match the configuration")
+        raise ValueError(f"{checkpoint_path}: master seed does not match the configuration")
     check_arrays(checkpoint_path, state, cfg)
     return run_experiment(cfg, resume_state=state)
 

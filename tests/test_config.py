@@ -80,13 +80,24 @@ BAD_CONFIGS = {
     "checkpoint_every": (_validate(checkpoint_every=-1),
                          "eval_every and checkpoint_every must be >= 0"),
     "bad_bool": (lambda: parse_config_text("parallel_clients = maybe\n"),
-                 "cannot parse boolean from 'maybe'"),
+                 "line 1: parallel_clients: cannot parse boolean from 'maybe'"),
+    "bad_int": (lambda: parse_config_text("rounds = 3.5\n"),
+                "line 1: rounds: cannot parse integer from '3.5'"),
+    "bad_float": (lambda: parse_config_text("mode = lcfed\nlr = fast\n"),
+                  "line 2: lr: cannot parse float from 'fast'"),
+    "bad_channels_override": (lambda: apply_overrides(ExperimentConfig(), ["channels=8,x"]),
+                              "override 'channels=8,x': channels: cannot parse list of "
+                              "integers from '8,x'"),
+    "bad_bool_override": (lambda: apply_overrides(ExperimentConfig(),
+                                                  ["parallel_clients=maybe"]),
+                          "override 'parallel_clients=maybe': parallel_clients: cannot parse "
+                          "boolean from 'maybe'"),
     "line_without_equals": (lambda: parse_config_text("mode = lcfed\nrounds 3\n"),
                             "line 2: expected 'key = value'"),
     "override_without_equals": (lambda: apply_overrides(ExperimentConfig(), ["rounds"]),
-                                "override 'rounds' is not key=value"),
+                                "override 'rounds': expected 'key = value'"),
     "unknown_override_key": (lambda: apply_overrides(ExperimentConfig(), ["round=3"]),
-                             "unknown config key 'round'"),
+                             "override 'round=3': unknown config key 'round'"),
 }
 
 

@@ -1,6 +1,8 @@
 import builtins
 import dataclasses
 import ctypes
+import json
+import math
 import os
 import platform
 import re
@@ -241,7 +243,7 @@ class TestManifest:
         assert after_digest(disk, "metrics.csv", 1) == after_digest(memory, "metrics.csv", 1)
         for rnd in (1, 2):
             name = os.path.join("checkpoints", f"round_{rnd:04d}.ckpt")
-            assert after_digest(disk, name, 2) == after_digest(memory, name, 2)
+            assert after_digest(disk, name, 1) == after_digest(memory, name, 1)
 
     def test_class_count_mismatch_fails_before_training(self, tmp_path, monkeypatch):
         per_site = data.benchmark_samples(1, 2, 3, 2, 16)
@@ -303,31 +305,83 @@ def _rewrite(path, old: bytes, new: bytes):
         fh.write(blob.replace(old, new))
 
 
-# (damage to a run cut after round 1, error type, message)
+def _damage(header=lambda meta: None, data=lambda blob: blob):
+    """Rewrite a checkpoint with `header` applied to its parsed JSON header
+    and its data section passed through `data`."""
+    def damage(cut, ckpt):
+        head, blob = read_bytes(ckpt).split(b"\n", 1)
+        meta = json.loads(head)
+        header(meta)
+        with open(ckpt, "wb") as fh:
+            fh.write(json.dumps(meta).encode() + b"\n" + data(blob))
+    return damage
+
+
+def _flip_a_bit(blob):
+    i = len(blob) // 2
+    return blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1:]
+
+
+def _as_format_1(cut, ckpt):
+    """Rewrite a checkpoint with the text header of format 1 over the same data."""
+    head, blob = read_bytes(ckpt).split(b"\n", 1)
+    meta = json.loads(head)
+    lines = ["lcfed-ckpt 1", f"digest {meta['digest']}", f"round {meta['round']}",
+             f"sites {len(meta['adam_t'])}", f"seed {meta['seed']}",
+             "adam_t " + " ".join(map(str, meta["adam_t"])), f"arrays {len(meta['arrays'])}"]
+    offset = 0
+    for name, dtype, shape in meta["arrays"]:
+        lines.append(f"{name} {dtype} {','.join(map(str, shape)) or '-'} {offset}")
+        offset += math.prod(shape) * np.dtype(dtype).itemsize
+    with open(ckpt, "wb") as fh:
+        fh.write(("\n".join(lines + ["end"]) + "\n").encode() + blob)
+
+
+# (damage to a run cut after round 1, error type, message); {ckpt} and
+# {metrics} stand for the paths the message must start with or name
 BAD_RESUMES = {
     "config_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
                                                  b"\nlr = 0.0001\n", b"\nlr = 0.0002\n"),
-                      ValueError, "does not match config digest"),
-    "master_seed": (lambda cut, ckpt: _rewrite(ckpt, b"\nseed 1\n", b"\nseed 2\n"),
-                    ValueError, "master seed does not match"),
+                      ValueError, r"{ckpt}: checkpoint digest \w+ does not match config digest"),
+    "master_seed": (_damage(header=lambda meta: meta.update(seed=2)),
+                    ValueError, "{ckpt}: master seed does not match"),
     "metrics_missing": (lambda cut, ckpt: os.remove(os.path.join(cut, "metrics.csv")),
-                        FileNotFoundError, "metrics.csv is missing"),
+                        FileNotFoundError, "cannot resume: {metrics} is missing"),
     "metrics_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "metrics.csv"),
                                                   b"# config ", b"# config 0"),
-                       ValueError, "config digest does not match this run"),
-    "not_a_checkpoint": (lambda cut, ckpt: _rewrite(ckpt, b"lcfed-ckpt 1", b"lcfed-ckpt 2"),
-                         ValueError, "not a checkpoint file"),
+                       ValueError, "{metrics}: config digest does not match this run"),
+    "not_a_checkpoint": (_damage(header=lambda meta: meta.update(format="lcfed-ckpt 3")),
+                         ValueError, "{ckpt}: not a checkpoint file"),
+    "format_1": (_as_format_1, ValueError, "{ckpt}: not a checkpoint file"),
+    "data_cut_short": (_damage(data=lambda blob: blob[:-100]), ValueError,
+                       r"{ckpt}: data section is \d+ bytes; the header lists \d+"),
+    "header_missing_key": (_damage(header=lambda meta: meta.pop("adam_t")), ValueError,
+                           "{ckpt}: header key 'adam_t' is missing"),
+    "arrays_entry_without_shape": (_damage(header=lambda meta: meta["arrays"][3].pop()),
+                                   ValueError, r"{ckpt}: array entry \['g/enc1\.conv\.w', "
+                                               r"'float64'\] is not \[name, dtype, shape\]"),
+    "flipped_data_bit": (_damage(data=_flip_a_bit), ValueError,
+                         "{ckpt}: data section fails its crc32 check"),
+    "adam_t_of_3_sites": (_damage(header=lambda meta: meta["adam_t"].append(1)), ValueError,
+                          "{ckpt}: holds 3 sites; the config has 2"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_RESUMES))
-def test_resume_rejects_a_mismatched_run_before_training(case, tmp_path, monkeypatch):
+def test_resume_rejects_a_mismatched_run_before_training(case, tmp_path, monkeypatch, capsys):
     damage, error, message = BAD_RESUMES[case]
     _, cut, ckpt = cut_run(tmp_path, "lcfed")
     damage(cut, ckpt)
+    metrics = os.path.join(cut, "metrics.csv")
+    before = read_bytes(metrics) if os.path.exists(metrics) else None
+    message = message.format(ckpt=re.escape(ckpt), metrics=re.escape(metrics))
     no_training(monkeypatch)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match="^" + message):
         runner.resume_experiment(cut, ckpt)
+    assert cli.main(["resume", cut, "--checkpoint", ckpt]) == 2
+    err = capsys.readouterr().err
+    assert re.match("error: " + message, err) and "Traceback" not in err
+    assert (read_bytes(metrics) if os.path.exists(metrics) else None) == before
 
 
 class TestResumeChecksArrays:
