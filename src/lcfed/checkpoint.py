@@ -1,16 +1,21 @@
 """Checkpoint files: one JSON header line, then the arrays' raw little-endian bytes.
 
-    {"format": "lcfed-ckpt 2", "digest": <config digest>, "round": <t>,
+    {"format": "lcfed-ckpt 3", "digest": <config digest>, "round": <t>,
      "seed": <master seed>, "adam_t": [<Adam step count of each site>],
-     "crc32": <of the data section>, "arrays": [[<name>, <dtype>, <shape>], ...]}
+     "arrays": [[<name>, <dtype>, <shape>], ...], "crc32": <see below>}
     <each array's bytes, in the order of "arrays">
+
+The crc32 runs over the data section, then over the rest of the header as
+``json.dumps(..., sort_keys=True)``, so a changed header value fails it just
+as a changed data byte does.
 
 Array names are parameter names behind a prefix: g/ the averaged ones, b<k>/
 site k's local ones, m<k>/ v<k>/ site k's Adam moments of all of them;
 `_groups` states that layout for writing, reading and checking.  A file that
-does not parse, or whose data differs in length or crc32 from its header,
-fails to load with a ValueError naming it.  `check_arrays` checks a resumed
-state against the configured model once, so nothing past it checks again.
+does not parse, whose data differs in length from its header, or that fails
+the crc32 fails to load with a ValueError naming it.  `check_arrays` checks a
+resumed state against the configured model once, so nothing past it checks
+again.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .federation import FederationState, ParamSet, initial_state
 
-FORMAT = "lcfed-ckpt 2"
+FORMAT = "lcfed-ckpt 3"
 
 _LE = {"float64": "<f8", "float32": "<f4"}
 
@@ -42,6 +47,12 @@ def _groups(state: FederationState):
         yield f"v{k}/", adam["v"]
 
 
+def _crc32(header: dict, data_crc: int) -> int:
+    """The data section's crc32 continued over `header` without its crc32 key."""
+    fields = {key: value for key, value in header.items() if key != "crc32"}
+    return zlib.crc32(json.dumps(fields, sort_keys=True).encode("ascii"), data_crc)
+
+
 def save_checkpoint(path: str, state: FederationState, digest: str, master_seed: int):
     entries = [(prefix + name, str(arr.dtype),
                 np.ascontiguousarray(arr, dtype=_LE[str(arr.dtype)]))
@@ -50,8 +61,9 @@ def save_checkpoint(path: str, state: FederationState, digest: str, master_seed:
     for _, _, arr in entries:
         crc = zlib.crc32(arr.data, crc)
     header = {"format": FORMAT, "digest": digest, "round": state.round, "seed": master_seed,
-              "adam_t": [adam["t"] for adam in state.adam_states], "crc32": crc,
+              "adam_t": [adam["t"] for adam in state.adam_states],
               "arrays": [[name, dtype, list(arr.shape)] for name, dtype, arr in entries]}
+    header["crc32"] = _crc32(header, crc)
     # a failed write must leave no truncated checkpoint: write beside it, rename over it
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -103,8 +115,8 @@ def _parse(head: bytes, data: memoryview):
         offset += math.prod(shape) * np.dtype(dtype).itemsize
     if offset != len(data):
         raise ValueError(f"data section is {len(data)} bytes; the header lists {offset}")
-    if zlib.crc32(data) != meta["crc32"]:
-        raise ValueError("data section fails its crc32 check")
+    if _crc32(meta, zlib.crc32(data)) != meta["crc32"]:
+        raise ValueError("header and data fail their crc32 check")
     for group in groups.values():
         for param, (dtype, shape, offset) in group.items():
             group[param] = np.frombuffer(data, dtype=_LE[dtype], count=math.prod(shape),

@@ -171,8 +171,13 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Parse a config file; an error names `path` as well as the line."""
     with open(path) as fh:
-        return parse_config_text(fh.read(), base)
+        text = fh.read()
+    try:
+        return parse_config_text(text, base)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list) -> ExperimentConfig:

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 SHAPE_FAMILIES = ("ellipse", "blob", "polygon")
 
@@ -151,21 +152,13 @@ _FAMILY_RENDERERS = {"ellipse": _ellipse_mask, "blob": _blob_mask, "polygon": _p
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
+    """Mean over the (2r+1) x (2r+1) window, edges replicated; radius 0 is
+    the identity (scipy's running sum would round it)."""
     if radius == 0:
         return img
-    size = 2 * radius + 1
-    out = img
     for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="edge")
-        acc = np.zeros_like(out)
-        for s in range(size):
-            sl = [slice(None), slice(None)]
-            sl[axis] = slice(s, s + out.shape[axis])
-            acc += padded[tuple(sl)]
-        out = acc / size
-    return out
+        img = ndimage.uniform_filter1d(img, 2 * radius + 1, axis=axis, mode="nearest")
+    return img
 
 
 def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,

@@ -90,8 +90,10 @@ def gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
 def gaussian_spread(u: Tensor, size: int, sigma: float) -> Tensor:
     """Correlate with the peak-normalized Gaussian (center weight 1), zero padding.
 
-    The kernel factorizes exactly into two 1-D passes; it is symmetric, so the
-    backward pass is the same correlation applied to the output gradient.
+    The kernel factorizes exactly into two 1-D passes of
+    `scipy.ndimage.correlate1d`, which accumulates in double and returns the
+    input's dtype; the kernel is symmetric, so the backward pass is the same
+    correlation applied to the output gradient.
     """
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {size}")
@@ -100,19 +102,8 @@ def gaussian_spread(u: Tensor, size: int, sigma: float) -> Tensor:
     k1 = gaussian_kernel_1d(size, sigma).astype(u.dtype)
 
     def correlate(data):
-        out = data
-        r = size // 2
-        for axis in (-2, -1):
-            pad = [(0, 0)] * data.ndim
-            pad[axis] = (r, r)
-            padded = np.pad(out, pad)
-            acc = np.zeros_like(out)
-            for s in range(size):
-                sl = [slice(None)] * data.ndim
-                sl[axis] = slice(s, s + data.shape[axis])
-                acc += k1[s] * padded[tuple(sl)]
-            out = acc
-        return out
+        rows = ndimage.correlate1d(data, k1, axis=-2, mode="constant")
+        return ndimage.correlate1d(rows, k1, axis=-1, mode="constant")
 
     def grad_fn(g):
         u.accumulate_grad(correlate(g))

@@ -117,26 +117,32 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
 def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Apply the same linear map (C -> N) at every pixel of a (B, C, H, W) map.
 
-    Equivalent to a 1x1 convolution but cheaper: one batched GEMM.  Gradients
-    are computed only for the operands that track them.
+    This is every 1x1 map of the model (the decoder's up-projections and the
+    heads).  Like conv2d, it works on the (C, B*H*W) columns of the
+    channel-major input, which for the maps the conv blocks produce are the
+    input's own memory (any other layout costs one copy): one GEMM per pass
+    over all images.  The (B, N, H, W) output and the input gradient are
+    views of channel-major memory, as conv2d's are.  Gradients are computed
+    only for the operands that track them.
     """
     b, c, h, w_sp = x.shape
     cin, n = w.shape
     if cin != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {cin}")
-    xr = x.data.reshape(b, c, h * w_sp)
-    out_data = (np.matmul(w.data.T[None], xr) + bias.data[None, :, None]).reshape(b, n, h, w_sp)
+    x_cm = x.data.transpose(1, 0, 2, 3).reshape(c, -1)
+    out_cm = w.data.T @ x_cm
+    out_cm += bias.data[:, None]
 
     def grad_fn(g):
-        g2 = g.reshape(b, n, h * w_sp)
+        g_cm = g.transpose(1, 0, 2, 3).reshape(n, -1)
         if w.requires_grad:
-            w.accumulate_grad(np.matmul(xr, g2.transpose(0, 2, 1)).sum(axis=0))
+            w.accumulate_grad(x_cm @ g_cm.T)
         if bias.requires_grad:
-            bias.accumulate_grad(g2.sum(axis=(0, 2)))
+            bias.accumulate_grad(g_cm.sum(axis=1))
         if x.requires_grad:
-            x.accumulate_grad(np.matmul(w.data[None], g2).reshape(x.shape))
+            x.accumulate_grad((w.data @ g_cm).reshape(c, b, h, w_sp).transpose(1, 0, 2, 3))
 
-    return graph_node(out_data, (x, w, bias), grad_fn)
+    return graph_node(out_cm.reshape(n, b, h, w_sp).transpose(1, 0, 2, 3), (x, w, bias), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +164,10 @@ class Layer:
         return list(self._params)
 
 
-def _conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
+def conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
+    """He-normal (Cout, Cin, k, k) kernels."""
     std = np.sqrt(2.0 / (cin * k * k))
     return (rng.standard_normal((cout, cin, k, k)) * std).astype(dtype)
-
-
-class Conv2d(Layer):
-    def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator, dtype=np.float64):
-        super().__init__()
-        self.weight = self._register("w", _conv_kernels(cin, cout, k, rng, dtype))
-        self.bias = self._register("b", np.zeros(cout, dtype=dtype))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias)
 
 
 class Linear(Layer):
@@ -196,11 +193,13 @@ class InstanceNorm(Layer):
 
 
 class PerPixelLinear(Layer):
-    def __init__(self, cin: int, n: int, rng: np.random.Generator, dtype=np.float64):
+    """A (C, N) weight and zero (N,) bias applied at every pixel; the caller
+    draws the initial weight."""
+
+    def __init__(self, weight: np.ndarray):
         super().__init__()
-        std = np.sqrt(1.0 / cin)
-        self.weight = self._register("w", (rng.standard_normal((cin, n)) * std).astype(dtype))
-        self.bias = self._register("b", np.zeros(n, dtype=dtype))
+        self.weight = self._register("w", weight)
+        self.bias = self._register("b", np.zeros(weight.shape[1], dtype=weight.dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
         return per_pixel_linear(x, self.weight, self.bias)
@@ -215,7 +214,7 @@ class ConvBlock(Layer):
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float64):
         super().__init__()
-        self.weight = self._register("conv.w", _conv_kernels(cin, cout, 3, rng, dtype))
+        self.weight = self._register("conv.w", conv_kernels(cin, cout, 3, rng, dtype))
         self.norm = InstanceNorm(cout, dtype)
         for name, t in self.norm.parameters():
             self._params.append((f"norm.{name}", t))

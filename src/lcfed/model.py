@@ -1,9 +1,11 @@
 """U-shaped segmentation network with named parameters.
 
-Five encoding stages (conv block + 2x max pool between), matching decoder
-stages with skip concatenation, a channel-selection generator attached at the
-deepest feature, and two per-pixel linear heads: a coarse head and a
-calibrated head applied after the disagreement-gated feature.  Parameter
+Five encoding stages (3x3 conv block + 2x max pool between), matching
+decoder stages (1x1 up-projection, 2x upsampling, skip concatenation, conv
+block), a channel-selection generator attached at the deepest feature, and
+two heads: a coarse head and a calibrated head applied after the
+disagreement-gated feature.  Every 1x1 map, up-projection or head, is a
+`layers.PerPixelLinear` with a (Cin, Cout) weight and a bias.  Parameter
 names say where each one sits (``enc<i>.*``, ``up<i>.*``, ``dec<i>.*``,
 ``pcsgen.*``, ``head_coarse.*``, ``head_calib.*``); a mode's row in
 `config.MODES` picks its local parameters by these names.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import ConvBlock, Conv2d, PerPixelLinear, max_pool2x2, upsample_nearest2x
+from .layers import ConvBlock, PerPixelLinear, conv_kernels, max_pool2x2, upsample_nearest2x
 from .pcs import PCSGenerator
 from .tensor import Tensor, concat
 
@@ -35,14 +37,19 @@ class SegmentationModel:
         self.up_projs = []
         self.decoders = []
         for i in range(len(ch) - 2, -1, -1):
-            self.up_projs.append(Conv2d(ch[i + 1], ch[i], 1, rng, dtype))
+            # He-normal, drawn in (Cout, Cin) order (the golden pins fix these
+            # draws) and stored as a (Cin, Cout) map like the heads' weights
+            kernels = conv_kernels(ch[i + 1], ch[i], 1, rng, dtype)
+            self.up_projs.append(PerPixelLinear(np.ascontiguousarray(kernels[:, :, 0, 0].T)))
             self.decoders.append(ConvBlock(2 * ch[i], ch[i], rng, dtype))
 
         # drawn even without PCS, so the heads get the same numbers either way
         pcs_gen = PCSGenerator(n_sites, ch[-1], rng, dtype)
         self.pcs_gen = pcs_gen if pcs else None
-        self.coarse_head = PerPixelLinear(ch[0], classes, rng, dtype)
-        self.calib_head = PerPixelLinear(ch[0], classes, rng, dtype)
+        std = np.sqrt(1.0 / ch[0])
+        self.coarse_head, self.calib_head = (
+            PerPixelLinear((rng.standard_normal((ch[0], classes)) * std).astype(dtype))
+            for _ in range(2))
 
         self._named = []
         for i, enc in enumerate(self.encoders):

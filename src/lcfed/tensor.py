@@ -20,10 +20,12 @@ Conventions:
   * op results and the gradients ops pass back may be non-contiguous views
     (conv2d returns channel-major memory); ops must accept any layout,
   * conv2d is a same-padded (k // 2), stride-1 cross-correlation (no kernel
-    flip), so its output has its input's spatial size.  It builds its im2col
-    columns one cache-sized tile at a time (``TILE_BYTES``); its output and
-    input gradient are bit-identical for any tiling, while its kernel
-    gradient sums per-tile parts, so its last bits depend on the tiling,
+    flip, no bias), so its output has its input's spatial size; the model
+    calls it only for its 3x3 blocks (every 1x1 map is a
+    ``layers.per_pixel_linear``).  It builds its im2col columns one
+    cache-sized tile at a time (``TILE_BYTES``); its output and input
+    gradient are bit-identical for any tiling, while its kernel gradient
+    sums per-tile parts, so its last bits depend on the tiling,
   * dtype follows the input arrays; tests run in float64, training may run
     in float32.
 """
@@ -350,9 +352,7 @@ def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 def _pad(a: np.ndarray, lo: int) -> np.ndarray:
     """Zero (C, B, H + 2*lo, W + 2*lo) buffer holding a[c, b, i, j] at
-    [c, b, lo + i, lo + j]; `a` itself when lo is 0."""
-    if lo == 0:
-        return a
+    [c, b, lo + i, lo + j]."""
     c, b, h, w = a.shape
     out = np.zeros((c, b, h + 2 * lo, w + 2 * lo), dtype=a.dtype)
     out[:, :, lo:lo + h, lo:lo + w] = a
@@ -376,17 +376,15 @@ def _im2col_tiles(xp: np.ndarray, k: int):
     in memory order; ho = H - k + 1 and wo = W - k + 1.  `columns` is the
     (C*k*k, n) im2col matrix of output rows `rows` of images `images`: row
     c*k*k + di*k + dj holds xp[c, b, i + di, j + dj] for every output (b, i, j)
-    of the tile.  Each is one copy out of a strided window view.  When that
-    view is already contiguous (a 1x1 kernel on a contiguous input) the
-    columns are xp itself: one tile, no copy.
+    of the tile.  Each is one copy out of a strided window view.
 
-    Otherwise a tile targets TILE_BYTES of columns, or C*k*k columns if that
-    is more (each tile's GEMM repacks the weights, which have at most C*k*k
-    rows).  The target rounded down to whole images, if it holds one, or else
-    to whole rows of one image (at least one) makes a unit; a conv has as
-    many tiles as its columns fill units, rounded down, and they differ by at
-    most one image or row.  So a tile holds one to two units, and a conv
-    whose columns fill fewer than two units runs as one tile.
+    A tile targets TILE_BYTES of columns, or C*k*k columns if that is more
+    (each tile's GEMM repacks the weights, which have at most C*k*k rows).
+    The target rounded down to whole images, if it holds one, or else to
+    whole rows of one image (at least one) makes a unit; a conv has as many
+    tiles as its columns fill units, rounded down, and they differ by at most
+    one image or row.  So a tile holds one to two units, and a conv whose
+    columns fill fewer than two units runs as one tile.
     """
     c, b, h, w = xp.shape
     ho, wo = h - k + 1, w - k + 1
@@ -394,10 +392,7 @@ def _im2col_tiles(xp: np.ndarray, k: int):
     windows = np.lib.stride_tricks.as_strided(
         xp, (c, k, k, b, ho, wo), (sc, sh, sw, sb, sh, sw), writeable=False)
     rows_k = c * k * k
-    if windows.flags.c_contiguous:
-        per_tile = b * ho
-    else:
-        per_tile = max(1, max(TILE_BYTES // (rows_k * xp.itemsize), rows_k) // wo)
+    per_tile = max(1, max(TILE_BYTES // (rows_k * xp.itemsize), rows_k) // wo)
     if per_tile >= ho:
         groups = max(1, b // (per_tile // ho))
         tiles = [(slice(i * b // groups, (i + 1) * b // groups), slice(0, ho))
@@ -410,10 +405,11 @@ def _im2col_tiles(xp: np.ndarray, k: int):
         yield images, rows, np.ascontiguousarray(windows[:, :, :, images, rows]).reshape(rows_k, -1)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     """Same-padded, stride-1 cross-correlation of (B, Cin, H, W) with
-    (Cout, Cin, k, k) kernels: the input is zero-padded by k//2 on each side,
-    so the output is (B, Cout, H, W).
+    (Cout, Cin, k, k) kernels, without bias (an instance norm follows every
+    conv of the model): the input is zero-padded by k//2 on each side, so the
+    output is (B, Cout, H, W).  Any odd k is accepted; the model uses k = 3.
 
     The batch is folded into the columns of a (Cin*k*k, B*H*W) im2col matrix
     that is built and used one tile of output rows at a time
@@ -446,12 +442,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
     out_cm = np.empty((cout, b, h, w), dtype=dtype)
     for images, rows, cols in _im2col_tiles(_pad(x_cm, pad), k):
         np.matmul(w2d, cols, out=out_cm[:, images, rows].reshape(cout, -1))
-    if bias is not None:
-        out_cm += bias.data[:, None, None, None]
 
     def grad_fn(g):
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         gt = g.transpose(1, 0, 2, 3)
         dw = None
         if x.requires_grad:
@@ -479,5 +471,4 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
                 dw = part if dw is None else dw + part
             kernels.accumulate_grad(dw.reshape(kernels.shape))
 
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return graph_node(out_cm.transpose(1, 0, 2, 3), parents, grad_fn)
+    return graph_node(out_cm.transpose(1, 0, 2, 3), (x, kernels), grad_fn)

@@ -7,7 +7,7 @@ import pytest
 
 from lcfed import cli, federation
 from lcfed.checkpoint import load_checkpoint
-from lcfed.config import MODES, ExperimentConfig, apply_overrides, parse_config_text
+from lcfed.config import MODES, ExperimentConfig, apply_overrides, load_config, parse_config_text
 from lcfed.hc import head_calibration
 from lcfed.runner import read_metrics, run_experiment
 
@@ -66,6 +66,15 @@ def _validate(**changes):
     return lambda: ExperimentConfig(**changes).validate()
 
 
+def _load_file(text):
+    """Write `text` to config.txt in the working directory and load it."""
+    def call():
+        with open("config.txt", "w") as fh:
+            fh.write(text)
+        return load_config("config.txt")
+    return call
+
+
 # (call, error message); each raises ValueError
 BAD_CONFIGS = {
     "sites": (_validate(sites=0), "need at least one site"),
@@ -85,6 +94,8 @@ BAD_CONFIGS = {
                 "line 1: rounds: cannot parse integer from '3.5'"),
     "bad_float": (lambda: parse_config_text("mode = lcfed\nlr = fast\n"),
                   "line 2: lr: cannot parse float from 'fast'"),
+    "bad_file_line": (_load_file("mode = lcfed\nrounds = x\n"),
+                      "config.txt: line 2: rounds: cannot parse integer from 'x'"),
     "bad_channels_override": (lambda: apply_overrides(ExperimentConfig(), ["channels=8,x"]),
                               "override 'channels=8,x': channels: cannot parse list of "
                               "integers from '8,x'"),
@@ -102,10 +113,23 @@ BAD_CONFIGS = {
 
 
 @pytest.mark.parametrize("case", list(BAD_CONFIGS))
-def test_bad_config_is_rejected_with_a_message(case):
+def test_bad_config_is_rejected_with_a_message(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     call, message = BAD_CONFIGS[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_resume_names_the_config_file_of_a_bad_line(tmp_path, capsys):
+    run_dir = run_experiment(ExperimentConfig(**TINY, out_dir=str(tmp_path)))
+    path = os.path.join(run_dir, "config.txt")
+    with open(path) as fh:
+        lines = len(fh.readlines())
+    with open(path, "a") as fh:
+        fh.write("rounds = x\n")
+    assert cli.main(["resume", run_dir]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {lines + 1}: rounds: cannot parse integer from 'x'\n")
 
 
 # each passed validation once and failed only at round 1 or later, after

@@ -109,6 +109,16 @@ class TestGenerator:
         assert [a[2:] for a in arrays(5)] != [a[2:] for a in arrays(6)]
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_box_blur_is_the_edge_padded_window_mean(radius):
+    img = np.random.default_rng(2).random((7, 9))
+    padded = np.pad(img, radius, mode="edge")
+    size = 2 * radius + 1
+    expected = np.array([[padded[i:i + size, j:j + size].mean() for j in range(9)]
+                         for i in range(7)])
+    np.testing.assert_allclose(data._box_blur(img, radius), expected, rtol=1e-14)
+
+
 VALID_STYLE = data.default_styles(1, 1)[0]
 
 

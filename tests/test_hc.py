@@ -58,8 +58,7 @@ def head_of(heads, i, n):
 def local_head_from(heads, k, n):
     """A live PerPixelLinear holding site k's relayed head."""
     w, b = head_of(heads, k, n)
-    local = PerPixelLinear(*w.shape, np.random.default_rng(0))
-    local.weight.data[...] = w
+    local = PerPixelLinear(w.copy())
     local.bias.data[...] = b
     return local
 
@@ -98,11 +97,12 @@ class TestEvaluateHeads:
         f_data = rng.standard_normal((2, 4, 5, 5))
         g = rng.standard_normal((2, 3, 2, 5, 5))
 
-        local_a, fa = PerPixelLinear(4, 2, np.random.default_rng(5)), Tensor(f_data, requires_grad=True)
+        w0 = np.random.default_rng(5).standard_normal((4, 2))
+        local_a, fa = PerPixelLinear(w0.copy()), Tensor(f_data, requires_grad=True)
         maps = evaluate_heads(fa, heads, k, local_a)
         (maps * Tensor(g)).sum().backward()
 
-        local_b, fb = PerPixelLinear(4, 2, np.random.default_rng(5)), Tensor(f_data, requires_grad=True)
+        local_b, fb = PerPixelLinear(w0.copy()), Tensor(f_data, requires_grad=True)
         total = None
         for i in range(3):
             w, b = ((local_b.weight, local_b.bias) if i == k
@@ -119,7 +119,7 @@ class TestEvaluateHeads:
     def test_local_head_trains_foreign_heads_do_not(self, monkeypatch):
         rng = np.random.default_rng(6)
         heads = random_heads(3, 4, 1, seed=7)
-        local = PerPixelLinear(4, 1, rng)
+        local = PerPixelLinear(rng.standard_normal((4, 1)))
         parts = []
         cat = hc.concat
         monkeypatch.setattr(hc, "concat", lambda ts, axis: parts.extend(ts) or cat(ts, axis=axis))
@@ -297,6 +297,17 @@ class TestGaussianSpread:
         expected = gaussian_spread(Tensor(w), 5, 2.0).data
         np.testing.assert_allclose(u.grad, expected, rtol=1e-12)
 
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(19)
+        u = Tensor(rng.random((2, 1, 6, 6)).astype(np.float32), requires_grad=True)
+        w = rng.random(u.shape).astype(np.float32)
+        out = gaussian_spread(u, 5, 2.0)
+        (out * Tensor(w)).sum().backward()
+        assert out.dtype == u.grad.dtype == np.float32
+        for got, arg in ((out.data, u.data), (u.grad, w)):
+            want = gaussian_spread(Tensor(arg.astype(np.float64)), 5, 2.0).data
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             gaussian_spread(Tensor(np.zeros((1, 1, 4, 4))), 4, 1.0)
@@ -354,7 +365,7 @@ class TestHeadCalibration:
     def test_coarse_map_is_local_slot(self):
         rng = np.random.default_rng(24)
         heads = random_heads(3, 4, 1, seed=25)
-        local = PerPixelLinear(4, 1, rng)
+        local = PerPixelLinear(rng.standard_normal((4, 1)))
         f = Tensor(rng.standard_normal((2, 4, 8, 8)))
         coarse, f_star = head_calibration(f, heads, 1, local, delta=3, size=5, sigma=1.0)
         np.testing.assert_allclose(coarse.data, sigmoid(local(f)).data, rtol=1e-14)

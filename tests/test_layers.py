@@ -194,8 +194,8 @@ class TestPerPixelLinear:
         w = rng.standard_normal((5, 3))
         b = rng.standard_normal(3)
         out = per_pixel_linear(Tensor(x), Tensor(w), Tensor(b))
-        conv = T.conv2d(Tensor(x), Tensor(w.T.reshape(3, 5, 1, 1)), Tensor(b))
-        np.testing.assert_allclose(out.data, conv.data, rtol=1e-12)
+        conv = T.conv2d(Tensor(x), Tensor(w.T.reshape(3, 5, 1, 1)))
+        np.testing.assert_allclose(out.data, conv.data + b[None, :, None, None], rtol=1e-12)
 
     def test_single_pixel_reduces_to_fully_connected(self):
         rng = np.random.default_rng(7)
@@ -220,6 +220,33 @@ class TestPerPixelLinear:
             return float((o * o).sum())
 
         assert_grads_close(f, [x, w, b], [tx.grad, tw.grad, tb.grad])
+
+    # the layouts the up-projections pass: a block's channel-major output and a
+    # channel slice; the upstream gradient arrives non-contiguous
+    @pytest.mark.parametrize("layout", ["channel_major", "sliced"])
+    def test_non_contiguous_input_and_gradient_match_einsum_oracle(self, layout):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((3, 4, 5, 6))
+        if layout == "channel_major":
+            view = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        else:
+            big = np.zeros((3, 9, 5, 6))
+            big[:, 1:9:2] = x
+            view = big[:, 1:9:2]
+        assert not view.flags.c_contiguous
+        w, b = rng.standard_normal((4, 2)), rng.standard_normal(2)
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (view, w, b))
+        out = per_pixel_linear(tx, tw, tb)
+        np.testing.assert_allclose(
+            out.data, np.einsum("bchw,cn->bnhw", x, w) + b[None, :, None, None], rtol=1e-12)
+        # channel-major out, as conv2d's
+        assert out.data.transpose(1, 0, 2, 3).flags.c_contiguous
+        g = np.asfortranarray(rng.standard_normal(out.shape))
+        assert not g.flags.c_contiguous
+        out._grad_fn(g)
+        np.testing.assert_allclose(tx.grad, np.einsum("bnhw,cn->bchw", g, w), rtol=1e-12)
+        np.testing.assert_allclose(tw.grad, np.einsum("bchw,bnhw->cn", x, g), rtol=1e-12)
+        np.testing.assert_allclose(tb.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):

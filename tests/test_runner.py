@@ -317,6 +317,25 @@ def _damage(header=lambda meta: None, data=lambda blob: blob):
     return damage
 
 
+def _resaved(edit=lambda state: None, seed=None):
+    """Rewrite a checkpoint through save_checkpoint, with `edit` applied to
+    its state and, if given, another master seed: a well-formed file."""
+    def damage(cut, ckpt):
+        state, digest, saved_seed = checkpoint.load_checkpoint(ckpt)
+        edit(state)
+        checkpoint.save_checkpoint(ckpt, state, digest, saved_seed if seed is None else seed)
+    return damage
+
+
+def _add_a_third_site(state):
+    state.betas.append(state.betas[0])
+    state.adam_states.append(state.adam_states[0])
+
+
+def _advance_site_1_adam(meta):
+    meta["adam_t"][1] += 6
+
+
 def _flip_a_bit(blob):
     i = len(blob) // 2
     return blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1:]
@@ -343,14 +362,14 @@ BAD_RESUMES = {
     "config_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
                                                  b"\nlr = 0.0001\n", b"\nlr = 0.0002\n"),
                       ValueError, r"{ckpt}: checkpoint digest \w+ does not match config digest"),
-    "master_seed": (_damage(header=lambda meta: meta.update(seed=2)),
-                    ValueError, "{ckpt}: master seed does not match"),
+    "master_seed": (_resaved(seed=2), ValueError, "{ckpt}: master seed does not match"),
     "metrics_missing": (lambda cut, ckpt: os.remove(os.path.join(cut, "metrics.csv")),
                         FileNotFoundError, "cannot resume: {metrics} is missing"),
     "metrics_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "metrics.csv"),
                                                   b"# config ", b"# config 0"),
                        ValueError, "{metrics}: config digest does not match this run"),
-    "not_a_checkpoint": (_damage(header=lambda meta: meta.update(format="lcfed-ckpt 3")),
+    # the previous format, whose crc32 covered only the data
+    "not_a_checkpoint": (_damage(header=lambda meta: meta.update(format="lcfed-ckpt 2")),
                          ValueError, "{ckpt}: not a checkpoint file"),
     "format_1": (_as_format_1, ValueError, "{ckpt}: not a checkpoint file"),
     "data_cut_short": (_damage(data=lambda blob: blob[:-100]), ValueError,
@@ -361,8 +380,12 @@ BAD_RESUMES = {
                                    ValueError, r"{ckpt}: array entry \['g/enc1\.conv\.w', "
                                                r"'float64'\] is not \[name, dtype, shape\]"),
     "flipped_data_bit": (_damage(data=_flip_a_bit), ValueError,
-                         "{ckpt}: data section fails its crc32 check"),
-    "adam_t_of_3_sites": (_damage(header=lambda meta: meta["adam_t"].append(1)), ValueError,
+                         "{ckpt}: header and data fail their crc32 check"),
+    "edited_adam_t": (_damage(header=_advance_site_1_adam),
+                      ValueError, "{ckpt}: header and data fail their crc32 check"),
+    "edited_round": (_damage(header=lambda meta: meta.update(round=meta["round"] + 1)),
+                     ValueError, "{ckpt}: header and data fail their crc32 check"),
+    "adam_t_of_3_sites": (_resaved(_add_a_third_site), ValueError,
                           "{ckpt}: holds 3 sites; the config has 2"),
 }
 

@@ -10,7 +10,7 @@ from lcfed.tensor import Tensor
 from gradcheck import assert_grads_close, numeric_grad, rel_err
 
 
-def conv2d_loop(x, kernels, bias=None):
+def conv2d_loop(x, kernels):
     """Naive nested-loop same-padded, stride-1 cross-correlation oracle."""
     b, cin, h, w = x.shape
     cout, _, k, _ = kernels.shape
@@ -26,12 +26,12 @@ def conv2d_loop(x, kernels, bias=None):
                         for di in range(k):
                             for dj in range(k):
                                 acc += xp[bi, c, i + di, j + dj] * kernels[o, c, di, dj]
-                    out[bi, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
+                    out[bi, o, i, j] = acc
     return out
 
 
 def conv2d_grads_loop(x, kernels, g):
-    """Naive nested-loop gradients of sum(conv2d(x, kernels, bias) * g):
+    """Naive nested-loop gradients of sum(conv2d(x, kernels) * g):
     every output element scatters g into the input and kernel entries it read."""
     b, cin, h, w = x.shape
     cout, _, k, _ = kernels.shape
@@ -49,7 +49,7 @@ def conv2d_grads_loop(x, kernels, g):
                                 y, z = i + di, j + dj
                                 dxp[bi, c, y, z] += g[bi, o, i, j] * kernels[o, c, di, dj]
                                 dk[o, c, di, dj] += g[bi, o, i, j] * xp[bi, c, y, z]
-    return dxp[:, :, pad:pad + h, pad:pad + w], dk, g.sum(axis=(0, 2, 3))
+    return dxp[:, :, pad:pad + h, pad:pad + w], dk
 
 
 class TestElementwise:
@@ -147,94 +147,87 @@ class TestConv2d:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
-        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
-        np.testing.assert_allclose(out.data, conv2d_loop(x, k, b), rtol=1e-12)
+        out = T.conv2d(Tensor(x), Tensor(k))
+        np.testing.assert_allclose(out.data, conv2d_loop(x, k), rtol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((1, 2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
-        tx, tk, tb = (Tensor(a, requires_grad=True) for a in (x, k, b))
-        T.conv2d(tx, tk, tb).sum().backward()
+        tx, tk = (Tensor(a, requires_grad=True) for a in (x, k))
+        T.conv2d(tx, tk).sum().backward()
 
-        def f(x_, k_, b_):
-            return float(conv2d_loop(x_, k_, b_).sum())
+        def f(x_, k_):
+            return float(conv2d_loop(x_, k_).sum())
 
-        assert_grads_close(f, [x, k, b], [tx.grad, tk.grad, tb.grad])
+        assert_grads_close(f, [x, k], [tx.grad, tk.grad])
 
-    # (batch, cin, cout, size, k, bias); an explicit id keeps the name a case
-    # had when the table also carried stride and padding, here (1, None)
+    # (batch, cin, cout, size, k); an explicit id keeps the name a case had
+    # when the table also carried stride and padding (the "1-None") and a bias
+    # flag (the last True/False): the rows that had a bias run without one
     ORACLE_CASES = [
-        pytest.param(1, 2, 3, 5, 3, True, id="1-2-3-5-3-1-None-True"),
-        pytest.param(3, 1, 2, 6, 3, False,    # Cin = 1, no bias, B > 1
-                     id="3-1-2-6-3-1-None-False"),
-        pytest.param(2, 3, 2, 5, 1, True, id="2-3-2-5-1-1-None-True"),  # 1x1
-        (1, 2, 2, 9, 5, True),    # 5x5
-        (1, 1, 2, 2, 5, True),    # 5x5 on a 2x2 input: most taps read padding
+        pytest.param(1, 2, 3, 5, 3, id="1-2-3-5-3-1-None-True"),
+        pytest.param(3, 1, 2, 6, 3, id="3-1-2-6-3-1-None-False"),  # Cin = 1, B > 1
+        pytest.param(2, 3, 2, 5, 1, id="2-3-2-5-1-1-None-True"),   # 1x1
+        pytest.param(1, 2, 2, 9, 5, id="1-2-2-9-5-True"),          # 5x5
+        # 5x5 on a 2x2 input: most taps read padding
+        pytest.param(1, 1, 2, 2, 5, id="1-1-2-2-5-True"),
     ]
 
-    # (batch, cin, cout, size, k, bias, tile bytes): tile budgets small enough
-    # that every pass, forward and backward, splits; ids as in ORACLE_CASES
+    # (batch, cin, cout, size, k, tile bytes): tile budgets small enough that
+    # every pass, forward and backward, splits; ids as in ORACLE_CASES
     TILE_CASES = [
-        pytest.param(2, 1, 2, 7, 3, True, 1512,   # bands of 3, 4 rows (2, 2, 3 in dx)
+        pytest.param(2, 1, 2, 7, 3, 1512,   # bands of 3, 4 rows (2, 2, 3 in dx)
                      id="2-1-2-7-3-1-None-True-1512"),
-        pytest.param(5, 2, 2, 4, 3, False, 4608,  # 2 and 3 whole images per tile
+        pytest.param(5, 2, 2, 4, 3, 4608,   # 2 and 3 whole images per tile
                      id="5-2-2-4-3-1-None-False-4608"),
-        (2, 1, 3, 13, 3, True, 1008),  # one-row bands (2, 2, 2, 2, 2, 3 rows in dx)
-        (2, 1, 2, 14, 5, True, 1),     # 5x5: one-row bands (3, 4, 3, 4 rows in dx)
+        pytest.param(2, 1, 3, 13, 3, 1008,  # one-row bands (2, 2, 2, 2, 2, 3 rows in dx)
+                     id="2-1-3-13-3-True-1008"),
+        pytest.param(2, 1, 2, 14, 5, 1,     # 5x5: one-row bands (3, 4, 3, 4 rows in dx)
+                     id="2-1-2-14-5-True-1"),
     ]
 
     @staticmethod
-    def check_against_loop_oracle(b, cin, cout, size, k, with_bias):
+    def check_against_loop_oracle(b, cin, cout, size, k):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((b, cin, size, size))
         kern = rng.standard_normal((cout, cin, k, k))
-        bias = rng.standard_normal(cout) if with_bias else None
         tx, tk = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
-        tb = Tensor(bias, requires_grad=True) if with_bias else None
-        out = T.conv2d(tx, tk, tb)
-        ref = conv2d_loop(x, kern, bias)
+        out = T.conv2d(tx, tk)
+        ref = conv2d_loop(x, kern)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
         g = rng.standard_normal(ref.shape)
         (out * Tensor(g)).sum().backward()
-        dx, dk, db = conv2d_grads_loop(x, kern, g)
+        dx, dk = conv2d_grads_loop(x, kern, g)
         np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
-        if with_bias:
-            np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
 
     @staticmethod
-    def check_constant_input_against_loop_oracle(b, cin, cout, size, k, with_bias):
+    def check_constant_input_against_loop_oracle(b, cin, cout, size, k):
         # without dx there are no gradient columns: dW comes from x's own columns
         rng = np.random.default_rng(11)
         x = rng.standard_normal((b, cin, size, size))
         kern = rng.standard_normal((cout, cin, k, k))
         tk = Tensor(kern, requires_grad=True)
-        tb = Tensor(rng.standard_normal(cout), requires_grad=True) if with_bias else None
-        out = T.conv2d(Tensor(x), tk, tb)
+        out = T.conv2d(Tensor(x), tk)
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        _, dk, db = conv2d_grads_loop(x, kern, g)
+        _, dk = conv2d_grads_loop(x, kern, g)
         np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
-        if with_bias:
-            np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("b,cin,cout,size,k,with_bias", ORACLE_CASES)
-    def test_forward_and_gradients_match_loop_oracle(self, b, cin, cout, size, k, with_bias):
-        self.check_against_loop_oracle(b, cin, cout, size, k, with_bias)
+    @pytest.mark.parametrize("b,cin,cout,size,k", ORACLE_CASES)
+    def test_forward_and_gradients_match_loop_oracle(self, b, cin, cout, size, k):
+        self.check_against_loop_oracle(b, cin, cout, size, k)
 
-    @pytest.mark.parametrize("b,cin,cout,size,k,with_bias", ORACLE_CASES)
-    def test_constant_input_kernel_gradient_matches_loop_oracle(self, b, cin, cout, size, k,
-                                                                with_bias):
-        self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, with_bias)
+    @pytest.mark.parametrize("b,cin,cout,size,k", ORACLE_CASES)
+    def test_constant_input_kernel_gradient_matches_loop_oracle(self, b, cin, cout, size, k):
+        self.check_constant_input_against_loop_oracle(b, cin, cout, size, k)
 
     @pytest.mark.parametrize("constant_input", [False, True])
-    @pytest.mark.parametrize("b,cin,cout,size,k,with_bias,tile_bytes", TILE_CASES)
+    @pytest.mark.parametrize("b,cin,cout,size,k,tile_bytes", TILE_CASES)
     def test_tiled_passes_match_loop_oracle(self, monkeypatch, b, cin, cout, size, k,
-                                            with_bias, tile_bytes, constant_input):
+                                            tile_bytes, constant_input):
         monkeypatch.setattr(T, "TILE_BYTES", tile_bytes)
         # label each tile of columns with the pass that used it
         tiles, phase = [], ["forward"]
@@ -254,9 +247,9 @@ class TestConv2d:
 
         monkeypatch.setattr(T, "conv2d", conv2d_then_backward)
         if constant_input:
-            self.check_constant_input_against_loop_oracle(b, cin, cout, size, k, with_bias)
+            self.check_constant_input_against_loop_oracle(b, cin, cout, size, k)
         else:
-            self.check_against_loop_oracle(b, cin, cout, size, k, with_bias)
+            self.check_against_loop_oracle(b, cin, cout, size, k)
         assert tiles.count("forward") > 1 and tiles.count("backward") > 1
 
     @pytest.mark.parametrize("layout", ["channel_major", "sliced"])
@@ -276,7 +269,7 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, conv2d_loop(x, kern), rtol=1e-12)
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        dx, dk, _ = conv2d_grads_loop(x, kern, g)
+        dx, dk = conv2d_grads_loop(x, kern, g)
         np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
 
@@ -285,19 +278,15 @@ class TestConv2d:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 3, 5, 5))
         kern = rng.standard_normal((4, 3, 3, 3))
-        bias = rng.standard_normal(4)
-        tx = Tensor(x, requires_grad=x_tracks)
-        tk, tb = Tensor(kern, requires_grad=True), Tensor(bias, requires_grad=True)
-        out = T.conv2d(tx, tk, tb)
+        tx, tk = Tensor(x, requires_grad=x_tracks), Tensor(kern, requires_grad=True)
+        out = T.conv2d(tx, tk)
         g = rng.standard_normal(out.shape)
         for g_view in (np.asfortranarray(g), np.ascontiguousarray(g[:, ::-1])[:, ::-1]):
             assert not g_view.flags.c_contiguous
-            for t in (tx, tk, tb):
-                t.grad = None if t is tx else np.zeros_like(t.data)
+            tx.grad, tk.grad = None, np.zeros_like(kern)
             out._grad_fn(g_view)
-            dx, dk, db = conv2d_grads_loop(x, kern, g)
+            dx, dk = conv2d_grads_loop(x, kern, g)
             np.testing.assert_allclose(tk.grad, dk, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(tb.grad, db, rtol=1e-12, atol=1e-12)
             if x_tracks:
                 np.testing.assert_allclose(tx.grad, dx, rtol=1e-12, atol=1e-12)
             else:
@@ -317,13 +306,9 @@ class TestConv2d:
         assert out.requires_grad
         assert retained < cols_bytes
 
-    def test_1x1_stride_1_columns_of_a_contiguous_input_are_one_uncopied_tile(
-            self, monkeypatch):
+    def test_1x1_columns_of_a_non_contiguous_input_are_copied_tiles(self, monkeypatch):
         monkeypatch.setattr(T, "TILE_BYTES", 1)
         xp = np.random.default_rng(18).standard_normal((3, 4, 5, 5))
-        tiles = list(T._im2col_tiles(xp, 1))
-        assert len(tiles) == 1 and np.shares_memory(tiles[0][2], xp)
-        # the same kernel on a non-contiguous input copies, so it tiles
         view = xp[:, :, ::2, ::2]
         tiles = list(T._im2col_tiles(view, 1))
         assert len(tiles) > 1 and not any(np.shares_memory(t[2], xp) for t in tiles)
@@ -384,9 +369,8 @@ class TestConv2d:
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 2, 5, 5)))
         tk = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        tb = Tensor(np.zeros(3))
-        T.conv2d(x, tk, tb).sum().backward()
-        assert x.grad is None and tb.grad is None
+        T.conv2d(x, tk).sum().backward()
+        assert x.grad is None
         assert np.any(tk.grad)
 
     def test_channel_mismatch(self):
