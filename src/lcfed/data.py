@@ -215,16 +215,12 @@ def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
 
 
 def site_data_from_samples(samples: list) -> SiteData:
-    train = [s for s in samples if s.split == "train"]
-    test = [s for s in samples if s.split == "test"]
+    """Stack one site's samples by split; each split needs at least one."""
+    def stack(split):
+        group = [s for s in samples if s.split == split]
+        return np.stack([s.image for s in group])[:, None, :, :], np.stack([s.mask for s in group])
 
-    def stack(group):
-        imgs = np.stack([s.image for s in group])[:, None, :, :]
-        masks = np.stack([s.mask for s in group])
-        return imgs, masks
-
-    tri, trm = stack(train) if train else (np.zeros((0, 1, 1, 1)), np.zeros((0, 1, 1, 1)))
-    tei, tem = stack(test) if test else (np.zeros((0, 1, 1, 1)), np.zeros((0, 1, 1, 1)))
+    (tri, trm), (tei, tem) = stack("train"), stack("test")
     return SiteData(train_images=tri, train_masks=trm, test_images=tei, test_masks=tem)
 
 
@@ -354,12 +350,3 @@ def load_directory(manifest_path: str) -> list:
                                   mask=(mask >= 0.5).astype(np.float64)[None],
                                   site=int(site), split=split))
     return samples
-
-
-def sites_from_samples(samples: list) -> list:
-    """Group loaded samples into per-site data; sites must be 0..K-1."""
-    if not samples:
-        raise ValueError("empty dataset")
-    n_sites = max(s.site for s in samples) + 1
-    return [site_data_from_samples([s for s in samples if s.site == k])
-            for k in range(n_sites)]

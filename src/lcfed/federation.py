@@ -27,6 +27,7 @@ from .config import MODES, ExperimentConfig, Mode
 from .data import SiteData
 from .hc import head_calibration
 from .losses import LOSS_TERMS, LossBreakdown, dice_loss, joint_loss
+from .metrics import evaluate_site
 from .model import SegmentationModel
 from .optim import Adam
 from .tensor import Tensor, sigmoid
@@ -93,7 +94,7 @@ def build_clients(cfg: ExperimentConfig) -> list:
     clients = []
     for _ in range(cfg.sites if cfg.parallel_clients else 1):
         model = new_model(cfg, np.random.default_rng(0))
-        opt = Adam(((n, t) for n, t, _ in model.named_parameters()), lr=cfg.lr)
+        opt = Adam(model.params.items(), lr=cfg.lr)
         clients.append(Client(model=model, optimizer=opt))
     return clients
 
@@ -134,16 +135,16 @@ def _forward(client: Client, xb: np.ndarray, heads: tuple, site: int, cfg: Exper
     skips, deep = model.encode(Tensor(xb))
     gates = None
     if mode.pcs:
-        gates = pcs.augment_embedding(model.pcs_gen, deep)
+        gates = pcs.augment_embedding(model.pcsgen, deep)
         deep = pcs.select_channels(deep, gates[site])
     f_hat = model.decode(deep, skips)
     if mode.hc:
         coarse, f_star = head_calibration(
-            f_hat, heads, site, model.coarse_head,
+            f_hat, heads, site, model.params["head_coarse.w"], model.params["head_coarse.b"],
             delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
     else:
-        coarse, f_star = sigmoid(model.coarse_head(f_hat)), f_hat
-    return gates, coarse, sigmoid(model.calib_head(f_star))
+        coarse, f_star = sigmoid(model.head("head_coarse", f_hat)), f_hat
+    return gates, coarse, sigmoid(model.head("head_calib", f_star))
 
 
 def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
@@ -245,8 +246,6 @@ def run_round(state: FederationState, clients: list, datasets: list,
 def evaluate_clients(state: FederationState, clients: list, datasets: list,
                      cfg: ExperimentConfig) -> list:
     """Per-site reports on the calibrated map, threshold 0.5."""
-    from .metrics import evaluate_site
-
     dtype = np_dtype(cfg)
     heads = relayed_heads(state)
     reports = []

@@ -2,11 +2,12 @@
 
 Every site's coarse head is evaluated on the local feature in one GEMM: the
 server relays the K heads already stacked side by side into one (C, K*N)
-weight and (K*N,) bias, and the local head's live parameters take site k's
-columns.  The per-pixel deviation of the local prediction from the full set
-becomes a disagreement map (one graph node with an analytic backward),
-sharpened by window-max suppression, spread by a peak-normalized Gaussian, and
-applied as residual spatial attention before the calibrated head.  The relayed
+weight and (K*N,) bias, and the local coarse head's live weight and bias
+tensors (from the model's parameter table) take site k's columns.  The
+per-pixel deviation of the local prediction from the full set becomes a
+disagreement map (one graph node with an analytic backward), sharpened by
+window-max suppression, spread by a peak-normalized Gaussian, and applied as
+residual spatial attention before the calibrated head.  The relayed
 heads' shapes and dtypes are checked once, when a checkpoint is resumed, not
 here on every step.
 """
@@ -20,21 +21,22 @@ from .layers import per_pixel_linear
 from .tensor import Tensor, concat, graph_node, sigmoid
 
 
-def evaluate_heads(f_hat: Tensor, heads: tuple, k: int, local_head) -> Tensor:
+def evaluate_heads(f_hat: Tensor, heads: tuple, k: int, weight: Tensor,
+                   bias: Tensor) -> Tensor:
     """Segmentation maps (B, K, N, H, W) from every site's coarse head on the
     local feature, in one GEMM over `heads`, the relayed (C, K*N) weight and
     (K*N,) bias.
 
-    Site k's columns k*N..(k+1)*N-1 hold the local head's own parameters,
-    evaluated live so it keeps training; the other sites' columns enter as
-    constants, so no gradient is computed for parameters the local site does
-    not own.
+    Site k's columns k*N..(k+1)*N-1 hold the local coarse head's own `weight`
+    and `bias` tensors, evaluated live so the head keeps training; the other
+    sites' columns enter as constants, so no gradient is computed for
+    parameters the local site does not own.
     """
-    n = local_head.bias.shape[0]
+    n = bias.shape[0]
     lo, hi = k * n, (k + 1) * n
-    weight, bias = heads
-    w = concat([Tensor(weight[:, :lo]), local_head.weight, Tensor(weight[:, hi:])], axis=1)
-    b = concat([Tensor(bias[:lo]), local_head.bias, Tensor(bias[hi:])], axis=0)
+    relayed_w, relayed_b = heads
+    w = concat([Tensor(relayed_w[:, :lo]), weight, Tensor(relayed_w[:, hi:])], axis=1)
+    b = concat([Tensor(relayed_b[:lo]), bias, Tensor(relayed_b[hi:])], axis=0)
     s = sigmoid(per_pixel_linear(f_hat, w, b))
     bsz, _, h, wd = s.shape
     return s.reshape(bsz, -1, n, h, wd)
@@ -131,10 +133,11 @@ def calibrate(f_hat: Tensor, attention: Tensor) -> Tensor:
     return f_hat * attention_from_classes(attention) + f_hat
 
 
-def head_calibration(f_hat: Tensor, heads: tuple, k: int, local_head,
+def head_calibration(f_hat: Tensor, heads: tuple, k: int, weight: Tensor, bias: Tensor,
                      delta: int, size: int, sigma: float):
-    """Full HC pipeline; returns (local coarse map, calibrated feature)."""
-    maps = evaluate_heads(f_hat, heads, k, local_head)
+    """Full HC pipeline with the local coarse head's `weight` and `bias`;
+    returns (local coarse map, calibrated feature)."""
+    maps = evaluate_heads(f_hat, heads, k, weight, bias)
     u = disagreement_map(maps, k)
     attention = gaussian_spread(nms2d(u, delta), size, sigma)
     return maps[:, k], calibrate(f_hat, attention)

@@ -1,21 +1,16 @@
-"""Composable layers on top of the tensor engine.
+"""Functional layer ops on top of the tensor engine.
 
-A layer owns named parameter tensors.  It does not decide how federation
-treats them: the model prefixes each name with the layer's place in the
-network, and a mode's row in `config.MODES` picks the local parameters by
-those full names.
+Each op takes its parameters as tensor arguments and owns none: the model
+holds every parameter in one name table (`model.SegmentationModel.params`)
+and passes the tensors in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, conv2d, graph_node, linear, relu
+from .tensor import Tensor, graph_node
 
-
-# ---------------------------------------------------------------------------
-# functional ops
-# ---------------------------------------------------------------------------
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance, then scale by gamma and shift
@@ -143,81 +138,3 @@ def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             x.accumulate_grad((w.data @ g_cm).reshape(c, b, h, w_sp).transpose(1, 0, 2, 3))
 
     return graph_node(out_cm.reshape(n, b, h, w_sp).transpose(1, 0, 2, 3), (x, w, bias), grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# parameter-carrying layers
-# ---------------------------------------------------------------------------
-
-class Layer:
-    """Base for layers owning named parameters."""
-
-    def __init__(self):
-        self._params: list[tuple[str, Tensor]] = []
-
-    def _register(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data, requires_grad=True)
-        self._params.append((name, t))
-        return t
-
-    def parameters(self):
-        return list(self._params)
-
-
-def conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
-    """He-normal (Cout, Cin, k, k) kernels."""
-    std = np.sqrt(2.0 / (cin * k * k))
-    return (rng.standard_normal((cout, cin, k, k)) * std).astype(dtype)
-
-
-class Linear(Layer):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float64):
-        super().__init__()
-        std = np.sqrt(2.0 / cin)
-        self.weight = self._register("w", (rng.standard_normal((cin, cout)) * std).astype(dtype))
-        self.bias = self._register("b", np.zeros(cout, dtype=dtype))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
-
-
-class InstanceNorm(Layer):
-    def __init__(self, channels: int, dtype=np.float64, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = self._register("g", np.ones(channels, dtype=dtype))
-        self.beta = self._register("o", np.zeros(channels, dtype=dtype))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return instance_norm(x, self.gamma, self.beta, eps=self.eps)
-
-
-class PerPixelLinear(Layer):
-    """A (C, N) weight and zero (N,) bias applied at every pixel; the caller
-    draws the initial weight."""
-
-    def __init__(self, weight: np.ndarray):
-        super().__init__()
-        self.weight = self._register("w", weight)
-        self.bias = self._register("b", np.zeros(weight.shape[1], dtype=weight.dtype))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return per_pixel_linear(x, self.weight, self.bias)
-
-
-class ConvBlock(Layer):
-    """conv3x3 -> instance norm -> relu.
-
-    The convolution has no bias: the norm subtracts each channel's mean, so a
-    bias would cancel in the forward pass and get an exactly-zero gradient.
-    """
-
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float64):
-        super().__init__()
-        self.weight = self._register("conv.w", conv_kernels(cin, cout, 3, rng, dtype))
-        self.norm = InstanceNorm(cout, dtype)
-        for name, t in self.norm.parameters():
-            self._params.append((f"norm.{name}", t))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return relu(self.norm(conv2d(x, self.weight)))

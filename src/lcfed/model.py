@@ -1,23 +1,33 @@
-"""U-shaped segmentation network with named parameters.
+"""U-shaped segmentation network over one table of named parameters.
 
 Five encoding stages (3x3 conv block + 2x max pool between), matching
 decoder stages (1x1 up-projection, 2x upsampling, skip concatenation, conv
 block), a channel-selection generator attached at the deepest feature, and
 two heads: a coarse head and a calibrated head applied after the
-disagreement-gated feature.  Every 1x1 map, up-projection or head, is a
-`layers.PerPixelLinear` with a (Cin, Cout) weight and a bias.  Parameter
-names say where each one sits (``enc<i>.*``, ``up<i>.*``, ``dec<i>.*``,
-``pcsgen.*``, ``head_coarse.*``, ``head_calib.*``); a mode's row in
-`config.MODES` picks its local parameters by these names.
+disagreement-gated feature.  A conv block is conv3x3 -> instance norm ->
+relu; every 1x1 map, up-projection or head, is a `layers.per_pixel_linear`
+with a (Cin, Cout) weight and a bias.
+
+`SegmentationModel.__init__` names and draws every parameter in one ordered
+table, `params`.  Names say where each one sits (``enc<i>.*``, ``up<i>.*``,
+``dec<i>.*``, ``pcsgen.*``, ``head_coarse.*``, ``head_calib.*``); a mode's row
+in `config.MODES` picks its local parameters by these names, and the table's
+order is the checkpoint's array order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import ConvBlock, PerPixelLinear, conv_kernels, max_pool2x2, upsample_nearest2x
-from .pcs import PCSGenerator
-from .tensor import Tensor, concat
+from .layers import instance_norm, max_pool2x2, per_pixel_linear, upsample_nearest2x
+from .pcs import generator_params
+from .tensor import Tensor, concat, conv2d, relu
+
+
+def conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
+    """He-normal (Cout, Cin, k, k) kernels."""
+    std = np.sqrt(2.0 / (cin * k * k))
+    return (rng.standard_normal((cout, cin, k, k)) * std).astype(dtype)
 
 
 class SegmentationModel:
@@ -26,64 +36,57 @@ class SegmentationModel:
     def __init__(self, channels: tuple, classes: int, n_sites: int,
                  rng: np.random.Generator, dtype=np.float64, pcs: bool = True):
         ch = channels
+        arrays = {}
 
-        self.encoders = []
-        cin = 1   # grayscale input
-        for c in ch:
-            self.encoders.append(ConvBlock(cin, c, rng, dtype))
-            cin = c
+        def block(prefix, cin, cout):
+            # the conv has no bias: the norm subtracts each channel's mean, so
+            # a bias would cancel in the forward pass and get a zero gradient
+            arrays[f"{prefix}.conv.w"] = conv_kernels(cin, cout, 3, rng, dtype)
+            arrays[f"{prefix}.norm.g"] = np.ones(cout, dtype=dtype)
+            arrays[f"{prefix}.norm.o"] = np.zeros(cout, dtype=dtype)
 
-        # decoder mirrors the encoder: 1x1 projection, upsample, skip concat, conv block
-        self.up_projs = []
-        self.decoders = []
-        for i in range(len(ch) - 2, -1, -1):
+        def per_pixel(prefix, weight):
+            arrays[f"{prefix}.w"] = weight
+            arrays[f"{prefix}.b"] = np.zeros(weight.shape[1], dtype=dtype)
+
+        for i, c in enumerate(ch):
+            block(f"enc{i}", ch[i - 1] if i else 1, c)   # grayscale input
+        # the decoder mirrors the encoder: 1x1 projection, upsample, skip concat, conv block
+        for i, lvl in enumerate(range(len(ch) - 2, -1, -1)):
             # He-normal, drawn in (Cout, Cin) order (the golden pins fix these
             # draws) and stored as a (Cin, Cout) map like the heads' weights
-            kernels = conv_kernels(ch[i + 1], ch[i], 1, rng, dtype)
-            self.up_projs.append(PerPixelLinear(np.ascontiguousarray(kernels[:, :, 0, 0].T)))
-            self.decoders.append(ConvBlock(2 * ch[i], ch[i], rng, dtype))
-
+            kernels = conv_kernels(ch[lvl + 1], ch[lvl], 1, rng, dtype)
+            per_pixel(f"up{i}", np.ascontiguousarray(kernels[:, :, 0, 0].T))
+            block(f"dec{i}", 2 * ch[lvl], ch[lvl])
         # drawn even without PCS, so the heads get the same numbers either way
-        pcs_gen = PCSGenerator(n_sites, ch[-1], rng, dtype)
-        self.pcs_gen = pcs_gen if pcs else None
-        std = np.sqrt(1.0 / ch[0])
-        self.coarse_head, self.calib_head = (
-            PerPixelLinear((rng.standard_normal((ch[0], classes)) * std).astype(dtype))
-            for _ in range(2))
-
-        self._named = []
-        for i, enc in enumerate(self.encoders):
-            self._collect(f"enc{i}", enc)
-        for i, (proj, dec) in enumerate(zip(self.up_projs, self.decoders)):
-            self._collect(f"up{i}", proj)
-            self._collect(f"dec{i}", dec)
+        generator = generator_params(n_sites, ch[-1], rng, dtype)
         if pcs:
-            self._collect("pcsgen", pcs_gen)
-        self._collect("head_coarse", self.coarse_head)
-        self._collect("head_calib", self.calib_head)
-        names = [n for n, _, _ in self._named]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate parameter names in model")
+            arrays.update({f"pcsgen.{n}": a for n, a in generator.items()})
+        std = np.sqrt(1.0 / ch[0])
+        for head in ("head_coarse", "head_calib"):
+            per_pixel(head, (rng.standard_normal((ch[0], classes)) * std).astype(dtype))
 
-    def _collect(self, prefix: str, layer):
-        for name, t in layer.parameters():
-            self._named.append((f"{prefix}.{name}", t, layer))
+        self.depth = len(ch)
+        self.params = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
+        # the generator's tensors under its own names, for `pcs.augment_embedding`
+        self.pcsgen = ({n: self.params[f"pcsgen.{n}"] for n in generator} if pcs
+                       else None)
 
     # -- parameter plumbing ---------------------------------------------------
 
     def named_parameters(self):
-        """(name, tensor, layer) triples in registration order; the owning
-        layer fills the third slot, which `perfbench/tracer.py` unpacks."""
-        return list(self._named)
+        """(name, tensor, stage) triples in table order; the stage is the
+        name's first component (``enc0``, ``pcsgen``, ``head_coarse``), and
+        `perfbench/tracer.py` unpacks the triple."""
+        return [(n, t, n.split(".", 1)[0]) for n, t in self.params.items()]
 
     def get_params(self) -> dict:
-        """Copy out {name: array} for every parameter, in registration order."""
-        return {n: t.data.copy() for n, t, _ in self._named}
+        """Copy out {name: array} for every parameter, in table order."""
+        return {n: t.data.copy() for n, t in self.params.items()}
 
     def load_params(self, values: dict):
-        by_name = {n: t for n, t, _ in self._named}
         for name, arr in values.items():
-            t = by_name.get(name)
+            t = self.params.get(name)
             if t is None:
                 raise ValueError(f"model has no parameter {name!r}")
             if t.data.shape != arr.shape:
@@ -92,21 +95,29 @@ class SegmentationModel:
 
     # -- forward pieces ---------------------------------------------------------
 
+    def _block(self, prefix: str, x: Tensor) -> Tensor:
+        p = self.params
+        return relu(instance_norm(conv2d(x, p[f"{prefix}.conv.w"]),
+                                  p[f"{prefix}.norm.g"], p[f"{prefix}.norm.o"]))
+
+    def head(self, prefix: str, f: Tensor) -> Tensor:
+        """The logits of head `prefix` (``head_coarse`` or ``head_calib``)."""
+        return per_pixel_linear(f, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
+
     def encode(self, x: Tensor):
         """Returns (skip features, deepest feature)."""
         skips = []
-        f = x
-        for i, enc in enumerate(self.encoders):
-            f = enc(f)
-            if i < len(self.encoders) - 1:
-                skips.append(f)
-                f = max_pool2x2(f)
+        f = self._block("enc0", x)
+        for i in range(1, self.depth):
+            skips.append(f)
+            f = self._block(f"enc{i}", max_pool2x2(f))
         return skips, f
 
     def decode(self, f: Tensor, skips) -> Tensor:
-        for proj, dec, skip in zip(self.up_projs, self.decoders, reversed(skips)):
+        p = self.params
+        for i, skip in enumerate(reversed(skips)):
             # nearest upsampling commutes with the per-pixel 1x1 projection, so
             # projecting first gives the same values on a quarter of the pixels
-            f = upsample_nearest2x(proj(f))
-            f = dec(concat([skip, f], axis=1))
+            f = upsample_nearest2x(per_pixel_linear(f, p[f"up{i}.w"], p[f"up{i}.b"]))
+            f = self._block(f"dec{i}", concat([skip, f], axis=1))
         return f

@@ -1,53 +1,59 @@
 """Personalized channel selection.
 
 Each site carries a fixed one-hot identity vector.  A small generator extends
-it to channel width, fuses it with a global-average descriptor of the deepest
-encoder feature, and emits a sigmoid gate used for residual channel selection
-f' = f + f * gate.  One generator pass over the K*B identity rows (the
-descriptor repeated once per site) yields every site's gate as a (K, B, C)
-tensor; site k selects with `gates[k]`.  A contrast term pushes site k's gate
-away from all K gates, which enter as constants, so no gradient flows through
-the foreign branches.
+it to channel width (two FC layers with an instance norm and relu between),
+fuses it with a global-average descriptor of the deepest encoder feature, and
+emits a sigmoid gate used for residual channel selection f' = f + f * gate.
+One generator pass over the K*B identity rows (the descriptor repeated once per
+site) yields every site's gate as a (K, B, C) tensor; site k selects with
+`gates[k]`.  A contrast term pushes site k's gate away from all K gates, which
+enter as constants, so no gradient flows through the foreign branches.  The
+generator's parameters are plain arrays named by `generator_params`; the
+model stores them under the ``pcsgen.`` prefix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import Layer, Linear, InstanceNorm
-from .tensor import Tensor, concat, global_average_pool, relu, sigmoid, stop_gradient
+from .layers import instance_norm
+from .tensor import Tensor, concat, global_average_pool, linear, relu, sigmoid, stop_gradient
 
 
-class PCSGenerator(Layer):
-    """Extension (two FC with instance norm + relu between) and gating fusion."""
+def generator_params(n_sites: int, channels: int, rng: np.random.Generator,
+                     dtype=np.float64) -> dict:
+    """The generator's initial arrays under its own names: extension fc1
+    (one-hot identity -> channels), instance norm, fc2, and the fusion fc over
+    [descriptor, extension].  The FC weights are He-normal (Cin, Cout), drawn
+    fc1, fc2, fuse; the biases and the norm's shift start at 0, its scale at 1.
+    """
+    def he(cin, cout):
+        return (rng.standard_normal((cin, cout)) * np.sqrt(2.0 / cin)).astype(dtype)
 
-    def __init__(self, n_sites: int, channels: int, rng: np.random.Generator, dtype=np.float64):
-        super().__init__()
-        self.n_sites = n_sites
-        self.channels = channels
-        self.fc1 = Linear(n_sites, channels, rng, dtype)
-        self.norm = InstanceNorm(channels, dtype)
-        self.fc2 = Linear(channels, channels, rng, dtype)
-        self.fuse = Linear(2 * channels, channels, rng, dtype)
-        for prefix, child in (("fc1", self.fc1), ("norm", self.norm),
-                              ("fc2", self.fc2), ("fuse", self.fuse)):
-            for name, t in child.parameters():
-                self._params.append((f"{prefix}.{name}", t))
+    def zeros():
+        return np.zeros(channels, dtype=dtype)
 
-    def extend(self, xi_rows: Tensor) -> Tensor:
-        return self.fc2(relu(self.norm(self.fc1(xi_rows))))
+    return {"fc1.w": he(n_sites, channels), "fc1.b": zeros(),
+            "norm.g": np.ones(channels, dtype=dtype), "norm.o": zeros(),
+            "fc2.w": he(channels, channels), "fc2.b": zeros(),
+            "fuse.w": he(2 * channels, channels), "fuse.b": zeros()}
 
 
-def augment_embedding(gen: PCSGenerator, f: Tensor) -> Tensor:
+def augment_embedding(p: dict, f: Tensor) -> Tensor:
     """Every site's gate in (0,1)^(K x B x C) from its one-hot identity and the
-    feature statistics; row k*B + b of the generator pass is site k, sample b."""
-    if f.ndim != 4 or f.shape[1] != gen.channels:
-        raise ValueError(f"feature shape {f.shape} incompatible with {gen.channels} channels")
-    k, b = gen.n_sites, f.shape[0]
+    feature statistics; `p` holds the generator's tensors under the names of
+    `generator_params`.  Row k*B + b of the generator pass is site k, sample b."""
+    k, c = p["fc1.w"].shape
+    if f.ndim != 4 or f.shape[1] != c:
+        raise ValueError(f"feature shape {f.shape} incompatible with {c} channels")
+    b = f.shape[0]
     identities = Tensor(np.repeat(np.eye(k, dtype=f.dtype), b, axis=0))
     descriptors = concat([global_average_pool(f)] * k, axis=0)
-    fused = gen.fuse(concat([descriptors, gen.extend(identities)], axis=1))
-    return sigmoid(fused).reshape(k, b, gen.channels)
+    hidden = relu(instance_norm(linear(identities, p["fc1.w"], p["fc1.b"]),
+                                p["norm.g"], p["norm.o"]))
+    extended = linear(hidden, p["fc2.w"], p["fc2.b"])
+    fused = linear(concat([descriptors, extended], axis=1), p["fuse.w"], p["fuse.b"])
+    return sigmoid(fused).reshape(k, b, c)
 
 
 def select_channels(f: Tensor, xi_hat: Tensor) -> Tensor:

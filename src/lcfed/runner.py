@@ -21,7 +21,7 @@ import numpy as np
 from . import data as data_mod
 from . import federation
 from .checkpoint import check_arrays, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .config import ExperimentConfig, load_config
 from .losses import LOSS_TERMS
 
 CSV_HEADER = ",".join(["round", "site", "iou", "assd"] + [f"loss_{t}" for t in LOSS_TERMS])
@@ -52,14 +52,16 @@ def build_datasets(cfg: ExperimentConfig) -> list:
                 raise ValueError(
                     f"manifest {cfg.manifest}: a site {s.site} {s.split} image is {h}x{w}px "
                     f"but config expects {cfg.image_size}x{cfg.image_size}px")
-        sites = data_mod.sites_from_samples(samples)
-        if len(sites) != cfg.sites:
-            raise ValueError(
-                f"manifest has {len(sites)} sites but config expects {cfg.sites}")
-        for k, site in enumerate(sites):
-            for split, images in (("train", site.train_images), ("test", site.test_images)):
-                if len(images) == 0:
+        n_sites = max(s.site for s in samples) + 1
+        if n_sites != cfg.sites:
+            raise ValueError(f"manifest has {n_sites} sites but config expects {cfg.sites}")
+        present = {(s.site, s.split) for s in samples}
+        for k in range(n_sites):
+            for split in ("train", "test"):
+                if (k, split) not in present:
                     raise ValueError(f"manifest {cfg.manifest}: site {k} has no {split} samples")
+        sites = [data_mod.site_data_from_samples([s for s in samples if s.site == k])
+                 for k in range(n_sites)]
         classes = sites[0].train_masks.shape[1]
         if classes != cfg.classes:
             raise ValueError(
@@ -174,11 +176,13 @@ def _truncate_metrics(out_dir: str, keep_up_to_round: int, digest: str):
 
 def resume_experiment(run_dir: str, checkpoint_path: str | None = None) -> str:
     """Continue a run from its latest (or a given) checkpoint."""
-    from .config import load_config
-
-    cfg = load_config(os.path.join(run_dir, "config.txt"))
+    config_path = os.path.join(run_dir, "config.txt")
+    cfg = load_config(config_path)
     cfg.out_dir = run_dir
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as err:
+        raise ValueError(f"{config_path}: {err}") from None
     if checkpoint_path is None:
         ckpt_dir = os.path.join(run_dir, "checkpoints")
         # the latest round by number: round_10000 sorts before round_9999

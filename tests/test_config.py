@@ -179,8 +179,7 @@ def test_mode_row_decides_what_is_averaged_and_what_runs(mode, tmp_path, monkeyp
     assert bool(calibrations) == row.hc
     state, _, _ = load_checkpoint(os.path.join(run_dir, "checkpoints", "round_0001.ckpt"))
 
-    names = [n for n, _, _ in
-             federation.new_model(cfg, np.random.default_rng(0)).named_parameters()]
+    names = list(federation.new_model(cfg, np.random.default_rng(0)).params)
     local = {"local": names, "fedavg": []}.get(mode, HEADS)
     assert [n for n in names if row.is_local(n)] == local
     assert list(state.theta_g.values) == [n for n in names if n not in local]

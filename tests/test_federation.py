@@ -71,8 +71,7 @@ def test_a_vessel_that_trained_another_site_gives_the_same_update_as_a_fresh_one
 def test_initial_state_holds_zero_moments_for_every_site():
     cfg = ExperimentConfig(**TINY)
     state = federation.initial_state(cfg)
-    names = [n for n, _, _ in federation.new_model(cfg, np.random.default_rng(0))
-             .named_parameters()]
+    names = list(federation.new_model(cfg, np.random.default_rng(0)).params)
     assert len(state.adam_states) == cfg.sites
     for adam in state.adam_states:
         assert adam["t"] == 0

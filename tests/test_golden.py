@@ -171,11 +171,11 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     loss.joint.backward()
 
     assert float(loss.joint.data) == pytest.approx(PINNED_STEP_JOINT, rel=RTOL, abs=0)
-    params = [t for _, t, _ in client.model.named_parameters()]
+    params = list(client.model.params.values())
     foreign = [t for t in stacked if not any(t is p for p in params)]
     assert len(inputs) == 1 and len(foreign) == 4   # weight and bias, left and right
     for t in inputs + foreign:
         assert t.grad is None
     grads = {n: (float(t.grad.sum()), float(np.abs(t.grad).sum()))
-             for n, t, _ in client.model.named_parameters()}
+             for n, t in client.model.params.items()}
     assert_sums_match(grads, PINNED_GRADS)

@@ -5,7 +5,7 @@ from lcfed import hc
 from lcfed.hc import (
     calibrate, disagreement_map, evaluate_heads, gaussian_spread, head_calibration, nms2d,
 )
-from lcfed.layers import PerPixelLinear, per_pixel_linear
+from lcfed.layers import per_pixel_linear
 from lcfed.tensor import Tensor, sigmoid
 
 from gradcheck import assert_grads_close
@@ -55,12 +55,16 @@ def head_of(heads, i, n):
     return w[:, i * n:(i + 1) * n], b[i * n:(i + 1) * n]
 
 
+def live_head(w, b=None):
+    """A local coarse head's live (C, N) weight and (N,) bias tensors; the
+    bias defaults to zeros, as the model initializes it."""
+    b = np.zeros(w.shape[1]) if b is None else b
+    return Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+
+
 def local_head_from(heads, k, n):
-    """A live PerPixelLinear holding site k's relayed head."""
-    w, b = head_of(heads, k, n)
-    local = PerPixelLinear(w.copy())
-    local.bias.data[...] = b
-    return local
+    """Live (weight, bias) tensors holding site k's relayed head."""
+    return live_head(*head_of(heads, k, n))
 
 
 def stacked(*arrays):
@@ -79,7 +83,7 @@ class TestEvaluateHeads:
         w, b = random_heads(1, 4, 2, seed=1)
         heads = np.tile(w, 3), np.tile(b, 3)
         f = Tensor(np.random.default_rng(2).standard_normal((2, 4, 5, 5)))
-        maps = evaluate_heads(f, heads, 1, local_head_from(heads, 1, 2)).data
+        maps = evaluate_heads(f, heads, 1, *local_head_from(heads, 1, 2)).data
         assert maps.shape == (2, 3, 2, 5, 5)
         np.testing.assert_array_equal(maps[:, 0], maps[:, 1])
         np.testing.assert_array_equal(maps[:, 1], maps[:, 2])
@@ -98,14 +102,14 @@ class TestEvaluateHeads:
         g = rng.standard_normal((2, 3, 2, 5, 5))
 
         w0 = np.random.default_rng(5).standard_normal((4, 2))
-        local_a, fa = PerPixelLinear(w0.copy()), Tensor(f_data, requires_grad=True)
-        maps = evaluate_heads(fa, heads, k, local_a)
+        (wa, ba), fa = live_head(w0), Tensor(f_data, requires_grad=True)
+        maps = evaluate_heads(fa, heads, k, wa, ba)
         (maps * Tensor(g)).sum().backward()
 
-        local_b, fb = PerPixelLinear(w0.copy()), Tensor(f_data, requires_grad=True)
+        (wb, bb), fb = live_head(w0), Tensor(f_data, requires_grad=True)
         total = None
         for i in range(3):
-            w, b = ((local_b.weight, local_b.bias) if i == k
+            w, b = ((wb, bb) if i == k
                     else map(Tensor, head_of(heads, i, 2)))
             ref = sigmoid(per_pixel_linear(fb, w, b))
             np.testing.assert_allclose(maps.data[:, i], ref.data, rtol=1e-14)
@@ -113,22 +117,22 @@ class TestEvaluateHeads:
             total = term if total is None else total + term
         total.backward()
 
-        for a, b in ((fa, fb), (local_a.weight, local_b.weight), (local_a.bias, local_b.bias)):
+        for a, b in ((fa, fb), (wa, wb), (ba, bb)):
             np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12, atol=1e-14)
 
     def test_local_head_trains_foreign_heads_do_not(self, monkeypatch):
         rng = np.random.default_rng(6)
         heads = random_heads(3, 4, 1, seed=7)
-        local = PerPixelLinear(rng.standard_normal((4, 1)))
+        weight, bias = live_head(rng.standard_normal((4, 1)))
         parts = []
         cat = hc.concat
         monkeypatch.setattr(hc, "concat", lambda ts, axis: parts.extend(ts) or cat(ts, axis=axis))
         f = Tensor(rng.standard_normal((1, 4, 5, 5)), requires_grad=True)
-        maps = evaluate_heads(f, heads, 1, local)
+        maps = evaluate_heads(f, heads, 1, weight, bias)
         disagreement_map(maps, 1).sum().backward()
-        foreign = [t for t in parts if t is not local.weight and t is not local.bias]
+        foreign = [t for t in parts if t is not weight and t is not bias]
         assert len(foreign) == 4 and all(t.grad is None for t in foreign)
-        assert np.any(local.weight.grad)
+        assert np.any(weight.grad)
         assert np.all(np.isfinite(f.grad)) and np.any(f.grad)
 
 
@@ -350,14 +354,14 @@ class TestPermutationInvariance:
         rng = np.random.default_rng(22)
         heads = random_heads(4, 3, 1, seed=23)
         f = Tensor(rng.standard_normal((1, 3, 6, 6)))
-        u_before = disagreement_map(evaluate_heads(f, heads, 2, local_head_from(heads, 2, 1)), 2)
+        u_before = disagreement_map(evaluate_heads(f, heads, 2, *local_head_from(heads, 2, 1)), 2)
 
         perm = [3, 1, 0, 2]  # site 2 moves to position 3
         blocks = [head_of(heads, p, 1) for p in perm]
         permuted_heads = (np.concatenate([w for w, _ in blocks], axis=1),
                           np.concatenate([b for _, b in blocks]))
         k = perm.index(2)
-        maps_p = evaluate_heads(f, permuted_heads, k, local_head_from(permuted_heads, k, 1))
+        maps_p = evaluate_heads(f, permuted_heads, k, *local_head_from(permuted_heads, k, 1))
         np.testing.assert_allclose(u_before.data, disagreement_map(maps_p, k).data, rtol=1e-15)
 
 
@@ -365,8 +369,9 @@ class TestHeadCalibration:
     def test_coarse_map_is_local_slot(self):
         rng = np.random.default_rng(24)
         heads = random_heads(3, 4, 1, seed=25)
-        local = PerPixelLinear(rng.standard_normal((4, 1)))
+        weight, bias = live_head(rng.standard_normal((4, 1)))
         f = Tensor(rng.standard_normal((2, 4, 8, 8)))
-        coarse, f_star = head_calibration(f, heads, 1, local, delta=3, size=5, sigma=1.0)
-        np.testing.assert_allclose(coarse.data, sigmoid(local(f)).data, rtol=1e-14)
+        coarse, f_star = head_calibration(f, heads, 1, weight, bias, delta=3, size=5, sigma=1.0)
+        np.testing.assert_allclose(coarse.data, sigmoid(per_pixel_linear(f, weight, bias)).data,
+                                   rtol=1e-14)
         assert f_star.shape == f.shape

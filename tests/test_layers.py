@@ -10,6 +10,18 @@ from gradcheck import assert_grads_close
 
 TINY = dict(channels=(2, 3, 4), classes=1)   # 8 px inputs
 
+# the TINY model's parameter table in order, generator included
+TINY_NAMES = [
+    "enc0.conv.w", "enc0.norm.g", "enc0.norm.o",
+    "enc1.conv.w", "enc1.norm.g", "enc1.norm.o",
+    "enc2.conv.w", "enc2.norm.g", "enc2.norm.o",
+    "up0.w", "up0.b", "dec0.conv.w", "dec0.norm.g", "dec0.norm.o",
+    "up1.w", "up1.b", "dec1.conv.w", "dec1.norm.g", "dec1.norm.o",
+    "pcsgen.fc1.w", "pcsgen.fc1.b", "pcsgen.norm.g", "pcsgen.norm.o",
+    "pcsgen.fc2.w", "pcsgen.fc2.b", "pcsgen.fuse.w", "pcsgen.fuse.b",
+    "head_coarse.w", "head_coarse.b", "head_calib.w", "head_calib.b",
+]
+
 
 def max_pool_grad_loop(x, g):
     """Brute-force max-pool gradient: each window's gradient goes to its first
@@ -257,8 +269,7 @@ class TestPerPixelLinear:
 class TestParameterNames:
     def test_names_are_unique_and_say_where_each_parameter_sits(self):
         model = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9))
-        names = [n for n, _, _ in model.named_parameters()]
-        assert len(names) == len(set(names))
+        names = list(model.params)
         assert {n.split(".", 1)[0] for n in names} == {
             "enc0", "enc1", "enc2", "up0", "dec0", "up1", "dec1", "pcsgen",
             "head_coarse", "head_calib"}
@@ -268,13 +279,27 @@ class TestParameterNames:
     def test_without_pcs_the_generator_is_left_out_and_the_rest_keeps_its_numbers(self):
         full = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9))
         lean = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9), pcs=False)
-        assert lean.pcs_gen is None
+        assert lean.pcsgen is None
+        assert {f"pcsgen.{n}": t for n, t in full.pcsgen.items()} == {
+            n: t for n, t in full.params.items() if n.startswith("pcsgen.")}
         kept = {n: a for n, a in full.get_params().items() if not n.startswith("pcsgen.")}
         assert len(kept) < len(full.get_params())
         got = lean.get_params()
         assert list(got) == list(kept)
         for n, a in kept.items():
             np.testing.assert_array_equal(got[n], a)
+
+    # a repeated name would silently overwrite an entry of the table; the
+    # table's order is also the checkpoint's array order
+    @pytest.mark.parametrize("pcs", [True, False], ids=["pcs", "no_pcs"])
+    def test_tiny_model_names_in_table_order(self, pcs):
+        model = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9), pcs=pcs)
+        expected = [n for n in TINY_NAMES if pcs or not n.startswith("pcsgen.")]
+        assert len(expected) == (31 if pcs else 23)
+        assert list(model.params) == expected
+        assert list(model.get_params()) == expected
+        assert [(n, stage) for n, _, stage in model.named_parameters()] == [
+            (n, n.split(".", 1)[0]) for n in expected]
 
 
 class TestModelForward:
@@ -286,7 +311,7 @@ class TestModelForward:
         assert [s.shape for s in skips] == [(2, 2, 8, 8), (2, 3, 4, 4)]
         f_hat = model.decode(f, skips)
         assert f_hat.shape == (2, 2, 8, 8)
-        s = sigmoid(model.coarse_head(f_hat))
+        s = sigmoid(model.head("head_coarse", f_hat))
         assert s.shape == (2, 1, 8, 8)
         assert np.all((s.data > 0) & (s.data < 1))
 
@@ -303,7 +328,7 @@ class TestModelForward:
 
     def test_conv_blocks_have_no_bias_projections_keep_theirs(self):
         model = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(3))
-        names = [n for n, _, _ in model.named_parameters()]
+        names = list(model.params)
         assert not [n for n in names if n.endswith("conv.b")]
         assert "enc0.conv.w" in names and "up0.b" in names
 

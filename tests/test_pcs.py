@@ -1,18 +1,45 @@
 import numpy as np
 import pytest
 
-from lcfed.pcs import PCSGenerator, augment_embedding, select_channels, site_contrast_loss
-from lcfed.tensor import Tensor, concat, global_average_pool, sigmoid
+from lcfed.layers import instance_norm
+from lcfed.pcs import augment_embedding, generator_params, select_channels, site_contrast_loss
+from lcfed.tensor import Tensor, concat, global_average_pool, linear, relu, sigmoid
 
 
 def make_gen(n_sites=3, channels=6, seed=0):
-    return PCSGenerator(n_sites, channels, np.random.default_rng(seed))
+    """The generator's live tensors, named as `generator_params` names them."""
+    arrays = generator_params(n_sites, channels, np.random.default_rng(seed))
+    return {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
 
 
 def gate_loop(gen, k, f):
-    """Per-site oracle: site k's gate from its own B one-hot rows."""
-    rows = Tensor(np.tile(np.eye(gen.n_sites, dtype=f.dtype)[k], (f.shape[0], 1)))
-    return sigmoid(gen.fuse(concat([global_average_pool(f), gen.extend(rows)], axis=1)))
+    """Per-site oracle: site k's gate from its own B one-hot rows, through
+    fc1 -> instance norm -> relu -> fc2, then the fusion FC over
+    [descriptor, extension]."""
+    n_sites = gen["fc1.w"].shape[0]
+    rows = Tensor(np.tile(np.eye(n_sites, dtype=f.dtype)[k], (f.shape[0], 1)))
+    hidden = relu(instance_norm(linear(rows, gen["fc1.w"], gen["fc1.b"]),
+                                gen["norm.g"], gen["norm.o"]))
+    extended = linear(hidden, gen["fc2.w"], gen["fc2.b"])
+    return sigmoid(linear(concat([global_average_pool(f), extended], axis=1),
+                          gen["fuse.w"], gen["fuse.b"]))
+
+
+class TestGeneratorParams:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_names_shapes_and_he_draws_in_order(self, dtype):
+        arrays = generator_params(3, 6, np.random.default_rng(0), dtype)
+        assert [(n, a.shape) for n, a in arrays.items()] == [
+            ("fc1.w", (3, 6)), ("fc1.b", (6,)), ("norm.g", (6,)), ("norm.o", (6,)),
+            ("fc2.w", (6, 6)), ("fc2.b", (6,)), ("fuse.w", (12, 6)), ("fuse.b", (6,))]
+        assert all(a.dtype == dtype for a in arrays.values())
+        rng = np.random.default_rng(0)
+        for name, cin in (("fc1.w", 3), ("fc2.w", 6), ("fuse.w", 12)):
+            drawn = (rng.standard_normal((cin, 6)) * np.sqrt(2.0 / cin)).astype(dtype)
+            np.testing.assert_array_equal(arrays[name], drawn)
+        for name in ("fc1.b", "norm.o", "fc2.b", "fuse.b"):
+            np.testing.assert_array_equal(arrays[name], np.zeros(6))
+        np.testing.assert_array_equal(arrays["norm.g"], np.ones(6))
 
 
 class TestAugment:
@@ -82,7 +109,7 @@ class TestSiteContrastLoss:
     def test_identical_gates_give_zero(self):
         gen = make_gen()
         # identical extension rows for every site force identical gates
-        gen.fc1.weight.data[:] = gen.fc1.weight.data[0]
+        gen["fc1.w"].data[:] = gen["fc1.w"].data[0]
         f = Tensor(np.random.default_rng(6).standard_normal((2, 6, 4, 4)))
         loss = site_contrast_loss(augment_embedding(gen, f), 0)
         assert loss.item() == 0.0
@@ -144,7 +171,7 @@ class TestSiteContrastLoss:
 
         assert loss_a.item() == pytest.approx(loss_b.item(), rel=1e-14)
         np.testing.assert_allclose(fa.grad, fb.grad, rtol=1e-10, atol=1e-15)
-        for (na, ta), (nb, tb) in zip(gen_a.parameters(), gen_b.parameters()):
+        for (na, ta), (nb, tb) in zip(gen_a.items(), gen_b.items(), strict=True):
             assert na == nb
             np.testing.assert_allclose(ta.grad, tb.grad, rtol=1e-10, atol=1e-15)
 
@@ -175,7 +202,7 @@ class TestProperties:
             before = mean_distance()
             loss = site_contrast_loss(augment_embedding(gen, Tensor(f_data)), 0) * 0.1
             loss.backward()
-            for _, t in gen.parameters():
+            for t in gen.values():
                 t.data -= 1e-3 * t.grad
                 t.zero_grad()
             assert mean_distance() >= before - 1e-12

@@ -356,9 +356,13 @@ def _as_format_1(cut, ckpt):
         fh.write(("\n".join(lines + ["end"]) + "\n").encode() + blob)
 
 
-# (damage to a run cut after round 1, error type, message); {ckpt} and
-# {metrics} stand for the paths the message must start with or name
+# (damage to a run cut after round 1, error type, message); {ckpt},
+# {metrics} and {config} stand for the paths the message must start with or name
 BAD_RESUMES = {
+    # parses, but fails validation
+    "config_out_of_range": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
+                                                       b"\nrounds = 2\n", b"\nrounds = 0\n"),
+                            ValueError, "{config}: rounds must be >= 1"),
     "config_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
                                                  b"\nlr = 0.0001\n", b"\nlr = 0.0002\n"),
                       ValueError, r"{ckpt}: checkpoint digest \w+ does not match config digest"),
@@ -397,7 +401,8 @@ def test_resume_rejects_a_mismatched_run_before_training(case, tmp_path, monkeyp
     damage(cut, ckpt)
     metrics = os.path.join(cut, "metrics.csv")
     before = read_bytes(metrics) if os.path.exists(metrics) else None
-    message = message.format(ckpt=re.escape(ckpt), metrics=re.escape(metrics))
+    message = message.format(ckpt=re.escape(ckpt), metrics=re.escape(metrics),
+                             config=re.escape(os.path.join(cut, "config.txt")))
     no_training(monkeypatch)
     with pytest.raises(error, match="^" + message):
         runner.resume_experiment(cut, ckpt)
