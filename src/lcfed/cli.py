@@ -73,6 +73,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    for name in ("sites", "train_per_site", "test_per_site"):
+        if getattr(args, name) < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
     per_site = data_mod.benchmark_samples(args.benchmark_seed, args.sites,
                                           args.train_per_site, args.test_per_site,
                                           args.image_size)
@@ -88,7 +92,7 @@ def main(argv=None) -> int:
                 "report": _cmd_report, "gen-data": _cmd_gen_data}
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError, FloatingPointError) as err:
+    except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

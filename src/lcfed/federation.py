@@ -2,17 +2,22 @@
 
 The `FederationState` alone holds per-site state: each site's local
 parameters and Adam moments (zero before the first round) beside the averaged
-parameters.  A `Client` is a scratch model/optimizer vessel that any site can
-borrow, loaded with the site's state before each use: one vessel in a serial
-run, one per site in a parallel one.  Each round re-seeds every site's batch
-sampling from (master seed, site, round), so sites can run sequentially or in
-parallel workers and produce bit-identical results.  The mode's row in
-`config.MODES` names the local parameters by pattern; aggregation is the plain
-unweighted mean over every other parameter.  The state holds each array once:
-the averaged set and each site's local set.  When a round starts, every
-site's coarse head is read from them and stacked side by side into one
-relayed weight and bias, so the heads are those as of the end of the previous
-round.  Training and prediction run one forward composition, `_forward`.
+parameters.  A `Client` is a scratch model/optimizer vessel that serves
+training only: any site can borrow it, loaded with the site's state before
+each local update; one vessel in a serial run, one per site in a parallel one.
+Each round re-seeds every site's batch sampling from (master seed, site,
+round), so sites can run sequentially or in parallel workers and produce
+bit-identical results.  The mode's row in `config.MODES` names the local
+parameters by pattern; aggregation is the plain unweighted mean over every
+other parameter.  The state holds each array once: the averaged set and each
+site's local set.  When a round starts, every site's coarse head is read from
+them and stacked side by side into one relayed weight and bias, so the heads
+are those as of the end of the previous round.
+
+Training and prediction run one forward composition, `_forward`, over a
+parameter table passed in.  Training passes the vessel's tensors, which
+require gradients.  Prediction wraps the state's arrays as constant tensors,
+with no copy, so it builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .data import SiteData
 from .hc import head_calibration
 from .losses import LOSS_TERMS, LossBreakdown, dice_loss, joint_loss
 from .metrics import evaluate_site
-from .model import SegmentationModel
+from .model import SegmentationModel, decode, encode, head
 from .optim import Adam
 from .tensor import Tensor, sigmoid
 
@@ -126,41 +131,40 @@ def relayed_heads(state: FederationState) -> tuple:
 # forward composition
 # ---------------------------------------------------------------------------
 
-def _forward(client: Client, xb: np.ndarray, heads: tuple, site: int, cfg: ExperimentConfig):
+def _forward(params: dict, xb: np.ndarray, heads: tuple, site: int, cfg: ExperimentConfig):
     """encoder -> channel selection -> decoder -> coarse head -> head
-    calibration -> calibrated head; returns (PCS gates or None, coarse map,
-    calibrated map)."""
+    calibration -> calibrated head over the {name: Tensor} table `params`;
+    returns (PCS gates or None, coarse map, calibrated map)."""
     mode = MODES[cfg.mode]
-    model = client.model
-    skips, deep = model.encode(Tensor(xb))
+    skips, deep = encode(params, Tensor(xb))
     gates = None
     if mode.pcs:
-        gates = pcs.augment_embedding(model.pcsgen, deep)
+        gates = pcs.augment_embedding(params, deep)
         deep = pcs.select_channels(deep, gates[site])
-    f_hat = model.decode(deep, skips)
+    f_hat = decode(params, deep, skips)
     if mode.hc:
         coarse, f_star = head_calibration(
-            f_hat, heads, site, model.params["head_coarse.w"], model.params["head_coarse.b"],
+            f_hat, heads, site, params["head_coarse.w"], params["head_coarse.b"],
             delta=cfg.nms_delta, size=cfg.gauss_size, sigma=cfg.gauss_sigma)
     else:
-        coarse, f_star = sigmoid(model.head("head_coarse", f_hat)), f_hat
-    return gates, coarse, sigmoid(model.head("head_calib", f_star))
+        coarse, f_star = sigmoid(head(params, "head_coarse", f_hat)), f_hat
+    return gates, coarse, sigmoid(head(params, "head_calib", f_star))
 
 
-def forward_training(client: Client, xb: np.ndarray, yb: np.ndarray,
+def forward_training(params: dict, xb: np.ndarray, yb: np.ndarray,
                      heads: tuple, site: int, cfg: ExperimentConfig) -> LossBreakdown:
     """The joint objective of the site's forward pass on a batch."""
-    gates, coarse, calibrated = _forward(client, xb, heads, site, cfg)
+    gates, coarse, calibrated = _forward(params, xb, heads, site, cfg)
     con = (Tensor(np.zeros((), dtype=xb.dtype)) if gates is None
            else pcs.site_contrast_loss(gates, site))
     return joint_loss(dice_loss(coarse, yb), dice_loss(calibrated, yb), con,
                       lam=cfg.lambda_con)
 
 
-def forward_predict(client: Client, xb: np.ndarray, heads: tuple, site: int,
+def forward_predict(params: dict, xb: np.ndarray, heads: tuple, site: int,
                     cfg: ExperimentConfig) -> np.ndarray:
     """Calibrated segmentation probabilities for a batch."""
-    return _forward(client, xb, heads, site, cfg)[2].data
+    return _forward(params, xb, heads, site, cfg)[2].data
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,7 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
             xb = data.train_images[idx].astype(dtype, copy=False)
             yb = data.train_masks[idx].astype(dtype, copy=False)
             try:
-                breakdown = forward_training(client, xb, yb, heads, site, cfg)
+                breakdown = forward_training(model.params, xb, yb, heads, site, cfg)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"site {site}, round {round_index + 1}: {err}") from err
@@ -243,18 +247,19 @@ def run_round(state: FederationState, clients: list, datasets: list,
     return new_state, [u.stats for u in updates]
 
 
-def evaluate_clients(state: FederationState, clients: list, datasets: list,
-                     cfg: ExperimentConfig) -> list:
-    """Per-site reports on the calibrated map, threshold 0.5."""
+def evaluate_clients(state: FederationState, datasets: list, cfg: ExperimentConfig) -> list:
+    """Per-site reports on the calibrated map, threshold 0.5.
+
+    Each site's arrays enter as constant tensors over the state's own memory:
+    no copy, no gradient buffer, and no autodiff graph."""
     dtype = np_dtype(cfg)
     heads = relayed_heads(state)
     reports = []
     for k, data in enumerate(datasets):
-        client = clients[k % len(clients)]
-        client.model.load_params(state.site_params(k))
+        params = {n: Tensor(a) for n, a in state.site_params(k).items()}
 
         def predict(batch):
-            return forward_predict(client, batch.astype(dtype, copy=False), heads, k, cfg)
+            return forward_predict(params, batch.astype(dtype, copy=False), heads, k, cfg)
 
         reports.append(evaluate_site(predict, data.test_images, data.test_masks,
                                      batch_size=cfg.batch_size))

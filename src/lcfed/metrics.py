@@ -26,9 +26,10 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     """Foreground pixels 4-adjacent to background; outside the image counts
     as background, so shapes touching the border keep their boundary."""
     m = mask.astype(bool)
-    padded = np.pad(m, 1, constant_values=False)
-    interior = (padded[2:, 1:-1] & padded[:-2, 1:-1] &
-                padded[1:-1, 2:] & padded[1:-1, :-2])
+    # border pixels are never interior; the rest are interior when all four
+    # neighbours are foreground
+    interior = np.zeros_like(m)
+    interior[1:-1, 1:-1] = m[2:, 1:-1] & m[:-2, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2]
     return m & ~interior
 
 

@@ -13,6 +13,11 @@ table, `params`.  Names say where each one sits (``enc<i>.*``, ``up<i>.*``,
 ``dec<i>.*``, ``pcsgen.*``, ``head_coarse.*``, ``head_calib.*``); a mode's row
 in `config.MODES` picks its local parameters by these names, and the table's
 order is the checkpoint's array order.
+
+The forward pieces, `encode`, `decode` and `head`, are functions of a
+{name: Tensor} table passed in.  A training vessel passes its `params`, whose
+tensors require gradients, so the forward builds the autodiff graph; constant
+tensors over the same arrays give the same maps and build no graph.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ def conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -
 
 
 class SegmentationModel:
-    """Holds all parameter tensors for one site's model instance."""
+    """A training vessel's parameter table: draws every initial array and holds
+    it as a tensor that requires a gradient."""
 
     def __init__(self, channels: tuple, classes: int, n_sites: int,
                  rng: np.random.Generator, dtype=np.float64, pcs: bool = True):
@@ -61,16 +67,12 @@ class SegmentationModel:
         # drawn even without PCS, so the heads get the same numbers either way
         generator = generator_params(n_sites, ch[-1], rng, dtype)
         if pcs:
-            arrays.update({f"pcsgen.{n}": a for n, a in generator.items()})
+            arrays.update(generator)
         std = np.sqrt(1.0 / ch[0])
-        for head in ("head_coarse", "head_calib"):
-            per_pixel(head, (rng.standard_normal((ch[0], classes)) * std).astype(dtype))
+        for prefix in ("head_coarse", "head_calib"):
+            per_pixel(prefix, (rng.standard_normal((ch[0], classes)) * std).astype(dtype))
 
-        self.depth = len(ch)
         self.params = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
-        # the generator's tensors under its own names, for `pcs.augment_embedding`
-        self.pcsgen = ({n: self.params[f"pcsgen.{n}"] for n in generator} if pcs
-                       else None)
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -93,31 +95,36 @@ class SegmentationModel:
                 raise ValueError(f"shape mismatch for {name}: {t.data.shape} vs {arr.shape}")
             np.copyto(t.data, arr)
 
-    # -- forward pieces ---------------------------------------------------------
 
-    def _block(self, prefix: str, x: Tensor) -> Tensor:
-        p = self.params
-        return relu(instance_norm(conv2d(x, p[f"{prefix}.conv.w"]),
-                                  p[f"{prefix}.norm.g"], p[f"{prefix}.norm.o"]))
+# -- forward pieces: functions of a {name: Tensor} table -------------------------
 
-    def head(self, prefix: str, f: Tensor) -> Tensor:
-        """The logits of head `prefix` (``head_coarse`` or ``head_calib``)."""
-        return per_pixel_linear(f, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
+def _block(p: dict, prefix: str, x: Tensor) -> Tensor:
+    return relu(instance_norm(conv2d(x, p[f"{prefix}.conv.w"]),
+                              p[f"{prefix}.norm.g"], p[f"{prefix}.norm.o"]))
 
-    def encode(self, x: Tensor):
-        """Returns (skip features, deepest feature)."""
-        skips = []
-        f = self._block("enc0", x)
-        for i in range(1, self.depth):
-            skips.append(f)
-            f = self._block(f"enc{i}", max_pool2x2(f))
-        return skips, f
 
-    def decode(self, f: Tensor, skips) -> Tensor:
-        p = self.params
-        for i, skip in enumerate(reversed(skips)):
-            # nearest upsampling commutes with the per-pixel 1x1 projection, so
-            # projecting first gives the same values on a quarter of the pixels
-            f = upsample_nearest2x(per_pixel_linear(f, p[f"up{i}.w"], p[f"up{i}.b"]))
-            f = self._block(f"dec{i}", concat([skip, f], axis=1))
-        return f
+def head(p: dict, prefix: str, f: Tensor) -> Tensor:
+    """The logits of head `prefix` (``head_coarse`` or ``head_calib``)."""
+    return per_pixel_linear(f, p[f"{prefix}.w"], p[f"{prefix}.b"])
+
+
+def encode(p: dict, x: Tensor):
+    """Returns (skip features, deepest feature); the table's ``enc<i>``
+    blocks set the depth."""
+    skips = []
+    f = _block(p, "enc0", x)
+    i = 1
+    while f"enc{i}.conv.w" in p:
+        skips.append(f)
+        f = _block(p, f"enc{i}", max_pool2x2(f))
+        i += 1
+    return skips, f
+
+
+def decode(p: dict, f: Tensor, skips) -> Tensor:
+    for i, skip in enumerate(reversed(skips)):
+        # nearest upsampling commutes with the per-pixel 1x1 projection, so
+        # projecting first gives the same values on a quarter of the pixels
+        f = upsample_nearest2x(per_pixel_linear(f, p[f"up{i}.w"], p[f"up{i}.b"]))
+        f = _block(p, f"dec{i}", concat([skip, f], axis=1))
+    return f

@@ -8,8 +8,9 @@ One generator pass over the K*B identity rows (the descriptor repeated once per
 site) yields every site's gate as a (K, B, C) tensor; site k selects with
 `gates[k]`.  A contrast term pushes site k's gate away from all K gates, which
 enter as constants, so no gradient flows through the foreign branches.  The
-generator's parameters are plain arrays named by `generator_params`; the
-model stores them under the ``pcsgen.`` prefix.
+generator's parameters are named ``pcsgen.*`` by `generator_params`, and
+`augment_embedding` reads them by those names from the model's whole
+parameter table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .tensor import Tensor, concat, global_average_pool, linear, relu, sigmoid, 
 
 def generator_params(n_sites: int, channels: int, rng: np.random.Generator,
                      dtype=np.float64) -> dict:
-    """The generator's initial arrays under its own names: extension fc1
+    """The generator's initial arrays, named ``pcsgen.*``: extension fc1
     (one-hot identity -> channels), instance norm, fc2, and the fusion fc over
     [descriptor, extension].  The FC weights are He-normal (Cin, Cout), drawn
     fc1, fc2, fuse; the biases and the norm's shift start at 0, its scale at 1.
@@ -33,26 +34,29 @@ def generator_params(n_sites: int, channels: int, rng: np.random.Generator,
     def zeros():
         return np.zeros(channels, dtype=dtype)
 
-    return {"fc1.w": he(n_sites, channels), "fc1.b": zeros(),
-            "norm.g": np.ones(channels, dtype=dtype), "norm.o": zeros(),
-            "fc2.w": he(channels, channels), "fc2.b": zeros(),
-            "fuse.w": he(2 * channels, channels), "fuse.b": zeros()}
+    arrays = {"fc1.w": he(n_sites, channels), "fc1.b": zeros(),
+              "norm.g": np.ones(channels, dtype=dtype), "norm.o": zeros(),
+              "fc2.w": he(channels, channels), "fc2.b": zeros(),
+              "fuse.w": he(2 * channels, channels), "fuse.b": zeros()}
+    return {f"pcsgen.{n}": a for n, a in arrays.items()}
 
 
 def augment_embedding(p: dict, f: Tensor) -> Tensor:
     """Every site's gate in (0,1)^(K x B x C) from its one-hot identity and the
-    feature statistics; `p` holds the generator's tensors under the names of
-    `generator_params`.  Row k*B + b of the generator pass is site k, sample b."""
-    k, c = p["fc1.w"].shape
+    feature statistics; `p` is a parameter table that holds the generator's
+    tensors under the names of `generator_params`.  Row k*B + b of the
+    generator pass is site k, sample b."""
+    def fc(name, x):
+        return linear(x, p[f"pcsgen.{name}.w"], p[f"pcsgen.{name}.b"])
+
+    k, c = p["pcsgen.fc1.w"].shape
     if f.ndim != 4 or f.shape[1] != c:
         raise ValueError(f"feature shape {f.shape} incompatible with {c} channels")
     b = f.shape[0]
     identities = Tensor(np.repeat(np.eye(k, dtype=f.dtype), b, axis=0))
     descriptors = concat([global_average_pool(f)] * k, axis=0)
-    hidden = relu(instance_norm(linear(identities, p["fc1.w"], p["fc1.b"]),
-                                p["norm.g"], p["norm.o"]))
-    extended = linear(hidden, p["fc2.w"], p["fc2.b"])
-    fused = linear(concat([descriptors, extended], axis=1), p["fuse.w"], p["fuse.b"])
+    hidden = relu(instance_norm(fc("fc1", identities), p["pcsgen.norm.g"], p["pcsgen.norm.o"]))
+    fused = fc("fuse", concat([descriptors, fc("fc2", hidden)], axis=1))
     return sigmoid(fused).reshape(k, b, c)
 
 

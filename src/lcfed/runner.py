@@ -136,7 +136,7 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
         for round_index in range(start_round + 1, last_round + 1):
             state, stats = federation.run_round(state, clients, datasets, cfg)
             if _should_eval(cfg, round_index):
-                reports = federation.evaluate_clients(state, clients, datasets, cfg)
+                reports = federation.evaluate_clients(state, datasets, cfg)
                 for site, (report, stat) in enumerate(zip(reports, stats)):
                     csv_fh.write(",".join(
                         [str(round_index), str(site), _fmt(report.iou), _fmt(report.assd)]

@@ -4,6 +4,7 @@ import pytest
 from lcfed import data, federation, runner
 from lcfed.config import MODES, ExperimentConfig
 from lcfed.federation import ParamSet, fedavg
+from lcfed.tensor import Tensor
 
 TINY = dict(mode="lcfed", dtype="float64", sites=3, rounds=1, image_size=16, channels=(4, 8),
             batch_size=3, train_per_site=3, test_per_site=2, lr=1e-2,
@@ -48,13 +49,20 @@ def test_a_serial_run_builds_one_vessel_and_a_parallel_run_one_per_site(
         assert client is vessels[site % len(vessels)]
 
 
-def test_a_vessel_that_trained_another_site_gives_the_same_update_as_a_fresh_one():
-    cfg = ExperimentConfig(**TINY)
+def trained_state(cfg):
+    """(state after one round, datasets): the sites' heads differ, so HC's
+    attention is not zero."""
     datasets = data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
                                        cfg.test_per_site, cfg.image_size, cfg.classes)
-    # one round first, so each site's local parameters and moments differ
     state, _ = federation.run_round(federation.initial_state(cfg),
                                     federation.build_clients(cfg), datasets, cfg)
+    return state, datasets
+
+
+def test_a_vessel_that_trained_another_site_gives_the_same_update_as_a_fresh_one():
+    cfg = ExperimentConfig(**TINY)
+    # one round first, so each site's local parameters and moments differ
+    state, datasets = trained_state(cfg)
     heads = federation.relayed_heads(state)
 
     def site_update(client, k):
@@ -84,26 +92,75 @@ def test_initial_state_holds_zero_moments_for_every_site():
 def test_prediction_is_bit_for_bit_the_calibrated_map_of_the_training_forward(
         mode, monkeypatch):
     cfg = ExperimentConfig(**{**TINY, "mode": mode})
-    datasets = data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
-                                       cfg.test_per_site, cfg.image_size, cfg.classes)
-    # one round first, so the sites' heads differ and HC's attention is not zero
-    state, _ = federation.run_round(federation.initial_state(cfg),
-                                    federation.build_clients(cfg), datasets, cfg)
+    state, datasets = trained_state(cfg)
     heads = federation.relayed_heads(state)
     client = federation.build_clients(cfg)[0]
-    client.model.load_params({**state.theta_g.values, **state.betas[1].values})
+    client.model.load_params(state.site_params(1))
     xb = datasets[1].train_images.astype(np.float64)
     yb = datasets[1].train_masks.astype(np.float64)
 
     maps = []   # dice_loss sees the coarse map, then the calibrated one
     dice = federation.dice_loss
     monkeypatch.setattr(federation, "dice_loss", lambda s, y: maps.append(s.data) or dice(s, y))
-    federation.forward_training(client, xb, yb, heads, 1, cfg)
-    predicted = federation.forward_predict(client, xb, heads, 1, cfg)
+    federation.forward_training(client.model.params, xb, yb, heads, 1, cfg)
+    # prediction reads constant tensors of the same arrays the training forward used
+    constants = {n: Tensor(t.data) for n, t in client.model.params.items()}
+    predicted = federation.forward_predict(constants, xb, heads, 1, cfg)
 
     assert len(maps) == 2
     assert predicted.dtype == maps[1].dtype and predicted.shape == maps[1].shape
     assert predicted.tobytes() == maps[1].tobytes()
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_forward_on_constant_tensors_builds_no_graph(mode):
+    cfg = ExperimentConfig(**{**TINY, "mode": mode})
+    state, datasets = trained_state(cfg)
+    params = {n: Tensor(a) for n, a in state.site_params(1).items()}
+    gates, coarse, calibrated = federation._forward(
+        params, datasets[1].test_images.astype(np.float64), federation.relayed_heads(state),
+        1, cfg)
+    # graph_node links a node only when a parent tracks gradients, so a root
+    # without parents means no node was built anywhere upstream
+    for root in (coarse, calibrated) + (() if gates is None else (gates,)):
+        assert not root.requires_grad and root._parents == () and root._grad_fn is None
+    assert all(t.grad is None for t in params.values())
+
+
+def test_evaluation_predicts_without_a_graph_or_a_vessel(monkeypatch):
+    cfg = ExperimentConfig(**TINY)
+    state, datasets = trained_state(cfg)
+    roots = []
+    forward = federation._forward
+
+    def spy(*args):
+        out = forward(*args)
+        roots.extend(r for r in out if r is not None)
+        return out
+
+    def no_load(*args):
+        raise AssertionError("evaluation loaded a vessel")
+
+    monkeypatch.setattr(federation, "_forward", spy)
+    monkeypatch.setattr(federation.SegmentationModel, "load_params", no_load)
+    federation.evaluate_clients(state, datasets, cfg)
+    assert len(roots) == 3 * cfg.sites   # gates, coarse and calibrated maps per batch
+    assert all(not r.requires_grad and r._parents == () for r in roots)
+
+
+@pytest.mark.parametrize("mode", ["lcfed", "fedavg"])
+def test_evaluation_leaves_every_state_array_unchanged(mode):
+    cfg = ExperimentConfig(**{**TINY, "mode": mode})
+    state, datasets = trained_state(cfg)
+
+    def arrays():
+        sets = [state.theta_g.values] + [b.values for b in state.betas]
+        sets += [a[key] for a in state.adam_states for key in ("m", "v")]
+        return [(a.dtype.str, a.shape, a.tobytes()) for s in sets for a in s.values()]
+
+    before = arrays()
+    federation.evaluate_clients(state, datasets, cfg)
+    assert arrays() == before
 
 
 class TestFedavg:

@@ -158,15 +158,15 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     # the concat in hc that splices the local head's live parameters between
     # the relayed columns left and right of site 1's
     inputs, stacked = [], []
-    encode = client.model.encode
-    monkeypatch.setattr(client.model, "encode", lambda x: inputs.append(x) or encode(x))
+    encode = federation.encode
+    monkeypatch.setattr(federation, "encode", lambda p, x: inputs.append(x) or encode(p, x))
     cat = hc.concat
     monkeypatch.setattr(hc, "concat",
                         lambda ts, axis: stacked.extend(ts) or cat(ts, axis=axis))
 
     site = datasets[1]
-    loss = federation.forward_training(client, site.train_images, site.train_masks,
-                                       heads, 1, cfg)
+    loss = federation.forward_training(client.model.params, site.train_images,
+                                       site.train_masks, heads, 1, cfg)
     client.optimizer.zero_grad()
     loss.joint.backward()
 

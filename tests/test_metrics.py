@@ -19,6 +19,14 @@ def boundary_loop(mask):
     return out
 
 
+def boundary_padded(mask):
+    """The boundary by definition: pad with background, then keep each
+    foreground pixel whose four neighbours are not all foreground."""
+    m = mask.astype(bool)
+    p = np.pad(m, 1, constant_values=False)
+    return m & ~(p[2:, 1:-1] & p[:-2, 1:-1] & p[1:-1, 2:] & p[1:-1, :-2])
+
+
 def assd_brute_force(pred, gt):
     """Mean over both boundaries of each pixel's distance to the nearest pixel
     of the other boundary, from all pairwise distances."""
@@ -52,6 +60,38 @@ class TestIoU:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             iou(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def boundary_cases():
+    rng = np.random.default_rng(7)
+    cases = [pytest.param(rng.random((h, w)) < density, id=f"random_{h}x{w}_{density}")
+             for h, w in ((1, 1), (1, 5), (4, 1), (2, 2), (7, 9), (32, 32), (64, 64))
+             for density in (0.3, 0.7, 0.95)]
+    band = np.zeros((8, 8), bool)
+    band[0:3, :] = True
+    corner = np.zeros((9, 6), bool)
+    corner[5:, 3:] = True
+    return cases + [pytest.param(band, id="band_on_the_top_edge"),
+                    pytest.param(corner, id="block_in_the_bottom_right_corner"),
+                    pytest.param(disk(10, 10, 5, 0, 3), id="disk_cut_by_the_left_edge"),
+                    pytest.param(np.ones((6, 7), bool), id="all_on"),
+                    pytest.param(np.zeros((6, 7), bool), id="all_off"),
+                    pytest.param(disk(12, 12, 6, 6, 4).astype(np.float64), id="float_disk")]
+
+
+class TestBoundaryPixels:
+    @pytest.mark.parametrize("mask", boundary_cases())
+    def test_matches_padded_definition_and_loop(self, mask):
+        out = boundary_pixels(mask)
+        assert out.dtype == bool and out.shape == mask.shape
+        np.testing.assert_array_equal(out, boundary_padded(mask))
+        np.testing.assert_array_equal(out, boundary_loop(mask.astype(bool)))
+
+    def test_all_on_keeps_only_the_border_ring(self):
+        out = boundary_pixels(np.ones((5, 6), bool))
+        ring = np.ones((5, 6), bool)
+        ring[1:-1, 1:-1] = False
+        np.testing.assert_array_equal(out, ring)
 
 
 class TestASSD:

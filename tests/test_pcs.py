@@ -16,13 +16,14 @@ def gate_loop(gen, k, f):
     """Per-site oracle: site k's gate from its own B one-hot rows, through
     fc1 -> instance norm -> relu -> fc2, then the fusion FC over
     [descriptor, extension]."""
-    n_sites = gen["fc1.w"].shape[0]
+    g = {n.removeprefix("pcsgen."): t for n, t in gen.items()}
+    n_sites = g["fc1.w"].shape[0]
     rows = Tensor(np.tile(np.eye(n_sites, dtype=f.dtype)[k], (f.shape[0], 1)))
-    hidden = relu(instance_norm(linear(rows, gen["fc1.w"], gen["fc1.b"]),
-                                gen["norm.g"], gen["norm.o"]))
-    extended = linear(hidden, gen["fc2.w"], gen["fc2.b"])
+    hidden = relu(instance_norm(linear(rows, g["fc1.w"], g["fc1.b"]),
+                                g["norm.g"], g["norm.o"]))
+    extended = linear(hidden, g["fc2.w"], g["fc2.b"])
     return sigmoid(linear(concat([global_average_pool(f), extended], axis=1),
-                          gen["fuse.w"], gen["fuse.b"]))
+                          g["fuse.w"], g["fuse.b"]))
 
 
 class TestGeneratorParams:
@@ -30,16 +31,17 @@ class TestGeneratorParams:
     def test_names_shapes_and_he_draws_in_order(self, dtype):
         arrays = generator_params(3, 6, np.random.default_rng(0), dtype)
         assert [(n, a.shape) for n, a in arrays.items()] == [
-            ("fc1.w", (3, 6)), ("fc1.b", (6,)), ("norm.g", (6,)), ("norm.o", (6,)),
-            ("fc2.w", (6, 6)), ("fc2.b", (6,)), ("fuse.w", (12, 6)), ("fuse.b", (6,))]
+            ("pcsgen.fc1.w", (3, 6)), ("pcsgen.fc1.b", (6,)), ("pcsgen.norm.g", (6,)),
+            ("pcsgen.norm.o", (6,)), ("pcsgen.fc2.w", (6, 6)), ("pcsgen.fc2.b", (6,)),
+            ("pcsgen.fuse.w", (12, 6)), ("pcsgen.fuse.b", (6,))]
         assert all(a.dtype == dtype for a in arrays.values())
         rng = np.random.default_rng(0)
         for name, cin in (("fc1.w", 3), ("fc2.w", 6), ("fuse.w", 12)):
             drawn = (rng.standard_normal((cin, 6)) * np.sqrt(2.0 / cin)).astype(dtype)
-            np.testing.assert_array_equal(arrays[name], drawn)
+            np.testing.assert_array_equal(arrays[f"pcsgen.{name}"], drawn)
         for name in ("fc1.b", "norm.o", "fc2.b", "fuse.b"):
-            np.testing.assert_array_equal(arrays[name], np.zeros(6))
-        np.testing.assert_array_equal(arrays["norm.g"], np.ones(6))
+            np.testing.assert_array_equal(arrays[f"pcsgen.{name}"], np.zeros(6))
+        np.testing.assert_array_equal(arrays["pcsgen.norm.g"], np.ones(6))
 
 
 class TestAugment:
@@ -109,7 +111,7 @@ class TestSiteContrastLoss:
     def test_identical_gates_give_zero(self):
         gen = make_gen()
         # identical extension rows for every site force identical gates
-        gen["fc1.w"].data[:] = gen["fc1.w"].data[0]
+        gen["pcsgen.fc1.w"].data[:] = gen["pcsgen.fc1.w"].data[0]
         f = Tensor(np.random.default_rng(6).standard_normal((2, 6, 4, 4)))
         loss = site_contrast_loss(augment_embedding(gen, f), 0)
         assert loss.item() == 0.0

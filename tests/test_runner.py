@@ -290,6 +290,35 @@ def test_build_datasets_rejects_a_bad_manifest_before_training(case, tmp_path, m
         runner.run_experiment(cfg)
 
 
+def _gen_data(*flags):
+    return lambda tmp: ["gen-data", "--out", str(tmp / "data"), *flags]
+
+
+# (argv in an empty temporary directory, error message); each command exits 2
+# with one `error:` line and writes no file
+BAD_COMMANDS = {
+    "run_config_is_a_directory": (lambda tmp: ["run", "--config", str(tmp),
+                                               "--out", str(tmp / "run")],
+                                  "Is a directory"),
+    "gen_data_no_sites": (_gen_data("--sites", "0"), "--sites must be >= 1, got 0"),
+    "gen_data_negative_train": (_gen_data("--train-per-site", "-1", "--sites", "2"),
+                                "--train-per-site must be >= 1, got -1"),
+    "gen_data_no_test": (_gen_data("--test-per-site", "0"),
+                         "--test-per-site must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COMMANDS))
+def test_a_bad_command_exits_2_with_one_error_line_and_writes_nothing(
+        case, tmp_path, capsys):
+    argv, message = BAD_COMMANDS[case]
+    assert cli.main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert os.listdir(tmp_path) == []
+
+
 def cut_run(tmp_path, mode):
     """A run stopped after round 1 and its round-1 checkpoint path."""
     cfg = tiny_cfg(tmp_path / mode)
