@@ -77,6 +77,9 @@ def _cmd_gen_data(args) -> int:
         if getattr(args, name) < 1:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
+    # every run has at least two stages, so one 2x pool and a deepest feature of 2 px
+    if args.image_size < 4 or args.image_size % 2:
+        raise ValueError(f"--image-size must be even and >= 4, got {args.image_size}")
     per_site = data_mod.benchmark_samples(args.benchmark_seed, args.sites,
                                           args.train_per_site, args.test_per_site,
                                           args.image_size)

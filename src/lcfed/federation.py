@@ -1,10 +1,12 @@
 """Federated rounds: broadcast, local updates, aggregation, head relay.
 
-The `FederationState` alone holds per-site state: each site's local
-parameters and Adam moments (zero before the first round) beside the averaged
-parameters.  A `Client` is a scratch model/optimizer vessel that serves
-training only: any site can borrow it, loaded with the site's state before
-each local update; one vessel in a serial run, one per site in a parallel one.
+The `FederationState` owns every array: each site's local parameters, step
+count and Adam moments (zero before the first round) beside the averaged
+parameters.  A `Client` is a model/optimizer vessel that serves training
+only and holds tensor identities and gradient buffers, no values of a site:
+a local update rebinds the vessel's tensors to fresh copies of the site's
+arrays, steps a copy of its moments, and hands those very arrays to the new
+state.  One vessel serves a serial run, one per site a parallel one.
 Each round re-seeds every site's batch sampling from (master seed, site,
 round), so sites can run sequentially or in parallel workers and produce
 bit-identical results.  The mode's row in `config.MODES` names the local
@@ -73,7 +75,7 @@ class FederationState:
 
 @dataclass
 class Client:
-    """Scratch model/optimizer vessel; holds no site's state between uses."""
+    """Model/optimizer vessel: tensor identities and gradient buffers, no site's values."""
 
     model: SegmentationModel
     optimizer: Adam
@@ -107,7 +109,7 @@ def build_clients(cfg: ExperimentConfig) -> list:
 def initial_state(cfg: ExperimentConfig) -> FederationState:
     """Every site starts from the same master-seeded initialization."""
     reference = new_model(cfg, np.random.default_rng([int(cfg.master_seed), 0x1A17]))
-    params = reference.get_params()
+    params = {n: t.data for n, t in reference.params.items()}
     theta, beta = split_params(params, MODES[cfg.mode])
     betas = [ParamSet({n: a.copy() for n, a in beta.values.items()})
              for _ in range(cfg.sites)]
@@ -179,13 +181,18 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
                  adam_state: dict, heads: tuple, data: SiteData,
                  cfg: ExperimentConfig, round_index: int) -> ClientUpdate:
     """Exactly cfg.local_epochs epochs of minibatch Adam on the joint loss,
-    for `site` on the borrowed vessel `client`."""
+    for `site` on the borrowed vessel `client`.  Trains copies of the inputs'
+    arrays and moments, and returns them; writes no input."""
     n = data.train_images.shape[0]
     dtype = np_dtype(cfg)
-    model = client.model
-    model.load_params({**theta_in.values, **beta_in.values})
+    params = client.model.params
+    # the one copy: training writes these arrays, and the input state must stay intact
+    for name, a in {**theta_in.values, **beta_in.values}.items():
+        params[name].data = a.copy()
+    adam = {"t": adam_state["t"],
+            "m": {name: adam_state["m"][name].copy() for name in params},
+            "v": {name: adam_state["v"][name].copy() for name in params}}
     opt = client.optimizer
-    opt.load_state_dict(adam_state)
 
     rng = batch_rng(cfg.master_seed, site, round_index)
     sums = dict.fromkeys(LOSS_TERMS, 0.0)
@@ -197,25 +204,22 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
             xb = data.train_images[idx].astype(dtype, copy=False)
             yb = data.train_masks[idx].astype(dtype, copy=False)
             try:
-                breakdown = forward_training(model.params, xb, yb, heads, site, cfg)
+                breakdown = forward_training(params, xb, yb, heads, site, cfg)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"site {site}, round {round_index + 1}: {err}") from err
             opt.zero_grad()
             breakdown.joint.backward()
-            opt.step()
+            opt.step(adam)
             for key, value in breakdown.values().items():
                 sums[key] += value
             batches += 1
 
-    theta, beta = split_params(model.get_params(), MODES[cfg.mode])
+    # the trained arrays themselves go to the new state; the next update rebinds
+    # the vessel's tensors to fresh copies before it writes any
+    theta, beta = split_params({name: t.data for name, t in params.items()}, MODES[cfg.mode])
     stats = {key: value / batches for key, value in sums.items()}
-    return ClientUpdate(
-        theta=theta,
-        beta=beta,
-        stats=stats,
-        optimizer_state=opt.state_dict(),
-    )
+    return ClientUpdate(theta=theta, beta=beta, stats=stats, optimizer_state=adam)
 
 
 def run_round(state: FederationState, clients: list, datasets: list,

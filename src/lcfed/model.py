@@ -36,8 +36,9 @@ def conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -
 
 
 class SegmentationModel:
-    """A training vessel's parameter table: draws every initial array and holds
-    it as a tensor that requires a gradient."""
+    """A parameter table: draws every initial array and holds it as a tensor
+    that requires a gradient.  A training vessel keeps the tensors and their
+    gradient buffers; each local update rebinds their ``.data`` to a site's."""
 
     def __init__(self, channels: tuple, classes: int, n_sites: int,
                  rng: np.random.Generator, dtype=np.float64, pcs: bool = True):
@@ -81,19 +82,6 @@ class SegmentationModel:
         name's first component (``enc0``, ``pcsgen``, ``head_coarse``), and
         `perfbench/tracer.py` unpacks the triple."""
         return [(n, t, n.split(".", 1)[0]) for n, t in self.params.items()]
-
-    def get_params(self) -> dict:
-        """Copy out {name: array} for every parameter, in table order."""
-        return {n: t.data.copy() for n, t in self.params.items()}
-
-    def load_params(self, values: dict):
-        for name, arr in values.items():
-            t = self.params.get(name)
-            if t is None:
-                raise ValueError(f"model has no parameter {name!r}")
-            if t.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {t.data.shape} vs {arr.shape}")
-            np.copyto(t.data, arr)
 
 
 # -- forward pieces: functions of a {name: Tensor} table -------------------------

@@ -1,4 +1,9 @@
-"""Adam optimizer over named parameter tensors."""
+"""Adam over named parameter tensors; the moments belong to the caller.
+
+`Adam` binds (name, Tensor) pairs and the hyperparameters, and keeps no
+per-site values: `step` advances a state ``{"t": int, "m": {name: array},
+"v": {name: array}}`` that the caller owns, in place.
+"""
 
 from __future__ import annotations
 
@@ -13,40 +18,26 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def zero_grad(self):
         for _, p in self.params:
             p.zero_grad()
 
-    def step(self):
-        self.t += 1
+    def step(self, state: dict):
+        """One update of every bound tensor with a gradient; advances
+        ``state["t"]`` and the moments ``state["m"]``, ``state["v"]`` in place."""
+        state["t"] += 1
         b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+        bias1 = 1.0 - b1 ** state["t"]
+        bias2 = 1.0 - b2 ** state["t"]
         for name, p in self.params:
             g = p.grad
             if g is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
+            m = state["m"][name]
+            v = state["v"][name]
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
             p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: a.copy() for k, a in self.m.items()},
-            "v": {k: a.copy() for k, a in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict):
-        self.t = int(state["t"])
-        for k in self.m:
-            np.copyto(self.m[k], state["m"][k])
-            np.copyto(self.v[k], state["v"][k])

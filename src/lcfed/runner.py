@@ -206,7 +206,9 @@ def resume_experiment(run_dir: str, checkpoint_path: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 def read_metrics(run_dir: str):
-    """Returns (digest, rows) where rows are dicts of the CSV columns."""
+    """Returns (digest, rows) where rows are dicts of the CSV columns.  The
+    column line must be `CSV_HEADER` and each row one number per column; a
+    file that breaks either raises ValueError naming ``path:line``."""
     path = _metrics_path(run_dir)
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing metrics file: {path}")
@@ -215,13 +217,19 @@ def read_metrics(run_dir: str):
     if not lines or not lines[0].startswith("# config "):
         raise ValueError(f"{path}: missing config digest line")
     digest = lines[0].split()[-1]
-    columns = lines[1].split(",")
+    if lines[1:2] != [CSV_HEADER]:
+        raise ValueError(f"{path}:2: the column line is not {CSV_HEADER!r}")
+    columns = CSV_HEADER.split(",")
     rows = []
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         if not line:
             continue
-        rows.append({c: int(v) if c in ("round", "site") else float(v)
-                     for c, v in zip(columns, line.split(","))})
+        try:
+            rows.append({c: int(v) if c in ("round", "site") else float(v)
+                         for c, v in zip(columns, line.split(","), strict=True)})
+        except ValueError:
+            raise ValueError(f"{path}:{number}: expected {len(columns)} numeric cells, "
+                             f"got {line!r}") from None
     return digest, rows
 
 

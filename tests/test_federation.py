@@ -49,11 +49,15 @@ def test_a_serial_run_builds_one_vessel_and_a_parallel_run_one_per_site(
         assert client is vessels[site % len(vessels)]
 
 
+def tiny_datasets(cfg):
+    return data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
+                                   cfg.test_per_site, cfg.image_size, cfg.classes)
+
+
 def trained_state(cfg):
     """(state after one round, datasets): the sites' heads differ, so HC's
     attention is not zero."""
-    datasets = data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
-                                       cfg.test_per_site, cfg.image_size, cfg.classes)
+    datasets = tiny_datasets(cfg)
     state, _ = federation.run_round(federation.initial_state(cfg),
                                     federation.build_clients(cfg), datasets, cfg)
     return state, datasets
@@ -95,7 +99,8 @@ def test_prediction_is_bit_for_bit_the_calibrated_map_of_the_training_forward(
     state, datasets = trained_state(cfg)
     heads = federation.relayed_heads(state)
     client = federation.build_clients(cfg)[0]
-    client.model.load_params(state.site_params(1))
+    for n, a in state.site_params(1).items():
+        client.model.params[n].data = a
     xb = datasets[1].train_images.astype(np.float64)
     yb = datasets[1].train_masks.astype(np.float64)
 
@@ -138,29 +143,56 @@ def test_evaluation_predicts_without_a_graph_or_a_vessel(monkeypatch):
         roots.extend(r for r in out if r is not None)
         return out
 
-    def no_load(*args):
-        raise AssertionError("evaluation loaded a vessel")
-
     monkeypatch.setattr(federation, "_forward", spy)
-    monkeypatch.setattr(federation.SegmentationModel, "load_params", no_load)
     federation.evaluate_clients(state, datasets, cfg)
     assert len(roots) == 3 * cfg.sites   # gates, coarse and calibrated maps per batch
     assert all(not r.requires_grad and r._parents == () for r in roots)
+
+
+def state_bytes(state: federation.FederationState) -> list:
+    """Every figure of a state, as (name, bytes) in a fixed order."""
+    sets = [state.theta_g.values] + [b.values for b in state.betas]
+    sets += [a[key] for a in state.adam_states for key in ("m", "v")]
+    return ([("round", state.round), ("t", [a["t"] for a in state.adam_states])]
+            + [(n, a.dtype.str, a.shape, a.tobytes()) for s in sets for n, a in s.items()])
 
 
 @pytest.mark.parametrize("mode", ["lcfed", "fedavg"])
 def test_evaluation_leaves_every_state_array_unchanged(mode):
     cfg = ExperimentConfig(**{**TINY, "mode": mode})
     state, datasets = trained_state(cfg)
-
-    def arrays():
-        sets = [state.theta_g.values] + [b.values for b in state.betas]
-        sets += [a[key] for a in state.adam_states for key in ("m", "v")]
-        return [(a.dtype.str, a.shape, a.tobytes()) for s in sets for a in s.values()]
-
-    before = arrays()
+    before = state_bytes(state)
     federation.evaluate_clients(state, datasets, cfg)
-    assert arrays() == before
+    assert state_bytes(state) == before
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_two_rounds_leave_both_input_states_unchanged(parallel):
+    cfg = ExperimentConfig(**TINY, parallel_clients=parallel)
+    datasets, clients = tiny_datasets(cfg), federation.build_clients(cfg)
+    start = federation.initial_state(cfg)
+    before_start = state_bytes(start)
+    first, _ = federation.run_round(start, clients, datasets, cfg)
+    before_first = state_bytes(first)
+    # the vessel that trained the last site still holds that site's arrays of
+    # `first`, so round 2 writes `first` unless it trains copies
+    held = clients[-1].model.params
+    assert all(held[n].data is a for n, a in first.betas[-1].values.items())
+    federation.run_round(first, clients, datasets, cfg)
+    assert state_bytes(start) == before_start
+    assert state_bytes(first) == before_first
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_a_site_that_fails_in_round_2_leaves_the_round_1_state_unchanged(parallel):
+    cfg = ExperimentConfig(**TINY, parallel_clients=parallel)
+    datasets, clients = tiny_datasets(cfg), federation.build_clients(cfg)
+    first, _ = federation.run_round(federation.initial_state(cfg), clients, datasets, cfg)
+    before = state_bytes(first)
+    datasets[1].train_images[:] = np.nan
+    with pytest.raises(FloatingPointError, match=r"site 1, round 2: non-finite"):
+        federation.run_round(first, clients, datasets, cfg)
+    assert state_bytes(first) == before
 
 
 class TestFedavg:

@@ -152,7 +152,8 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     n = b.shape[0] // cfg.sites
     noise = [rng.standard_normal((w.shape[0], n)) for _ in range(cfg.sites)]
     heads = w + 0.1 * np.concatenate(noise, axis=1), b
-    client.model.load_params({**state.theta_g.values, **state.betas[1].values})
+    for n, a in state.site_params(1).items():
+        client.model.params[n].data = a
 
     # the input image enters through encode(); the other sites' heads through
     # the concat in hc that splices the local head's live parameters between

@@ -279,9 +279,9 @@ class TestParameterNames:
     def test_without_pcs_the_generator_is_left_out_and_the_rest_keeps_its_numbers(self):
         full = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9))
         lean = SegmentationModel(**TINY, n_sites=3, rng=np.random.default_rng(9), pcs=False)
-        kept = {n: a for n, a in full.get_params().items() if not n.startswith("pcsgen.")}
-        assert len(kept) < len(full.get_params())
-        got = lean.get_params()
+        kept = {n: t.data for n, t in full.params.items() if not n.startswith("pcsgen.")}
+        assert len(kept) < len(full.params)
+        got = {n: t.data for n, t in lean.params.items()}
         assert list(got) == list(kept)
         for n, a in kept.items():
             np.testing.assert_array_equal(got[n], a)
@@ -294,7 +294,6 @@ class TestParameterNames:
         expected = [n for n in TINY_NAMES if pcs or not n.startswith("pcsgen.")]
         assert len(expected) == (31 if pcs else 23)
         assert list(model.params) == expected
-        assert list(model.get_params()) == expected
         assert [(n, stage) for n, _, stage in model.named_parameters()] == [
             (n, n.split(".", 1)[0]) for n in expected]
 
@@ -312,29 +311,9 @@ class TestModelForward:
         assert s.shape == (2, 1, 8, 8)
         assert np.all((s.data > 0) & (s.data < 1))
 
-    def test_load_get_roundtrip(self):
-        rng = np.random.default_rng(12)
-        m1 = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(1))
-        m2 = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(2))
-        params = m1.get_params()
-        m2.load_params(params)
-        x = Tensor(rng.random((1, 1, 8, 8)))
-        s1, f1 = encode(m1.params, x)
-        s2, f2 = encode(m2.params, x)
-        np.testing.assert_array_equal(f1.data, f2.data)
-
     def test_conv_blocks_have_no_bias_projections_keep_theirs(self):
         model = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(3))
         names = list(model.params)
         assert not [n for n in names if n.endswith("conv.b")]
         assert "enc0.conv.w" in names and "up0.b" in names
 
-    def test_load_unknown_name_rejected(self):
-        m = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(3))
-        with pytest.raises(ValueError, match="enc0.conv.b"):
-            m.load_params({"enc0.conv.b": np.zeros(2)})
-
-    def test_load_shape_mismatch_rejected(self):
-        m = SegmentationModel(**TINY, n_sites=2, rng=np.random.default_rng(3))
-        with pytest.raises(ValueError):
-            m.load_params({"enc0.conv.w": np.zeros((1, 1, 3, 3))})

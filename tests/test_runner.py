@@ -305,6 +305,14 @@ BAD_COMMANDS = {
                                 "--train-per-site must be >= 1, got -1"),
     "gen_data_no_test": (_gen_data("--test-per-site", "0"),
                          "--test-per-site must be >= 1, got 0"),
+    "gen_data_zero_size": (_gen_data("--image-size", "0"),
+                           "--image-size must be even and >= 4, got 0"),
+    "gen_data_negative_size": (_gen_data("--image-size", "-4"),
+                               "--image-size must be even and >= 4, got -4"),
+    "gen_data_odd_size": (_gen_data("--image-size", "7"),
+                          "--image-size must be even and >= 4, got 7"),
+    "gen_data_size_2": (_gen_data("--image-size", "2"),
+                        "--image-size must be even and >= 4, got 2"),
 }
 
 
@@ -317,6 +325,36 @@ def test_a_bad_command_exits_2_with_one_error_line_and_writes_nothing(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert os.listdir(tmp_path) == []
+
+
+_COLUMNS = runner.CSV_HEADER
+_ROW = "1,0,0.5,2.25," + ",".join(["0.125"] * (_COLUMNS.count(",") - 3))
+
+# (metrics.csv text, the line the error names, a piece of its message); each
+# `lcfed report` exits 2 with one `error:` line and writes no report
+BAD_METRICS = {
+    "cut_after_the_digest_line": ("# config 0123abcd\n", 2, "the column line is not"),
+    "another_column_line": (f"# config 0123abcd\nround,site,iou\n{_ROW}\n", 2,
+                            "the column line is not"),
+    "a_row_missing_cells": (f"# config 0123abcd\n{_COLUMNS}\n{_ROW}\n1,1,0.5\n", 4,
+                            "numeric cells, got '1,1,0.5'"),
+    "a_row_with_an_extra_cell": (f"# config 0123abcd\n{_COLUMNS}\n{_ROW},7\n", 3,
+                                 "numeric cells"),
+    "a_cell_that_is_no_number": (f"# config 0123abcd\n{_COLUMNS}\n{_ROW.replace('0.5', 'x')}\n",
+                                 3, "numeric cells"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_METRICS))
+def test_report_on_a_damaged_metrics_file_exits_2_naming_its_line(case, tmp_path, capsys):
+    text, line, message = BAD_METRICS[case]
+    path = tmp_path / "metrics.csv"
+    path.write_text(text)
+    assert cli.main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
+    assert message in err
+    assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
 def cut_run(tmp_path, mode):
@@ -448,8 +486,8 @@ class TestResumeChecksArrays:
         # the layout written before non-PCS models left the generator out
         state, digest, seed = checkpoint.load_checkpoint(path)
         pcs_cfg = dataclasses.replace(cfg, mode="lcfed")
-        generator = {n: a for n, a in federation.new_model(pcs_cfg, np.random.default_rng(0))
-                     .get_params().items() if n.startswith("pcsgen.")}
+        generator = {n: t.data for n, t in federation.new_model(pcs_cfg, np.random.default_rng(0))
+                     .params.items() if n.startswith("pcsgen.")}
         state.theta_g.values.update(generator)
         for adam in state.adam_states:
             for key in ("m", "v"):
