@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import data as data_mod
@@ -56,7 +57,7 @@ def _cmd_run(args) -> int:
     apply_overrides(cfg, args.set)
     out = run_experiment(cfg)
     print(f"run complete: {out}")
-    with open(f"{out}/summary.txt") as fh:
+    with open(os.path.join(out, "summary.txt")) as fh:
         print(fh.read(), end="")
     return 0
 
@@ -73,10 +74,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    for name in ("sites", "train_per_site", "test_per_site"):
-        if getattr(args, name) < 1:
+    for name, least in (("benchmark_seed", 0), ("sites", 1), ("train_per_site", 1),
+                        ("test_per_site", 1)):
+        if getattr(args, name) < least:
             flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
+            raise ValueError(f"{flag} must be >= {least}, got {getattr(args, name)}")
     # every run has at least two stages, so one 2x pool and a deepest feature of 2 px
     if args.image_size < 4 or args.image_size % 2:
         raise ValueError(f"--image-size must be even and >= 4, got {args.image_size}")

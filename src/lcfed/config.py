@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {tuple(MODES)}")
         if self.sites < 1:
             raise ValueError("need at least one site")
+        for name in ("master_seed", "benchmark_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.local_epochs < 1 or self.batch_size < 1:

@@ -252,19 +252,20 @@ def run_round(state: FederationState, clients: list, datasets: list,
 
 
 def evaluate_clients(state: FederationState, datasets: list, cfg: ExperimentConfig) -> list:
-    """Per-site reports on the calibrated map, threshold 0.5.
+    """Per-site (IoU, ASSD) of the calibrated map at threshold 0.5, each
+    averaged over classes.
 
     Each site's arrays enter as constant tensors over the state's own memory:
     no copy, no gradient buffer, and no autodiff graph."""
     dtype = np_dtype(cfg)
     heads = relayed_heads(state)
-    reports = []
+    scores = []
     for k, data in enumerate(datasets):
         params = {n: Tensor(a) for n, a in state.site_params(k).items()}
 
         def predict(batch):
             return forward_predict(params, batch.astype(dtype, copy=False), heads, k, cfg)
 
-        reports.append(evaluate_site(predict, data.test_images, data.test_masks,
-                                     batch_size=cfg.batch_size))
-    return reports
+        scores.append(evaluate_site(predict, data.test_images, data.test_masks,
+                                    batch_size=cfg.batch_size))
+    return scores

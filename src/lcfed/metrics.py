@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
@@ -52,26 +50,11 @@ def assd(pred: np.ndarray, gt: np.ndarray) -> float:
     return 0.5 * (float(dist_to_gt[bp].mean()) + float(dist_to_pred[bg].mean()))
 
 
-@dataclass
-class SiteReport:
-    """Per-class and averaged metrics for one site's test set."""
-
-    iou_per_class: np.ndarray
-    assd_per_class: np.ndarray
-    n_samples: int
-
-    @property
-    def iou(self) -> float:
-        return float(self.iou_per_class.mean())
-
-    @property
-    def assd(self) -> float:
-        return float(self.assd_per_class.mean())
-
-
 def evaluate_site(predict, images: np.ndarray, masks: np.ndarray,
-                  threshold: float = FOREGROUND_THRESHOLD, batch_size: int = 8) -> SiteReport:
-    """Run `predict` over the test arrays and average per-sample metrics.
+                  threshold: float = FOREGROUND_THRESHOLD,
+                  batch_size: int = 8) -> tuple[float, float]:
+    """Run `predict` over the test arrays; returns (IoU, ASSD), each the mean
+    over classes of that class's mean over samples.
 
     `predict` maps (b, 1, H, W) images to (b, N, H, W) probabilities;
     binarization is probability >= threshold.
@@ -91,4 +74,4 @@ def evaluate_site(predict, images: np.ndarray, masks: np.ndarray,
                 gt = masks[start + i, c] >= 0.5
                 iou_sum[c] += iou(binary[i, c], gt)
                 assd_sum[c] += assd(binary[i, c], gt)
-    return SiteReport(iou_per_class=iou_sum / n, assd_per_class=assd_sum / n, n_samples=n)
+    return float((iou_sum / n).mean()), float((assd_sum / n).mean())

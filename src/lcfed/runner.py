@@ -3,7 +3,9 @@
 Run-directory layout:
     config.txt        effective configuration echo
     metrics.csv       one row per evaluated round per site (losses are the
-                      round's training means; IoU/ASSD from the test split)
+                      round's training means; IoU and ASSD are the test split's,
+                      averaged over classes); `_row_line` writes every row and
+                      `read_metrics` reads them, the file's one format
     checkpoints/      round_NNNN.ckpt, the state after round NNNN: one JSON header
                       line, then the arrays' raw bytes (checkpoint.py)
     summary.txt       final per-site table, sites as columns, average last
@@ -24,7 +26,9 @@ from .checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
 from .losses import LOSS_TERMS
 
-CSV_HEADER = ",".join(["round", "site", "iou", "assd"] + [f"loss_{t}" for t in LOSS_TERMS])
+_COLUMNS = ["round", "site", "iou", "assd"] + [f"loss_{t}" for t in LOSS_TERMS]
+CSV_HEADER = ",".join(_COLUMNS)
+_INT_COLUMNS = ("round", "site")
 
 # glibc malloc tuning for a training step's large, short-lived numpy arrays.
 # By default glibc raises its mmap threshold as big blocks are freed and trims
@@ -39,6 +43,12 @@ _M_MMAP_THRESHOLD = -3
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _row_line(row: dict) -> str:
+    """One metrics.csv line from a dict of the columns.  `.17g` round-trips,
+    so a row that `read_metrics` parsed comes back as the same text."""
+    return ",".join(str(row[c]) if c in _INT_COLUMNS else _fmt(row[c]) for c in _COLUMNS) + "\n"
 
 
 def build_datasets(cfg: ExperimentConfig) -> list:
@@ -95,10 +105,9 @@ def _ckpt_path(out_dir, round_index):
 _CKPT_NAME = re.compile(r"round_([0-9]+)\.ckpt")
 
 
-def _should_eval(cfg: ExperimentConfig, round_index: int) -> bool:
-    if round_index == cfg.rounds:
-        return True
-    return cfg.eval_every > 0 and round_index % cfg.eval_every == 0
+def _due(every: int, round_index: int, cfg: ExperimentConfig) -> bool:
+    """The final round, or every `every` > 0 rounds."""
+    return round_index == cfg.rounds or (every > 0 and round_index % every == 0)
 
 
 def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
@@ -135,15 +144,13 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
         last_round = cfg.rounds if stop_after_round is None else min(cfg.rounds, stop_after_round)
         for round_index in range(start_round + 1, last_round + 1):
             state, stats = federation.run_round(state, clients, datasets, cfg)
-            if _should_eval(cfg, round_index):
-                reports = federation.evaluate_clients(state, datasets, cfg)
-                for site, (report, stat) in enumerate(zip(reports, stats)):
-                    csv_fh.write(",".join(
-                        [str(round_index), str(site), _fmt(report.iou), _fmt(report.assd)]
-                        + [_fmt(stat[t]) for t in LOSS_TERMS]) + "\n")
+            if _due(cfg.eval_every, round_index, cfg):
+                scores = federation.evaluate_clients(state, datasets, cfg)
+                for site, ((iou, assd), stat) in enumerate(zip(scores, stats)):
+                    row = {"round": round_index, "site": site, "iou": iou, "assd": assd}
+                    csv_fh.write(_row_line(row | {f"loss_{t}": stat[t] for t in LOSS_TERMS}))
                 csv_fh.flush()
-            want_ckpt = (cfg.checkpoint_every > 0 and round_index % cfg.checkpoint_every == 0)
-            if want_ckpt or round_index == cfg.rounds:
+            if _due(cfg.checkpoint_every, round_index, cfg):
                 save_checkpoint(_ckpt_path(out_dir, round_index), state, digest,
                                 cfg.master_seed)
     finally:
@@ -159,14 +166,11 @@ def _truncate_metrics(out_dir: str, keep_up_to_round: int, digest: str):
     path = _metrics_path(out_dir)
     if not os.path.exists(path):
         raise FileNotFoundError(f"cannot resume: {path} is missing")
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines or lines[0].strip() != f"# config {digest}":
+    found, rows = read_metrics(out_dir)
+    if found != digest:
         raise ValueError(f"{path}: config digest does not match this run")
-    kept = lines[:2]
-    for line in lines[2:]:
-        if line.strip() and int(line.split(",", 1)[0]) <= keep_up_to_round:
-            kept.append(line)
+    kept = [f"# config {digest}\n{CSV_HEADER}\n"]
+    kept += [_row_line(r) for r in rows if r["round"] <= keep_up_to_round]
     # rename a finished copy over the file, so a failed write loses no rows
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -219,25 +223,28 @@ def read_metrics(run_dir: str):
     digest = lines[0].split()[-1]
     if lines[1:2] != [CSV_HEADER]:
         raise ValueError(f"{path}:2: the column line is not {CSV_HEADER!r}")
-    columns = CSV_HEADER.split(",")
     rows = []
     for number, line in enumerate(lines[2:], start=3):
         if not line:
             continue
         try:
-            rows.append({c: int(v) if c in ("round", "site") else float(v)
-                         for c, v in zip(columns, line.split(","), strict=True)})
+            rows.append({c: int(v) if c in _INT_COLUMNS else float(v)
+                         for c, v in zip(_COLUMNS, line.split(","), strict=True)})
         except ValueError:
-            raise ValueError(f"{path}:{number}: expected {len(columns)} numeric cells, "
+            raise ValueError(f"{path}:{number}: expected {len(_COLUMNS)} numeric cells, "
                              f"got {line!r}") from None
     return digest, rows
 
 
 def final_scores(run_dir: str):
     """(per-site IoU list, per-site ASSD list, averaged IoU, averaged ASSD)."""
-    _, rows = read_metrics(run_dir)
+    return _final_scores(run_dir, read_metrics(run_dir)[1])
+
+
+def _final_scores(run_dir: str, rows: list):
+    """`final_scores` over rows already read from the run's metrics.csv."""
     if not rows:
-        raise ValueError(f"{run_dir}: no metric rows")
+        raise ValueError(f"{run_dir}: no metric rows to report")
     last = max(r["round"] for r in rows)
     finals = sorted((r for r in rows if r["round"] == last), key=lambda r: r["site"])
     ious = [r["iou"] for r in finals]
@@ -248,9 +255,7 @@ def final_scores(run_dir: str):
 def emit_report(run_dir: str) -> str:
     """Summary table + plot curves, both pure functions of metrics.csv."""
     digest, rows = read_metrics(run_dir)
-    if not rows:
-        raise ValueError(f"{run_dir}: no metric rows to report")
-    ious, assds, avg_iou, avg_assd = final_scores(run_dir)
+    ious, assds, avg_iou, avg_assd = _final_scores(run_dir, rows)
     sites = list(range(len(ious)))
 
     width = 10

@@ -132,8 +132,8 @@ def test_resume_names_the_config_file_of_a_bad_line(tmp_path, capsys):
         f"error: {path}: line {lines + 1}: rounds: cannot parse integer from 'x'\n")
 
 
-# each passed validation once and failed only at round 1 or later, after
-# config.txt and metrics.csv were written
+# each passed validation once and failed only after the run directory and
+# config.txt were written
 @pytest.mark.parametrize("override,field", [
     ("channels=8,0", "channels"),
     ("image_size=16", "image_size"),
@@ -142,6 +142,8 @@ def test_resume_names_the_config_file_of_a_bad_line(tmp_path, capsys):
     ("lambda_con=nan", "lambda_con"),
     ("lambda_con=-0.5", "lambda_con"),
     ("lr=-1", "lr"),
+    ("master_seed=-1", "master_seed"),
+    ("benchmark_seed=-1", "benchmark_seed"),
 ])
 def test_cli_rejects_bad_config_before_writing_anything(override, field, tmp_path, capsys):
     out = tmp_path / "run"

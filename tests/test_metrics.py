@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcfed.metrics import assd, boundary_pixels, iou
+from lcfed.metrics import assd, boundary_pixels, evaluate_site, iou
 
 
 def boundary_loop(mask):
@@ -135,3 +135,37 @@ class TestASSD:
 
     def test_both_empty_is_zero(self):
         assert assd(np.zeros((4, 4), bool), np.zeros((4, 4), bool)) == 0.0
+
+
+class TestEvaluateSite:
+    def test_matches_a_per_sample_loop_over_a_partial_last_batch(self):
+        n, classes, h = 5, 2, 8
+        rng = np.random.default_rng(3)
+        probs = rng.random((n, classes, h, h))
+        masks = (rng.random((n, classes, h, h)) < 0.4).astype(np.float64)
+        assert masks[0, 0].any() and masks[2, 0].any()
+        probs[0, 0] = np.where(masks[0, 0] > 0, 0.5, 0.25)   # exactly 0.5 is foreground
+        probs[1, 1], masks[1, 1] = 0.0, 0.0                  # both masks empty
+        probs[2, 0] = 0.0                                    # an empty prediction
+        # each image holds its sample index, so `predict` looks its probabilities up
+        images = np.broadcast_to(np.arange(n, dtype=np.float64)[:, None, None, None],
+                                 (n, 1, h, h))
+        batches = []
+
+        def predict(batch):
+            batches.append(len(batch))
+            return probs[batch[:, 0, 0, 0].astype(int)]
+
+        got = evaluate_site(predict, images, masks, batch_size=2)
+        assert batches == [2, 2, 1]
+
+        per_sample = [[(iou(probs[i, c] >= 0.5, masks[i, c] >= 0.5),
+                        assd(probs[i, c] >= 0.5, masks[i, c] >= 0.5)) for i in range(n)]
+                      for c in range(classes)]
+        assert per_sample[0][0] == (1.0, 0.0)
+        assert per_sample[1][1] == (1.0, 0.0)
+        assert per_sample[0][2] == (0.0, float(np.hypot(h, h)))
+        # the mean over classes of each class's mean over samples
+        expected = tuple(sum(sum(s[j] for s in samples) / n for samples in per_sample) / classes
+                         for j in (0, 1))
+        assert got == expected

@@ -300,6 +300,8 @@ BAD_COMMANDS = {
     "run_config_is_a_directory": (lambda tmp: ["run", "--config", str(tmp),
                                                "--out", str(tmp / "run")],
                                   "Is a directory"),
+    "gen_data_negative_seed": (_gen_data("--benchmark-seed", "-1"),
+                               "--benchmark-seed must be >= 0, got -1"),
     "gen_data_no_sites": (_gen_data("--sites", "0"), "--sites must be >= 1, got 0"),
     "gen_data_negative_train": (_gen_data("--train-per-site", "-1", "--sites", "2"),
                                 "--train-per-site must be >= 1, got -1"),
@@ -423,6 +425,13 @@ def _as_format_1(cut, ckpt):
         fh.write(("\n".join(lines + ["end"]) + "\n").encode() + blob)
 
 
+def _metrics_cut_after_the_digest_line(cut, ckpt):
+    path = os.path.join(cut, "metrics.csv")
+    digest_line = read_bytes(path).split(b"\n", 1)[0]
+    with open(path, "wb") as fh:
+        fh.write(digest_line + b"\n")
+
+
 # (damage to a run cut after round 1, error type, message); {ckpt},
 # {metrics} and {config} stand for the paths the message must start with or name
 BAD_RESUMES = {
@@ -439,6 +448,11 @@ BAD_RESUMES = {
     "metrics_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "metrics.csv"),
                                                   b"# config ", b"# config 0"),
                        ValueError, "{metrics}: config digest does not match this run"),
+    "metrics_cut_after_the_digest_line": (_metrics_cut_after_the_digest_line, ValueError,
+                                          "{metrics}:2: the column line is not"),
+    "metrics_round_not_a_number": (lambda cut, ckpt: _rewrite(os.path.join(cut, "metrics.csv"),
+                                                              b"\n1,0,", b"\nx,0,"),
+                                   ValueError, "{metrics}:3: expected \\d+ numeric cells"),
     # the previous format, whose crc32 covered only the data
     "not_a_checkpoint": (_damage(header=lambda meta: meta.update(format="lcfed-ckpt 2")),
                          ValueError, "{ckpt}: not a checkpoint file"),
