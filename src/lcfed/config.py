@@ -105,6 +105,10 @@ class ExperimentConfig:
             # instance norm needs at least two pixels per channel plane
             raise ValueError(f"image_size {self.image_size} leaves a deepest feature below "
                              f"2x2 after {depth} poolings; need >= {2 ** (depth + 1)}")
+        if MODES[self.mode].pcs and self.channels[-1] < 2:
+            # the PCS generator normalizes each sample over the deepest width
+            raise ValueError(
+                f"channels[-1] must be >= 2 in PCS mode {self.mode!r}, got {self.channels}")
         if self.train_per_site < 1 or self.test_per_site < 1:
             raise ValueError("train_per_site and test_per_site must be >= 1")
         if self.eval_every < 0 or self.checkpoint_every < 0:

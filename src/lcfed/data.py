@@ -331,7 +331,7 @@ def load_directory(manifest_path: str) -> list:
             if len(parts) != 4:
                 raise ValueError(f"{manifest_path}:{ln}: expected 'site split image mask'")
             site, split, img_rel, mask_rel = parts
-            if not site.isdigit():
+            if not (site.isascii() and site.isdigit()):
                 raise ValueError(f"{manifest_path}:{ln}: bad site {site!r}")
             if split not in ("train", "test"):
                 raise ValueError(f"{manifest_path}:{ln}: bad split {split!r}")

@@ -3,10 +3,10 @@
 The `FederationState` owns every array: each site's local parameters, step
 count and Adam moments (zero before the first round) beside the averaged
 parameters.  A `Client` is a model/optimizer vessel that serves training
-only and holds tensor identities and gradient buffers, no values of a site:
-a local update rebinds the vessel's tensors to fresh copies of the site's
-arrays, steps a copy of its moments, and hands those very arrays to the new
-state.  One vessel serves a serial run, one per site a parallel one.
+only and holds tensor identities and the last step's gradients, no values of
+a site: a local update rebinds the vessel's tensors to fresh copies of the
+site's arrays, steps a copy of its moments, and hands those very arrays to the
+new state.  One vessel serves a serial run, one per site a parallel one.
 Each round re-seeds every site's batch sampling from (master seed, site,
 round), so sites can run sequentially or in parallel workers and produce
 bit-identical results.  The mode's row in `config.MODES` names the local
@@ -75,7 +75,7 @@ class FederationState:
 
 @dataclass
 class Client:
-    """Model/optimizer vessel: tensor identities and gradient buffers, no site's values."""
+    """Model/optimizer vessel: tensor identities and the last step's gradients, no site's values."""
 
     model: SegmentationModel
     optimizer: Adam
@@ -256,7 +256,7 @@ def evaluate_clients(state: FederationState, datasets: list, cfg: ExperimentConf
     averaged over classes.
 
     Each site's arrays enter as constant tensors over the state's own memory:
-    no copy, no gradient buffer, and no autodiff graph."""
+    no copy, no gradient, and no autodiff graph."""
     dtype = np_dtype(cfg)
     heads = relayed_heads(state)
     scores = []

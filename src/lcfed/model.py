@@ -37,8 +37,8 @@ def conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -
 
 class SegmentationModel:
     """A parameter table: draws every initial array and holds it as a tensor
-    that requires a gradient.  A training vessel keeps the tensors and their
-    gradient buffers; each local update rebinds their ``.data`` to a site's."""
+    that requires a gradient.  A training vessel keeps the tensors and the
+    last step's gradients; each local update rebinds their ``.data`` to a site's."""
 
     def __init__(self, channels: tuple, classes: int, n_sites: int,
                  rng: np.random.Generator, dtype=np.float64, pcs: bool = True):

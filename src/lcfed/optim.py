@@ -2,7 +2,8 @@
 
 `Adam` binds (name, Tensor) pairs and the hyperparameters, and keeps no
 per-site values: `step` advances a state ``{"t": int, "m": {name: array},
-"v": {name: array}}`` that the caller owns, in place.
+"v": {name: array}}`` that the caller owns, in place, and only reads the
+gradients; `zero_grad` releases them (sets every ``.grad`` to None).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class Adam:
 
     def zero_grad(self):
         for _, p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self, state: dict):
         """One update of every bound tensor with a gradient; advances

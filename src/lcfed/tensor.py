@@ -8,9 +8,10 @@ each in reverse topological order, releasing every node as soon as its closure
 has run.
 
 Conventions:
-  * gradients accumulate (+=) into ``.grad``; call ``zero_grad()`` between
-    optimizer steps.  An intermediate's first gradient is stored as a copy,
-    not added to a zero buffer,
+  * ``.grad`` is None until a gradient arrives; the first is kept as the op
+    handed it over (maybe a read-only broadcast or a view another tensor
+    shares), a later one binds a new sum, and nothing writes into a ``.grad``,
+    so setting it to None releases it (``Adam.zero_grad`` does, between steps),
   * constants (tensors that neither require a gradient nor come out of a
     tracked op) receive no gradient: their ``.grad`` stays None and ops skip
     computing it,
@@ -70,7 +71,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self._parents = ()
         self._grad_fn = None
         self._consumed = False
@@ -99,23 +100,17 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0
-
     def accumulate_grad(self, g: np.ndarray):
         if not self.requires_grad:
             return  # a constant: graph_node marks every tensor with tracked parents
         g = _unbroadcast(np.asarray(g), self.data.shape)
-        if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
-        else:
-            self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- autodiff ------------------------------------------------------------
 
     def backward(self):
-        """Propagate gradients from this scalar to every ancestor.
+        """Propagate gradients from this scalar to every ancestor, each adding
+        to what its ``.grad`` holds from earlier passes, never in place.
 
         Each node is released from the graph as soon as its closure has run,
         so saved arrays and intermediate gradients are freed during the pass;
@@ -274,7 +269,6 @@ def graph_node(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad or p._parents for p in parents):
         out.requires_grad = True
-        out.grad = None  # allocated lazily during backward
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
     return out

@@ -37,6 +37,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="incompatible with 3 stages"):
             ExperimentConfig(image_size=10, channels=(2, 3, 4)).validate()
 
+    def test_a_deepest_width_of_one_needs_a_mode_without_pcs(self):
+        # PCS normalizes over the deepest width; a U-Net's deepest instance
+        # norm runs over at least 2x2 pixels whatever the width
+        message = "channels[-1] must be >= 2 in PCS mode 'lcfed', got (8, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(mode="lcfed", channels=(8, 1)).validate()
+        ExperimentConfig(mode="fedavg", channels=(8, 1)).validate()
+
     def test_unknown_mode_names_the_modes(self):
         with pytest.raises(ValueError, match="fedrep-head"):
             ExperimentConfig(mode="fedbn").validate()
@@ -136,6 +144,7 @@ def test_resume_names_the_config_file_of_a_bad_line(tmp_path, capsys):
 # config.txt were written
 @pytest.mark.parametrize("override,field", [
     ("channels=8,0", "channels"),
+    ("channels=8,1", "channels"),
     ("image_size=16", "image_size"),
     ("train_per_site=0", "train_per_site"),
     ("test_per_site=0", "test_per_site"),

@@ -155,6 +155,10 @@ BAD_RECORDS = {
                     "manifest.txt:2: expected 'site split image mask'"),
     "negative_site": (lambda out_dir: "-1 train site0_train_0000_img.pgm site0_train_0000_mask.pgm",
                       ValueError, "manifest.txt:2: bad site '-1'"),
+    # a digit to str.isdigit that int() rejects
+    "non_ascii_site": (lambda out_dir: "² train site0_train_0000_img.pgm "
+                                       "site0_train_0000_mask.pgm",
+                       ValueError, "manifest.txt:2: bad site '²'"),
     "split": (lambda out_dir: "0 valid site0_train_0000_img.pgm site0_train_0000_mask.pgm",
               ValueError, "manifest.txt:2: bad split 'valid'"),
     "missing_file": (lambda out_dir: "0 train gone.pgm site0_train_0000_mask.pgm",

@@ -80,6 +80,24 @@ def test_a_vessel_that_trained_another_site_gives_the_same_update_as_a_fresh_one
         site_update(federation.build_clients(cfg)[0], 1))
 
 
+@pytest.mark.parametrize("classes", [1, 2])
+def test_every_gradient_of_a_float32_step_is_float32(classes):
+    # a gradient is stored as the op handed it over, never cast: an op that
+    # handed back float64 would show here
+    cfg = ExperimentConfig(**{**TINY, "dtype": "float32", "classes": classes})
+    datasets = tiny_datasets(cfg)
+    state = federation.initial_state(cfg)
+    client = federation.build_clients(cfg)[0]
+    for n, a in state.site_params(1).items():
+        client.model.params[n].data = a
+    xb = datasets[1].train_images.astype(np.float32)
+    yb = datasets[1].train_masks.astype(np.float32)
+    federation.forward_training(client.model.params, xb, yb, federation.relayed_heads(state),
+                                1, cfg).joint.backward()
+    params = client.model.params
+    assert {n: t.grad.dtype for n, t in params.items()} == dict.fromkeys(params, np.float32)
+
+
 def test_initial_state_holds_zero_moments_for_every_site():
     cfg = ExperimentConfig(**TINY)
     state = federation.initial_state(cfg)

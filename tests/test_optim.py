@@ -49,13 +49,30 @@ class TestStep:
         np.testing.assert_array_equal(state["m"]["p1"], [0.0])
         np.testing.assert_array_equal(state["v"]["p1"], [0.0])
 
+    def test_step_reads_a_read_only_broadcast_gradient_and_leaves_it_as_is(self):
+        named = params([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]])
+        (_, p), = named
+        p.sum(axis=1).sum().backward()
+        g = p.grad
+        assert not g.flags.writeable   # stored as sum(axis=1) handed it over
+        opt = Adam(named, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        state = zero_state(named)
+        opt.step(state)
+        # first step with g = 1: m = 0.1, v = 0.001, so each entry moves by lr / (1 + eps)
+        np.testing.assert_allclose(
+            p.data, np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]]) - 0.1 / (1 + 1e-8),
+            rtol=1e-14, atol=1e-16)
+        np.testing.assert_array_equal(state["m"]["p0"], np.full((2, 3), 1 - 0.9))
+        assert p.grad is g
+        np.testing.assert_array_equal(g, np.ones((2, 3)))
+
     def test_zero_grad_zeroes_every_gradient(self):
         named = params([1.0], [2.0])
         for _, t in named:
             t.grad = np.ones(1)
         Adam(named).zero_grad()
-        for _, t in named:
-            np.testing.assert_array_equal(t.grad, [0.0])
+        # a released gradient is a zero one: step skips it
+        assert all(t.grad is None for _, t in named)
 
 
 class TestResume:

@@ -206,5 +206,5 @@ class TestProperties:
             loss.backward()
             for t in gen.values():
                 t.data -= 1e-3 * t.grad
-                t.zero_grad()
+                t.grad = None
             assert mean_distance() >= before - 1e-12

@@ -460,7 +460,7 @@ class TestStopGradient:
     def test_blocks_gradient_exactly(self):
         x = Tensor(np.arange(4.0) + 1.0, requires_grad=True)
         T.stop_gradient(x).sum().backward()
-        np.testing.assert_array_equal(x.grad, np.zeros(4))
+        assert x.grad is None   # no gradient, not even a zero one, reaches x
 
     def test_product_with_detached_self(self):
         # d/dx sum(x * sg(x)) = x, not 2x
@@ -523,7 +523,7 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3), requires_grad=True)
         x.sum().backward()
-        np.testing.assert_array_equal(y.grad, np.zeros(3))
+        assert y.grad is None
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -542,8 +542,27 @@ class TestBackward:
         x.sum().backward()
         (x * 2.0).sum().backward()
         np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
-        x.zero_grad()
-        np.testing.assert_array_equal(x.grad, np.zeros(3))
+        x.grad = None   # release, as Adam.zero_grad does between steps
+        (x * 4.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
+
+    def test_first_gradient_is_stored_as_handed_over(self):
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        a = np.array([1.0, 2.0, 3.0])
+        T.graph_node(np.asarray(3.0), (leaf,), lambda g: leaf.accumulate_grad(a)).backward()
+        assert leaf.grad is a
+
+    def test_a_later_gradient_leaves_an_array_shared_with_another_tensor_unchanged(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        w = np.array([1.0, -2.0, 3.0])
+        ((x + y) * w).sum().backward()
+        first = y.grad
+        assert x.grad is first   # + hands its one gradient to both operands
+        (x * 2.0).sum().backward()
+        assert y.grad is first
+        np.testing.assert_array_equal(first, w)
+        np.testing.assert_array_equal(x.grad, w + 2.0)
 
     def test_diamond_graph_accumulates_once_per_path(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
