@@ -17,7 +17,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+# numpy 2 loads numpy.random on first use; load it with the other imports
+import numpy.random  # noqa: F401
 
 SHAPE_FAMILIES = ("ellipse", "blob", "polygon")
 
@@ -152,13 +153,34 @@ _FAMILY_RENDERERS = {"ellipse": _ellipse_mask, "blob": _blob_mask, "polygon": _p
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over the (2r+1) x (2r+1) window, edges replicated; radius 0 is
-    the identity (scipy's running sum would round it)."""
+    """Mean over the (2r+1) x (2r+1) window of the last two axes, edges
+    replicated; radius 0 is the identity (the running sum would round it).
+
+    Each axis is `scipy.ndimage.uniform_filter1d` with mode "nearest", bit
+    for bit: in double, the first window summed from 0.0 in order, then the
+    running sum tmp += x[l + size] - x[l] over the edge-padded line, each
+    written out as tmp / size and cast to the input's dtype.  The running sum
+    steps along the axis for every line at once.  lcfed does not import
+    scipy: `scipy.ndimage` takes each process longer to import than numpy.
+    """
     if radius == 0:
         return img
-    for axis in (0, 1):
-        img = ndimage.uniform_filter1d(img, 2 * radius + 1, axis=axis, mode="nearest")
-    return img
+    size = 2 * radius + 1
+    for axis in (-2, -1):
+        x = np.moveaxis(img, axis, 0)
+        n = x.shape[0]
+        padded = np.concatenate([x[:1]] * radius + [x] + [x[-1:]] * radius, axis=0,
+                                dtype=np.float64)
+        sums = np.empty(x.shape)
+        sums[0] = 0.0
+        for i in range(size):
+            sums[0] += padded[i]
+        np.subtract(padded[size:], padded[:n - 1], out=sums[1:])
+        for i in range(1, n):
+            sums[i] += sums[i - 1]
+        sums /= size
+        img = np.moveaxis(sums.astype(img.dtype, copy=False), 0, axis)
+    return np.ascontiguousarray(img)
 
 
 def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
@@ -170,7 +192,7 @@ def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
     style.validate()
     rng = np.random.default_rng(seed)
     render = _FAMILY_RENDERERS[style.shape_family]
-    samples = []
+    sample_masks, clean, noise = [], [], []
     for idx in range(n_train + n_test):
         cy = image_size * rng.uniform(0.3, 0.7)
         cx = image_size * rng.uniform(0.3, 0.7)
@@ -199,19 +221,16 @@ def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
         foreground = 0.78 - 0.18 * np.clip(dist, 0, 1) + 0.03 * wave
         canonical = np.where(mask, foreground, background)
 
-        img = style.contrast_gain * (canonical - 0.5) + 0.5 + style.intensity_offset
-        img = _box_blur(img, style.blur_radius)
-        img = img + rng.normal(0.0, style.noise_std, img.shape)
-        img = np.clip(img, 0.0, 1.0)
-        img = np.round(img * 65535.0) / 65535.0  # 16-bit grid; file round trips exactly
+        sample_masks.append(np.stack(masks).astype(np.float64))
+        clean.append(style.contrast_gain * (canonical - 0.5) + 0.5 + style.intensity_offset)
+        noise.append(rng.normal(0.0, style.noise_std, canonical.shape))
 
-        samples.append(Sample(
-            image=img,
-            mask=np.stack(masks).astype(np.float64),
-            site=site,
-            split="train" if idx < n_train else "test",
-        ))
-    return samples
+    # the blur draws no random numbers, so it runs once over the whole stack
+    images = _box_blur(np.stack(clean), style.blur_radius) + np.stack(noise)
+    images = np.clip(images, 0.0, 1.0)
+    images = np.round(images * 65535.0) / 65535.0  # 16-bit grid; file round trips exactly
+    return [Sample(image=img, mask=m, site=site, split="train" if idx < n_train else "test")
+            for idx, (img, m) in enumerate(zip(images, sample_masks))]
 
 
 def site_data_from_samples(samples: list) -> SiteData:

@@ -10,12 +10,16 @@ window-max suppression, spread by a peak-normalized Gaussian, and applied as
 residual spatial attention before the calibrated head.  The relayed
 heads' shapes and dtypes are checked once, when a checkpoint is resumed, not
 here on every step.
+
+The window max and the Gaussian are numpy reproductions of
+`scipy.ndimage.maximum_filter` and `scipy.ndimage.correlate1d`, bit for bit
+(the tests hold them to scipy).  lcfed imports numpy only:
+`scipy.ndimage` takes each process longer to import than numpy itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .layers import per_pixel_linear
 from .tensor import Tensor, concat, graph_node, sigmoid
@@ -66,17 +70,45 @@ def disagreement_map(maps: Tensor, k: int) -> Tensor:
     return graph_node(out_data, (maps,), grad_fn)
 
 
+def _running_max(flat: np.ndarray, size: int, stride: int) -> np.ndarray:
+    """Window max of the 1-D `flat` over `size` taps `stride` apart:
+    out[i] = max(flat[i], flat[i + stride], ..., flat[i + (size-1)*stride])
+    wherever that stays inside `flat`; the tail beyond is left unspecified.
+    Log-doubling spans, ping-ponging between `flat` (overwritten) and one
+    spare buffer."""
+    spare = np.empty_like(flat)
+    span = 1
+    while span < size:
+        step = min(span, size - span)
+        shift = step * stride
+        np.maximum(flat[:-shift], flat[shift:], out=spare[:-shift])
+        flat, spare = spare, flat
+        span += step
+    return flat
+
+
 def nms2d(u: Tensor, delta: int) -> Tensor:
     """Keep elements that are >= everything in their delta x delta window.
 
     Ties survive; suppressed positions become 0.  Each class channel is
     handled independently.  Backward passes gradients to survivors only.
+    The window max is `scipy.ndimage.maximum_filter` with
+    size (1, ..., delta, delta), mode "constant" and cval -inf, computed as
+    two separable passes over one flat buffer padded with -inf.  A max takes
+    no rounding, so the survivors equal scipy's on any NaN-free input.
+    scipy itself is not imported (see the module docstring).
     """
     if delta < 1 or delta % 2 == 0:
         raise ValueError(f"window size must be odd and >= 1, got {delta}")
-    window_max = ndimage.maximum_filter(u.data, size=(1,) * (u.ndim - 2) + (delta, delta),
-                                        mode="constant", cval=-np.inf)
-    mask = u.data >= window_max
+    r = delta // 2
+    h, w = u.shape[-2:]
+    padded = np.full(u.shape[:-2] + (h + 2 * r, w + 2 * r), -np.inf, dtype=u.dtype)
+    padded[..., r:r + h, r:r + w] = u.data
+    # a window starting in a row's last 2r columns runs into the next row;
+    # those starts are not kept, so the padded rows can be passed as one line
+    flat = _running_max(padded.reshape(-1), delta, 1)
+    flat = _running_max(flat, delta, w + 2 * r)
+    mask = u.data >= flat.reshape(padded.shape)[..., :h, :w]
 
     def grad_fn(g):
         u.accumulate_grad(g * mask)
@@ -89,23 +121,58 @@ def gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
     return np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
 
 
+def _correlate_symmetric(padded: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """Correlate the flattened float64 `padded` with a symmetric float64 kernel
+    whose taps lie `stride` elements apart, in the order
+    `scipy.ndimage.correlate1d` uses for a symmetric kernel: x[i]*w[c], then
+    += (x[i-j] + x[i+j]) * w[c-j] for j = c..1, with c = len(kernel) // 2.
+
+    Returns an array of `padded`'s shape.  Each line must carry c taps of
+    zero padding on both sides, so the taps never reach another line's data;
+    the result is 0 in the first and last c taps of the flat array.
+    """
+    flat = padded.reshape(-1)
+    c = kernel.shape[0] // 2
+    lo = c * stride
+    n = flat.size - 2 * lo
+    res = np.zeros(flat.size)
+    out = np.multiply(flat[lo:lo + n], kernel[c], out=res[lo:lo + n])
+    pair = np.empty(n)
+    for j in range(c, 0, -1):
+        np.add(flat[lo - j * stride:lo - j * stride + n], flat[lo + j * stride:lo + j * stride + n],
+               out=pair)
+        pair *= kernel[c - j]
+        out += pair
+    return res.reshape(padded.shape)
+
+
 def gaussian_spread(u: Tensor, size: int, sigma: float) -> Tensor:
     """Correlate with the peak-normalized Gaussian (center weight 1), zero padding.
 
-    The kernel factorizes exactly into two 1-D passes of
-    `scipy.ndimage.correlate1d`, which accumulates in double and returns the
-    input's dtype; the kernel is symmetric, so the backward pass is the same
-    correlation applied to the output gradient.
+    The kernel factorizes exactly into two 1-D passes, first along the rows'
+    axis (-2), then along the columns' (-1).  Each pass is
+    `scipy.ndimage.correlate1d` with mode "constant" and the kernel cast to
+    the input's dtype, bit for bit: it accumulates in double in scipy's order
+    for a symmetric kernel and casts to the input's dtype after each pass.
+    The kernel is symmetric, so the backward pass is the same correlation
+    applied to the output gradient.  scipy itself is not imported (see the
+    module docstring).
     """
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {size}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    k1 = gaussian_kernel_1d(size, sigma).astype(u.dtype)
+    k1 = gaussian_kernel_1d(size, sigma).astype(u.dtype).astype(np.float64)
+    c = size // 2
 
     def correlate(data):
-        rows = ndimage.correlate1d(data, k1, axis=-2, mode="constant")
-        return ndimage.correlate1d(rows, k1, axis=-1, mode="constant")
+        h, w = data.shape[-2:]
+        down = np.zeros(data.shape[:-2] + (h + 2 * c, w))
+        down[..., c:c + h, :] = data
+        across = np.zeros(data.shape[:-2] + (h, w + 2 * c))
+        rows = _correlate_symmetric(down, k1, w)[..., c:c + h, :]
+        across[..., c:c + w] = rows.astype(data.dtype, copy=False)
+        return _correlate_symmetric(across, k1, 1)[..., c:c + w].astype(data.dtype)
 
     def grad_fn(g):
         u.accumulate_grad(correlate(g))
