@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import data as data_mod
-from .config import MODES, ExperimentConfig, apply_overrides, load_config
+from .config import MODE_GRAMMAR, ExperimentConfig, apply_overrides, load_config
 from .runner import emit_report, resume_experiment, run_experiment
 
 
@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment")
     run.add_argument("--config", help="key=value config file")
     run.add_argument("--out", help="output directory (overrides config)")
-    run.add_argument("--mode", help=" | ".join(MODES))
+    run.add_argument("--mode", help=MODE_GRAMMAR)
     run.add_argument("--rounds", type=int)
     run.add_argument("--sites", type=int)
     run.add_argument("--master-seed", type=int, dest="master_seed")

@@ -29,16 +29,29 @@ class Mode:
         return any(fnmatchcase(name, pattern) for pattern in self.local)
 
 
-_HEADS = ("head_*",)
-
-MODES = {
-    "local": Mode(pcs=False, hc=False, local=("*",)),
-    "fedavg": Mode(pcs=False, hc=False, local=()),
-    "fedrep-head": Mode(pcs=False, hc=False, local=_HEADS),
-    "lcfed": Mode(pcs=True, hc=True, local=_HEADS),
-    "lcfed-pcs-only": Mode(pcs=True, hc=False, local=_HEADS),
-    "lcfed-hc-only": Mode(pcs=False, hc=True, local=_HEADS),
+# split name -> the `fnmatch` patterns of the parameters each site keeps local
+SPLITS = {
+    "local": ("*",),
+    "fedavg": (),
+    "fedrep-head": ("head_*",),                     # FedRep: the heads
+    "fedbn": ("enc*.norm.*", "dec*.norm.*"),        # FedBN: the U-Net's norms, not the generator's
+    "fedper-dec": ("up*", "dec*", "head_*"),        # FedPer: the decoder and the heads
+    "lg-fedavg": ("enc*",),                         # LG-FedAvg: the encoder
 }
+
+MODE_GRAMMAR = ("<split>, <split>+pcs, <split>+hc or <split>+pcs+hc, where <split> is one of "
+                + ", ".join(SPLITS) + "; fedrep-head+pcs+hc is spelled lcfed")
+
+
+def _mode_name(split: str, pcs: bool, hc: bool) -> str:
+    name = split + "+pcs" * pcs + "+hc" * hc
+    return "lcfed" if name == "fedrep-head+pcs+hc" else name
+
+
+# every split with PCS and HC each off or on
+MODES = {_mode_name(split, pcs, hc): Mode(pcs=pcs, hc=hc, local=local)
+         for split, local in SPLITS.items()
+         for pcs, hc in ((False, False), (True, False), (False, True), (True, True))}
 
 # execution settings: no trained value depends on them
 _NOT_IN_DIGEST = ("out_dir", "parallel_clients", "eval_every", "checkpoint_every")
@@ -72,7 +85,7 @@ class ExperimentConfig:
 
     def validate(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {tuple(MODES)}")
+            raise ValueError(f"unknown mode {self.mode!r}; expected {MODE_GRAMMAR}")
         if self.sites < 1:
             raise ValueError("need at least one site")
         for name in ("master_seed", "benchmark_seed"):

@@ -9,7 +9,7 @@ site's arrays, steps a copy of its moments, and hands those very arrays to the
 new state.  One vessel serves a serial run, one per site a parallel one.
 Each round re-seeds every site's batch sampling from (master seed, site,
 round), so sites can run sequentially or in parallel workers and produce
-bit-identical results.  The mode's row in `config.MODES` names the local
+bit-identical results.  The mode's split in `config.SPLITS` names the local
 parameters by pattern; aggregation is the plain unweighted mean over every
 other parameter.  The state holds each array once: the averaged set and each
 site's local set.  When a round starts, every site's coarse head is read from

@@ -10,9 +10,9 @@ with a (Cin, Cout) weight and a bias.
 
 `SegmentationModel.__init__` names and draws every parameter in one ordered
 table, `params`.  Names say where each one sits (``enc<i>.*``, ``up<i>.*``,
-``dec<i>.*``, ``pcsgen.*``, ``head_coarse.*``, ``head_calib.*``); a mode's row
-in `config.MODES` picks its local parameters by these names, and the table's
-order is the checkpoint's array order.
+``dec<i>.*``, ``pcsgen.*``, ``head_coarse.*``, ``head_calib.*``); a mode's
+split in `config.SPLITS` picks its local parameters by these names, and the
+table's order is the checkpoint's array order.
 
 The forward pieces, `encode`, `decode` and `head`, are functions of a
 {name: Tensor} table passed in.  A training vessel passes its `params`, whose

@@ -7,9 +7,12 @@ import pytest
 
 from lcfed import cli, federation
 from lcfed.checkpoint import load_checkpoint
-from lcfed.config import MODES, ExperimentConfig, apply_overrides, load_config, parse_config_text
+from lcfed.config import (MODE_GRAMMAR, MODES, SPLITS, ExperimentConfig, apply_overrides,
+                          load_config, parse_config_text)
 from lcfed.hc import head_calibration
 from lcfed.runner import read_metrics, run_experiment
+
+from test_layers import TINY_NAMES
 
 TINY = dict(dtype="float64", sites=2, rounds=1, image_size=16, channels=(4, 8), batch_size=3,
             train_per_site=3, test_per_site=2, benchmark_seed=1, master_seed=1)
@@ -40,14 +43,22 @@ class TestValidate:
     def test_a_deepest_width_of_one_needs_a_mode_without_pcs(self):
         # PCS normalizes over the deepest width; a U-Net's deepest instance
         # norm runs over at least 2x2 pixels whatever the width
-        message = "channels[-1] must be >= 2 in PCS mode 'lcfed', got (8, 1)"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            ExperimentConfig(mode="lcfed", channels=(8, 1)).validate()
+        for mode in ("lcfed", "fedbn+pcs"):
+            message = f"channels[-1] must be >= 2 in PCS mode {mode!r}, got (8, 1)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ExperimentConfig(mode=mode, channels=(8, 1)).validate()
         ExperimentConfig(mode="fedavg", channels=(8, 1)).validate()
+        ExperimentConfig(mode="fedbn+hc", channels=(8, 1)).validate()
 
     def test_unknown_mode_names_the_modes(self):
-        with pytest.raises(ValueError, match="fedrep-head"):
-            ExperimentConfig(mode="fedbn").validate()
+        # the grammar and the six splits, not every mode; a removed ablation
+        # row, and LC-Fed's second spelling
+        for mode in ("lcfed-pcs-only", "fedrep-head+pcs+hc"):
+            message = (f"unknown mode {mode!r}; expected <split>, <split>+pcs, <split>+hc or "
+                       "<split>+pcs+hc, where <split> is one of local, fedavg, fedrep-head, "
+                       "fedbn, fedper-dec, lg-fedavg; fedrep-head+pcs+hc is spelled lcfed")
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                ExperimentConfig(mode=mode).validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_lambda_rejected(self, value):
@@ -163,6 +174,14 @@ def test_cli_rejects_bad_config_before_writing_anything(override, field, tmp_pat
     assert not out.exists()
 
 
+def test_run_help_states_the_mode_grammar_not_every_mode(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "400")   # one line per option: no wrap inside a name
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    out = capsys.readouterr().out
+    assert MODE_GRAMMAR in out and "fedbn+pcs" not in out
+
+
 class TestDigest:
     def test_execution_settings_are_not_part_of_the_identity(self):
         cfg = ExperimentConfig()
@@ -174,10 +193,33 @@ class TestDigest:
 
 HEADS = ["head_coarse.w", "head_coarse.b", "head_calib.w", "head_calib.b"]
 
+# each split's local names in TINY_NAMES order, for the model with PCS; without
+# PCS the model has no pcsgen.* names.  Every split but `local` averages the
+# generator: fedbn keeps the U-Net's norms local, not pcsgen.norm.*
+SPLIT_LOCALS = {
+    "local": TINY_NAMES,
+    "fedavg": [],
+    "fedrep-head": HEADS,
+    "fedbn": ["enc0.norm.g", "enc0.norm.o", "enc1.norm.g", "enc1.norm.o",
+              "enc2.norm.g", "enc2.norm.o", "dec0.norm.g", "dec0.norm.o",
+              "dec1.norm.g", "dec1.norm.o"],
+    "fedper-dec": ["up0.w", "up0.b", "dec0.conv.w", "dec0.norm.g", "dec0.norm.o",
+                   "up1.w", "up1.b", "dec1.conv.w", "dec1.norm.g", "dec1.norm.o", *HEADS],
+    "lg-fedavg": ["enc0.conv.w", "enc0.norm.g", "enc0.norm.o",
+                  "enc1.conv.w", "enc1.norm.g", "enc1.norm.o",
+                  "enc2.conv.w", "enc2.norm.g", "enc2.norm.o"],
+}
+
+
+def test_every_split_has_four_modes():
+    assert list(SPLIT_LOCALS) == list(SPLITS) and len(MODES) == 4 * len(SPLITS)
+
 
 @pytest.mark.parametrize("mode", list(MODES))
 def test_mode_row_decides_what_is_averaged_and_what_runs(mode, tmp_path, monkeypatch):
     row = MODES[mode]
+    split, *switches = "fedrep-head+pcs+hc".split("+") if mode == "lcfed" else mode.split("+")
+    assert (row.pcs, row.hc) == ("pcs" in switches, "hc" in switches)
     calibrations = []
 
     def counted(*args, **kwargs):
@@ -185,13 +227,15 @@ def test_mode_row_decides_what_is_averaged_and_what_runs(mode, tmp_path, monkeyp
         return head_calibration(*args, **kwargs)
 
     monkeypatch.setattr(federation, "head_calibration", counted)
-    cfg = ExperimentConfig(mode=mode, **TINY, out_dir=str(tmp_path))
+    # the channels of TINY_NAMES' model
+    cfg = ExperimentConfig(mode=mode, **{**TINY, "channels": (2, 3, 4)}, out_dir=str(tmp_path))
     run_dir = run_experiment(cfg)
     assert bool(calibrations) == row.hc
     state, _, _ = load_checkpoint(os.path.join(run_dir, "checkpoints", "round_0001.ckpt"))
 
     names = list(federation.new_model(cfg, np.random.default_rng(0)).params)
-    local = {"local": names, "fedavg": []}.get(mode, HEADS)
+    assert names == [n for n in TINY_NAMES if row.pcs or not n.startswith("pcsgen.")]
+    local = [n for n in SPLIT_LOCALS[split] if n in names]
     assert [n for n in names if row.is_local(n)] == local
     assert list(state.theta_g.values) == [n for n in names if n not in local]
     for beta, adam in zip(state.betas, state.adam_states):

@@ -439,6 +439,11 @@ BAD_RESUMES = {
     "config_out_of_range": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
                                                        b"\nrounds = 2\n", b"\nrounds = 0\n"),
                             ValueError, "{config}: rounds must be >= 1"),
+    # a mode row that the split table replaced
+    "config_removed_mode": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
+                                                       b"\nmode = lcfed\n",
+                                                       b"\nmode = lcfed-pcs-only\n"),
+                            ValueError, "{config}: unknown mode 'lcfed-pcs-only'; expected "),
     "config_digest": (lambda cut, ckpt: _rewrite(os.path.join(cut, "config.txt"),
                                                  b"\nlr = 0.0001\n", b"\nlr = 0.0002\n"),
                       ValueError, r"{ckpt}: checkpoint digest \w+ does not match config digest"),
