@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-data", help="write a synthetic benchmark to disk")
     gen.add_argument("--out", required=True)
     defaults = ExperimentConfig()
-    for name in ("benchmark_seed", "sites", "train_per_site", "test_per_site", "image_size"):
+    for name in ("benchmark_seed", "sites", "train_per_site", "test_per_site", "image_size",
+                 "classes"):
         gen.add_argument("--" + name.replace("_", "-"), type=int, dest=name,
                          default=getattr(defaults, name))
     return parser
@@ -82,9 +83,11 @@ def _cmd_gen_data(args) -> int:
     # every run has at least two stages, so one 2x pool and a deepest feature of 2 px
     if args.image_size < 4 or args.image_size % 2:
         raise ValueError(f"--image-size must be even and >= 4, got {args.image_size}")
+    if args.classes not in (1, 2):
+        raise ValueError(f"--classes must be 1 or 2, got {args.classes}")
     per_site = data_mod.benchmark_samples(args.benchmark_seed, args.sites,
                                           args.train_per_site, args.test_per_site,
-                                          args.image_size)
+                                          args.image_size, args.classes)
     manifest = data_mod.write_dataset(per_site, args.out)
     total = sum(len(s) for s in per_site)
     print(f"wrote {total} samples across {args.sites} sites; manifest: {manifest}")

@@ -6,9 +6,16 @@ appearance while sharing the same task: segment one smooth foreground shape
 per grayscale image.  Generated images are quantized to the 16-bit grid, so
 writing them to disk and reloading reproduces the arrays exactly.
 
-File format: portable graymaps (PGM, P5), 16-bit for images, 8-bit for masks,
-plus a whitespace-separated manifest with one record per sample:
-``site split image-path mask-path`` (paths relative to the manifest).
+At rest, a site's data is held as it is stored: each image as its uint16
+pixel codes with the image's maxval, each mask as one bool plane per class.
+`Split.images` decodes one batch at a time to the run's float dtype, as
+code / maxval divided in float64.  A generated image has maxval 65535; a
+loaded one keeps its file's maxval.
+
+File format: portable graymaps (PGM, P5), 16-bit for generated images, 8-bit
+for masks (one file per class), plus a whitespace-separated manifest with one
+record per sample: ``site split image-path mask-path [mask-path ...]`` (paths
+relative to the manifest).
 """
 
 from __future__ import annotations
@@ -51,20 +58,35 @@ class SiteStyle:
 
 @dataclass
 class Sample:
-    image: np.ndarray  # (H, W) in [0, 1]
-    mask: np.ndarray   # (N, H, W) binary
+    image: np.ndarray  # (H, W) uint16 codes; the pixel values are image / maxval
+    maxval: int        # 1..65535
+    mask: np.ndarray   # (N, H, W) bool
     site: int
     split: str
 
 
 @dataclass
-class SiteData:
-    """Per-site arrays ready for batching."""
+class Split:
+    """One split of a site as stored: 2 bytes per image pixel, 1 byte per
+    mask pixel and class, and each image's maxval."""
 
-    train_images: np.ndarray  # (n, 1, H, W)
-    train_masks: np.ndarray   # (n, N, H, W)
-    test_images: np.ndarray
-    test_masks: np.ndarray
+    codes: np.ndarray   # (n, 1, H, W) uint16
+    maxval: np.ndarray  # (n, 1, 1, 1) uint16
+    masks: np.ndarray   # (n, N, H, W) bool
+
+    def images(self, idx, dtype) -> np.ndarray:
+        """The images `idx` as `dtype`: code / maxval in float64, then cast.
+        Decodes only the batch that `idx` selects."""
+        return (self.codes[idx] / self.maxval[idx]).astype(dtype, copy=False)
+
+
+@dataclass
+class SiteData:
+    """A site's train and test splits, held as stored: uint16 image codes
+    with each image's maxval, and bool masks (see `Split`)."""
+
+    train: Split
+    test: Split
 
 
 def default_styles(benchmark_seed: int, n_sites: int) -> list:
@@ -221,26 +243,29 @@ def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
         foreground = 0.78 - 0.18 * np.clip(dist, 0, 1) + 0.03 * wave
         canonical = np.where(mask, foreground, background)
 
-        sample_masks.append(np.stack(masks).astype(np.float64))
+        sample_masks.append(np.stack(masks))
         clean.append(style.contrast_gain * (canonical - 0.5) + 0.5 + style.intensity_offset)
         noise.append(rng.normal(0.0, style.noise_std, canonical.shape))
 
     # the blur draws no random numbers, so it runs once over the whole stack
     images = _box_blur(np.stack(clean), style.blur_radius) + np.stack(noise)
     images = np.clip(images, 0.0, 1.0)
-    images = np.round(images * 65535.0) / 65535.0  # 16-bit grid; file round trips exactly
-    return [Sample(image=img, mask=m, site=site, split="train" if idx < n_train else "test")
-            for idx, (img, m) in enumerate(zip(images, sample_masks))]
+    codes = np.round(images * 65535.0).astype(np.uint16)  # 16-bit grid; file round trips exactly
+    return [Sample(image=img, maxval=65535, mask=m, site=site,
+                   split="train" if idx < n_train else "test")
+            for idx, (img, m) in enumerate(zip(codes, sample_masks))]
 
 
 def site_data_from_samples(samples: list) -> SiteData:
     """Stack one site's samples by split; each split needs at least one."""
     def stack(split):
         group = [s for s in samples if s.split == split]
-        return np.stack([s.image for s in group])[:, None, :, :], np.stack([s.mask for s in group])
+        return Split(codes=np.stack([s.image for s in group])[:, None, :, :],
+                     maxval=np.array([s.maxval for s in group],
+                                     dtype=np.uint16).reshape(-1, 1, 1, 1),
+                     masks=np.stack([s.mask for s in group]))
 
-    (tri, trm), (tei, tem) = stack("train"), stack("test")
-    return SiteData(train_images=tri, train_masks=trm, test_images=tei, test_masks=tem)
+    return SiteData(train=stack("train"), test=stack("test"))
 
 
 def benchmark_samples(benchmark_seed: int, n_sites: int, train_per_site: int,
@@ -273,8 +298,9 @@ def write_pgm(path: str, values: np.ndarray, maxval: int = 65535):
         fh.write(header + body)
 
 
-def read_pgm(path: str) -> np.ndarray:
-    """Returns values normalized to [0, 1]."""
+def read_pgm(path: str) -> tuple:
+    """Returns (uint16 pixel codes of shape (H, W), maxval); a pixel's value
+    is code / maxval."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(b"P5"):
@@ -306,28 +332,24 @@ def read_pgm(path: str) -> np.ndarray:
     top = int(data.max(initial=0))
     if top > maxval:
         raise ValueError(f"{path}: pixel value {top} exceeds maxval {maxval}")
-    return data.reshape(height, width).astype(np.float64) / maxval
+    return data.reshape(height, width).astype(np.uint16), maxval
 
 
 def write_dataset(per_site_samples: list, out_dir: str) -> str:
-    """Write PGM pairs plus a manifest; returns the manifest path.
-
-    A PGM mask holds one class, so every sample must have exactly one.
-    """
-    for site, samples in enumerate(per_site_samples):
-        for i, s in enumerate(samples):
-            if s.mask.shape[0] != 1:
-                raise ValueError(f"site {site} sample {i}: mask has {s.mask.shape[0]} "
-                                 "classes, but the PGM dataset format holds one")
+    """Write each sample's image and one mask PGM per class, plus a manifest;
+    returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for site, samples in enumerate(per_site_samples):
         for i, s in enumerate(samples):
-            img_rel = f"site{site}_{s.split}_{i:04d}_img.pgm"
-            mask_rel = f"site{site}_{s.split}_{i:04d}_mask.pgm"
-            write_pgm(os.path.join(out_dir, img_rel), s.image, maxval=65535)
-            write_pgm(os.path.join(out_dir, mask_rel), s.mask[0], maxval=255)
-            lines.append(f"{site} {s.split} {img_rel} {mask_rel}")
+            stem = f"site{site}_{s.split}_{i:04d}"
+            write_pgm(os.path.join(out_dir, f"{stem}_img.pgm"), s.image / s.maxval,
+                      maxval=s.maxval)
+            # class 0's mask has the name a 1-class dataset gives its only mask
+            mask_rels = [f"{stem}_mask{c or ''}.pgm" for c in range(len(s.mask))]
+            for rel, plane in zip(mask_rels, s.mask):
+                write_pgm(os.path.join(out_dir, rel), plane, maxval=255)
+            lines.append(" ".join([str(site), s.split, f"{stem}_img.pgm", *mask_rels]))
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w") as fh:
         fh.write("# site split image mask\n")
@@ -336,7 +358,9 @@ def write_dataset(per_site_samples: list, out_dir: str) -> str:
 
 
 def load_directory(manifest_path: str) -> list:
-    """Samples from a manifest of image/mask pairs; masks binarize at 0.5."""
+    """Samples from a manifest of image/mask records, one mask file per
+    class; every record has the first record's class count, and masks
+    binarize at 0.5."""
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -347,25 +371,30 @@ def load_directory(manifest_path: str) -> list:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{manifest_path}:{ln}: expected 'site split image mask'")
-            site, split, img_rel, mask_rel = parts
+            if len(parts) < 4:
+                raise ValueError(f"{manifest_path}:{ln}: expected 'site split image mask', "
+                                 "with one mask per class")
+            site, split, img_rel, *mask_rels = parts
             if not (site.isascii() and site.isdigit()):
                 raise ValueError(f"{manifest_path}:{ln}: bad site {site!r}")
             if split not in ("train", "test"):
                 raise ValueError(f"{manifest_path}:{ln}: bad split {split!r}")
-            img_path = os.path.join(base, img_rel)
-            mask_path = os.path.join(base, mask_rel)
-            for p in (img_path, mask_path):
+            if samples and len(mask_rels) != len(samples[0].mask):
+                raise ValueError(f"{manifest_path}:{ln}: {len(mask_rels)} mask(s), but the "
+                                 f"first record has {len(samples[0].mask)}")
+            paths = [os.path.join(base, rel) for rel in [img_rel, *mask_rels]]
+            for p in paths:
                 if not os.path.exists(p):
                     raise FileNotFoundError(f"{manifest_path}:{ln}: missing file {p}")
-            image = read_pgm(img_path)
-            mask = read_pgm(mask_path)
-            if image.shape != mask.shape:
-                raise ValueError(
-                    f"{manifest_path}:{ln}: size mismatch {img_rel} {image.shape} "
-                    f"vs {mask_rel} {mask.shape}")
-            samples.append(Sample(image=image,
-                                  mask=(mask >= 0.5).astype(np.float64)[None],
+            image, maxval = read_pgm(paths[0])
+            planes = []
+            for rel, p in zip(mask_rels, paths[1:]):
+                codes, mask_max = read_pgm(p)
+                if codes.shape != image.shape:
+                    raise ValueError(
+                        f"{manifest_path}:{ln}: size mismatch {img_rel} {image.shape} "
+                        f"vs {rel} {codes.shape}")
+                planes.append(codes / mask_max >= 0.5)
+            samples.append(Sample(image=image, maxval=maxval, mask=np.stack(planes),
                                   site=int(site), split=split))
     return samples

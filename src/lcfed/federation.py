@@ -183,7 +183,7 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
     """Exactly cfg.local_epochs epochs of minibatch Adam on the joint loss,
     for `site` on the borrowed vessel `client`.  Trains copies of the inputs'
     arrays and moments, and returns them; writes no input."""
-    n = data.train_images.shape[0]
+    n = len(data.train.codes)
     dtype = np_dtype(cfg)
     params = client.model.params
     # the one copy: training writes these arrays, and the input state must stay intact
@@ -201,8 +201,8 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = data.train_images[idx].astype(dtype, copy=False)
-            yb = data.train_masks[idx].astype(dtype, copy=False)
+            xb = data.train.images(idx, dtype)
+            yb = data.train.masks[idx].astype(dtype)
             try:
                 breakdown = forward_training(params, xb, yb, heads, site, cfg)
             except FloatingPointError as err:
@@ -256,7 +256,8 @@ def evaluate_clients(state: FederationState, datasets: list, cfg: ExperimentConf
     averaged over classes.
 
     Each site's arrays enter as constant tensors over the state's own memory:
-    no copy, no gradient, and no autodiff graph."""
+    no copy, no gradient, and no autodiff graph.  Each batch of test images is
+    decoded as it is predicted."""
     dtype = np_dtype(cfg)
     heads = relayed_heads(state)
     scores = []
@@ -264,8 +265,7 @@ def evaluate_clients(state: FederationState, datasets: list, cfg: ExperimentConf
         params = {n: Tensor(a) for n, a in state.site_params(k).items()}
 
         def predict(batch):
-            return forward_predict(params, batch.astype(dtype, copy=False), heads, k, cfg)
+            return forward_predict(params, data.test.images(batch, dtype), heads, k, cfg)
 
-        scores.append(evaluate_site(predict, data.test_images, data.test_masks,
-                                    batch_size=cfg.batch_size))
+        scores.append(evaluate_site(predict, data.test.masks, batch_size=cfg.batch_size))
     return scores

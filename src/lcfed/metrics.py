@@ -81,28 +81,26 @@ def assd(pred: np.ndarray, gt: np.ndarray) -> float:
     return 0.5 * (float(distances_to(bg, bp).mean()) + float(distances_to(bp, bg).mean()))
 
 
-def evaluate_site(predict, images: np.ndarray, masks: np.ndarray,
+def evaluate_site(predict, masks: np.ndarray,
                   threshold: float = FOREGROUND_THRESHOLD,
                   batch_size: int = 8) -> tuple[float, float]:
-    """Run `predict` over the test arrays; returns (IoU, ASSD), each the mean
-    over classes of that class's mean over samples.
+    """Score `predict` over a test split in batches; returns (IoU, ASSD),
+    each the mean over classes of that class's mean over samples.
 
-    `predict` maps (b, 1, H, W) images to (b, N, H, W) probabilities;
+    `masks` is the split's (n, N, H, W) bool ground truth.  `predict` maps a
+    slice of the split's samples to their (b, N, H, W) probabilities;
     binarization is probability >= threshold.
     """
-    n = images.shape[0]
+    n = masks.shape[0]
     if n == 0:
         raise ValueError("empty test set")
     n_classes = masks.shape[1]
     iou_sum = np.zeros(n_classes)
     assd_sum = np.zeros(n_classes)
     for start in range(0, n, batch_size):
-        batch = images[start:start + batch_size]
-        probs = predict(batch)
-        binary = probs >= threshold
-        for i in range(batch.shape[0]):
+        binary = predict(slice(start, start + batch_size)) >= threshold
+        for i, truth in enumerate(masks[start:start + batch_size]):
             for c in range(n_classes):
-                gt = masks[start + i, c] >= 0.5
-                iou_sum[c] += iou(binary[i, c], gt)
-                assd_sum[c] += assd(binary[i, c], gt)
+                iou_sum[c] += iou(binary[i, c], truth[c])
+                assd_sum[c] += assd(binary[i, c], truth[c])
     return float((iou_sum / n).mean()), float((assd_sum / n).mean())

@@ -72,7 +72,7 @@ def build_datasets(cfg: ExperimentConfig) -> list:
                     raise ValueError(f"manifest {cfg.manifest}: site {k} has no {split} samples")
         sites = [data_mod.site_data_from_samples([s for s in samples if s.site == k])
                  for k in range(n_sites)]
-        classes = sites[0].train_masks.shape[1]
+        classes = sites[0].train.masks.shape[1]
         if classes != cfg.classes:
             raise ValueError(
                 f"manifest masks have {classes} class(es) but config expects {cfg.classes}")

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ class TestPGM:
         assert blob[:len(header)] == header
         assert blob[len(header):len(header) + 2] == b"\x01\x02"
         assert len(blob) == len(header) + 2 * values.size
-        np.testing.assert_array_equal(data.read_pgm(path), values)
+        codes, maxval = data.read_pgm(path)
+        assert codes.dtype == np.uint16 and maxval == 65535
+        np.testing.assert_array_equal(codes / maxval, values)
 
     def test_8_bit_mask_round_trips_exactly(self, tmp_path):
         mask = (np.random.default_rng(1).random((4, 6)) > 0.5).astype(np.float64)
@@ -33,15 +37,18 @@ class TestPGM:
         blob = read_bytes(path)
         assert blob.startswith(b"P5\n6 4\n255\n")
         assert len(blob) == len(b"P5\n6 4\n255\n") + mask.size
-        np.testing.assert_array_equal(data.read_pgm(path), mask)
+        codes, maxval = data.read_pgm(path)
+        assert codes.dtype == np.uint16 and maxval == 255
+        np.testing.assert_array_equal(codes / maxval, mask)
 
     def test_header_comment_is_skipped(self, tmp_path):
         path = str(tmp_path / "commented.pgm")
         with open(path, "wb") as fh:
             fh.write(b"P5\n# written by hand\n3 # width\n2\n255\n")
             fh.write(bytes([0, 51, 255, 102, 0, 204]))
-        np.testing.assert_array_equal(data.read_pgm(path),
-                                      np.array([[0, 51, 255], [102, 0, 204]]) / 255.0)
+        codes, maxval = data.read_pgm(path)
+        np.testing.assert_array_equal(codes, [[0, 51, 255], [102, 0, 204]])
+        assert maxval == 255
 
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_truncated_pixel_data_names_the_file(self, tmp_path, maxval):
@@ -80,22 +87,39 @@ class TestPGM:
 
 class TestWriteDataset:
     def test_one_class_samples_load_back_unchanged(self, tmp_path):
-        per_site = data.benchmark_samples(3, 2, 2, 1, 16)
+        self.assert_round_trip(tmp_path, classes=1)
+
+    def test_two_class_samples_load_back_unchanged(self, tmp_path):
+        self.assert_round_trip(tmp_path, classes=2)
+        with open(tmp_path / "manifest.txt") as fh:
+            assert fh.read().splitlines()[1] == ("0 train site0_train_0000_img.pgm "
+                                                 "site0_train_0000_mask.pgm "
+                                                 "site0_train_0000_mask1.pgm")
+
+    @staticmethod
+    def assert_round_trip(tmp_path, classes):
+        per_site = data.benchmark_samples(3, 2, 2, 1, 16, classes=classes)
         manifest = data.write_dataset(per_site, str(tmp_path))
         loaded = data.load_directory(manifest)
         flat = [s for samples in per_site for s in samples]
         assert len(loaded) == len(flat)
         for got, want in zip(loaded, flat):
-            assert (got.site, got.split) == (want.site, want.split)
+            assert (got.site, got.split, got.maxval) == (want.site, want.split, want.maxval)
+            assert got.image.dtype == np.uint16 and got.mask.dtype == bool
+            assert got.mask.shape == (classes, 16, 16)
             np.testing.assert_array_equal(got.image, want.image)
             np.testing.assert_array_equal(got.mask, want.mask)
 
-    def test_masks_with_two_classes_are_rejected_before_any_file_is_written(self, tmp_path):
-        per_site = data.benchmark_samples(3, 2, 2, 1, 16, classes=2)
-        out = str(tmp_path / "two")
-        with pytest.raises(ValueError, match="site 0 sample 0: mask has 2 classes"):
-            data.write_dataset(per_site, out)
-        assert not os.path.exists(out)
+    def test_one_class_files_are_pinned(self, tmp_path):
+        # a 1-class dataset's files stay byte for byte what every earlier
+        # version wrote, so manifests already on disk reproduce their runs
+        data.write_dataset(data.benchmark_samples(3, 2, 2, 1, 16), str(tmp_path))
+        h = hashlib.sha256()
+        names = sorted(os.listdir(tmp_path))
+        for name in names:
+            h.update(name.encode())
+            h.update(read_bytes(tmp_path / name))
+        assert (len(names), h.hexdigest()[:16]) == (13, "131ba17edb39eab9")
 
 
 class TestGenerator:
@@ -181,3 +205,123 @@ def test_manifest_record_is_rejected_naming_its_line(case, tmp_path):
         fh.write("\n".join(lines) + "\n")
     with pytest.raises(error, match=message):
         data.load_directory(manifest)
+
+
+def test_a_record_with_another_class_count_is_rejected_naming_its_line(tmp_path):
+    manifest = data.write_dataset(data.benchmark_samples(3, 1, 2, 1, 16), str(tmp_path))
+    with open(manifest) as fh:
+        lines = fh.read().splitlines()
+    lines[2] += " " + lines[2].split()[3]   # the second record lists its mask twice
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=re.escape("manifest.txt:3: 2 mask(s), but the first record has 1")):
+        data.load_directory(manifest)
+
+
+# ---------------------------------------------------------------------------
+# sites at rest and their decoded batches
+# ---------------------------------------------------------------------------
+
+# (sites, train per site, test per site, image size) of the benchmark's workloads
+BENCH_SHAPES = {"desk": (4, 24, 30, 64), "k8": (8, 24, 12, 32)}
+BATCH = 6
+
+# sha256 prefixes of every site's train and test images and masks in float64
+# and float32, as the float arrays that sites held before they held codes:
+# a decoded batch must be those arrays' rows byte for byte
+DECODED_DIGESTS = {
+    (1, "desk", 1): "54497c91a2460241",
+    (1, "desk", 2): "a4a24c89a7723f26",
+    (1, "k8", 1): "915d6f77c76a7092",
+    (1, "k8", 2): "cc8de500fa34bfa4",
+    (2, "desk", 1): "5749c5733df340e0",
+    (2, "desk", 2): "124173a684ac8aa5",
+    (2, "k8", 1): "d79f0c2b9c56df56",
+    (2, "k8", 2): "6fb0513539ffa4fe",
+    (3, "desk", 1): "fb169255ec258e26",
+    (3, "desk", 2): "6375416e79dca49a",
+    (3, "k8", 1): "374276116857f465",
+    (3, "k8", 2): "952651b8792bccd5",
+    (2024, "desk", 1): "ec3e6cda87955f88",
+    (2024, "desk", 2): "5bfce0fff74c1fc0",
+    (2024, "k8", 1): "3f85b29369b94a0d",
+    (2024, "k8", 2): "0569008166513367",
+}
+MIXED_DIGEST = "b49b6a57f7e59ad3"
+DTYPES = (np.float64, np.float32)
+
+
+def decoded_digest(sites) -> str:
+    """Digest of each split's images, decoded batch by batch in evaluation
+    order, and its masks, per site and dtype; each training-order batch is
+    checked against the same rows on the way."""
+    h = hashlib.sha256()
+    for k, site in enumerate(sites):
+        for split in (site.train, site.test):
+            n = len(split.codes)
+            order = np.random.default_rng(k).permutation(n)
+            for dtype in DTYPES:
+                images = np.concatenate([split.images(slice(s, s + BATCH), dtype)
+                                         for s in range(0, n, BATCH)])
+                masks = split.masks.astype(dtype)
+                for s in range(0, n, BATCH):
+                    idx = order[s:s + BATCH]
+                    assert split.images(idx, dtype).tobytes() == images[idx].tobytes()
+                    assert split.masks[idx].astype(dtype).tobytes() == masks[idx].tobytes()
+                h.update(images.tobytes())
+                h.update(masks.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, shape, classes", list(DECODED_DIGESTS))
+def test_decoded_batches_equal_the_float_arrays_byte_for_byte(seed, shape, classes):
+    sites = data.generate_benchmark(seed, *BENCH_SHAPES[shape], classes)
+    assert decoded_digest(sites) == DECODED_DIGESTS[(seed, shape, classes)]
+
+
+# (split, image maxval, mask maxval) per record; a mask code of 1 over maxval 2
+# is exactly 0.5, which is foreground
+MIXED = [("train", 255, 255), ("train", 4095, 1), ("train", 65535, 65535),
+         ("test", 4095, 2), ("test", 255, 65535), ("test", 65535, 255)]
+
+
+def test_a_manifest_of_8_12_and_16_bit_images_decodes_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(7)
+    lines = []
+    for i, (split, img_max, mask_max) in enumerate(MIXED):
+        image = rng.integers(0, img_max + 1, size=(8, 12))
+        mask = rng.integers(0, mask_max + 1, size=(8, 12))
+        data.write_pgm(str(tmp_path / f"img{i}.pgm"), image / img_max, maxval=img_max)
+        data.write_pgm(str(tmp_path / f"mask{i}.pgm"), mask / mask_max, maxval=mask_max)
+        lines.append(f"0 {split} img{i}.pgm mask{i}.pgm\n")
+    (tmp_path / "manifest.txt").write_text("".join(lines))
+    site = data.site_data_from_samples(data.load_directory(str(tmp_path / "manifest.txt")))
+    assert site.train.maxval.ravel().tolist() == [255, 4095, 65535]
+    assert site.test.maxval.ravel().tolist() == [4095, 255, 65535]
+    assert decoded_digest([site]) == MIXED_DIGEST
+
+
+@pytest.mark.parametrize("classes", [1, 2])
+def test_a_desk_site_holds_its_stored_bytes_and_decodes_one_batch(classes):
+    _, n_train, n_test, size = BENCH_SHAPES["desk"]
+    site = data.generate_benchmark(1, 1, n_train, n_test, size, classes)[0]
+    for split, n in ((site.train, n_train), (site.test, n_test)):
+        # every array the split holds: 2 bytes per image pixel, 1 per mask
+        # pixel and class, 2 per image for its maxval
+        arrays = [a for a in vars(split).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= n * size * size * (2 + classes) + 2 * n
+
+        idx = np.arange(1, n, 4)[:BATCH]
+        for dtype in DTYPES:
+            tracemalloc.start()
+            try:
+                batch = split.images(idx, dtype)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert batch.shape == (BATCH, 1, size, size) and batch.dtype == dtype
+            assert batch.base is None   # no view into a decoded whole split
+            # the batch's codes, its float64 quotient and its cast, nothing per split
+            assert peak <= BATCH * size * size * (2 + 8 + 8) + 4096
+    assert set(vars(site)) == {"train", "test"}

@@ -90,8 +90,8 @@ def test_every_gradient_of_a_float32_step_is_float32(classes):
     client = federation.build_clients(cfg)[0]
     for n, a in state.site_params(1).items():
         client.model.params[n].data = a
-    xb = datasets[1].train_images.astype(np.float32)
-    yb = datasets[1].train_masks.astype(np.float32)
+    xb = datasets[1].train.images(slice(None), np.float32)
+    yb = datasets[1].train.masks.astype(np.float32)
     federation.forward_training(client.model.params, xb, yb, federation.relayed_heads(state),
                                 1, cfg).joint.backward()
     params = client.model.params
@@ -119,8 +119,8 @@ def test_prediction_is_bit_for_bit_the_calibrated_map_of_the_training_forward(
     client = federation.build_clients(cfg)[0]
     for n, a in state.site_params(1).items():
         client.model.params[n].data = a
-    xb = datasets[1].train_images.astype(np.float64)
-    yb = datasets[1].train_masks.astype(np.float64)
+    xb = datasets[1].train.images(slice(None), np.float64)
+    yb = datasets[1].train.masks.astype(np.float64)
 
     maps = []   # dice_loss sees the coarse map, then the calibrated one
     dice = federation.dice_loss
@@ -141,7 +141,7 @@ def test_forward_on_constant_tensors_builds_no_graph(mode):
     state, datasets = trained_state(cfg)
     params = {n: Tensor(a) for n, a in state.site_params(1).items()}
     gates, coarse, calibrated = federation._forward(
-        params, datasets[1].test_images.astype(np.float64), federation.relayed_heads(state),
+        params, datasets[1].test.images(slice(None), np.float64), federation.relayed_heads(state),
         1, cfg)
     # graph_node links a node only when a parent tracks gradients, so a root
     # without parents means no node was built anywhere upstream
@@ -206,8 +206,10 @@ def test_a_site_that_fails_in_round_2_leaves_the_round_1_state_unchanged(paralle
     cfg = ExperimentConfig(**TINY, parallel_clients=parallel)
     datasets, clients = tiny_datasets(cfg), federation.build_clients(cfg)
     first, _ = federation.run_round(federation.initial_state(cfg), clients, datasets, cfg)
+    # site 1's calibrated head is its own and relayed to no other site, so
+    # site 1 alone fails, at joint_loss's finite check
+    first.betas[1].values["head_calib.b"][0] = np.nan
     before = state_bytes(first)
-    datasets[1].train_images[:] = np.nan
     with pytest.raises(FloatingPointError, match=r"site 1, round 2: non-finite"):
         federation.run_round(first, clients, datasets, cfg)
     assert state_bytes(first) == before

@@ -166,8 +166,9 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
                         lambda ts, axis: stacked.extend(ts) or cat(ts, axis=axis))
 
     site = datasets[1]
-    loss = federation.forward_training(client.model.params, site.train_images,
-                                       site.train_masks, heads, 1, cfg)
+    loss = federation.forward_training(client.model.params,
+                                       site.train.images(slice(None), np.float64),
+                                       site.train.masks.astype(np.float64), heads, 1, cfg)
     client.optimizer.zero_grad()
     loss.joint.backward()
 

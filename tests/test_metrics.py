@@ -142,25 +142,22 @@ class TestEvaluateSite:
         n, classes, h = 5, 2, 8
         rng = np.random.default_rng(3)
         probs = rng.random((n, classes, h, h))
-        masks = (rng.random((n, classes, h, h)) < 0.4).astype(np.float64)
+        masks = rng.random((n, classes, h, h)) < 0.4
         assert masks[0, 0].any() and masks[2, 0].any()
-        probs[0, 0] = np.where(masks[0, 0] > 0, 0.5, 0.25)   # exactly 0.5 is foreground
-        probs[1, 1], masks[1, 1] = 0.0, 0.0                  # both masks empty
+        probs[0, 0] = np.where(masks[0, 0], 0.5, 0.25)       # exactly 0.5 is foreground
+        probs[1, 1], masks[1, 1] = 0.0, False                # both masks empty
         probs[2, 0] = 0.0                                    # an empty prediction
-        # each image holds its sample index, so `predict` looks its probabilities up
-        images = np.broadcast_to(np.arange(n, dtype=np.float64)[:, None, None, None],
-                                 (n, 1, h, h))
         batches = []
 
         def predict(batch):
-            batches.append(len(batch))
-            return probs[batch[:, 0, 0, 0].astype(int)]
+            batches.append(batch)
+            return probs[batch]
 
-        got = evaluate_site(predict, images, masks, batch_size=2)
-        assert batches == [2, 2, 1]
+        got = evaluate_site(predict, masks, batch_size=2)
+        assert batches == [slice(0, 2), slice(2, 4), slice(4, 6)]
 
-        per_sample = [[(iou(probs[i, c] >= 0.5, masks[i, c] >= 0.5),
-                        assd(probs[i, c] >= 0.5, masks[i, c] >= 0.5)) for i in range(n)]
+        per_sample = [[(iou(probs[i, c] >= 0.5, masks[i, c]),
+                        assd(probs[i, c] >= 0.5, masks[i, c])) for i in range(n)]
                       for c in range(classes)]
         assert per_sample[0][0] == (1.0, 0.0)
         assert per_sample[1][1] == (1.0, 0.0)

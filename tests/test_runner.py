@@ -105,23 +105,25 @@ class TestCheckpointWrites:
             os.path.join(whole, "metrics.csv"))
 
 
-_build_datasets = runner.build_datasets
+_initial_state = federation.initial_state
 
 
 def nan_site_1(cfg):
-    datasets = _build_datasets(cfg)
-    datasets[1].train_images[:] = np.nan
-    return datasets
+    """The initial state with a NaN in site 1's calibrated head, which no
+    other site reads, so site 1 alone fails at joint_loss's finite check."""
+    state = _initial_state(cfg)
+    state.betas[1].values["head_calib.b"][0] = np.nan
+    return state
 
 
 class TestNonFiniteLoss:
     def test_error_names_site_and_round(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner, "build_datasets", nan_site_1)
+        monkeypatch.setattr(federation, "initial_state", nan_site_1)
         with pytest.raises(FloatingPointError, match=r"site 1, round 1: non-finite"):
             runner.run_experiment(tiny_cfg(tmp_path))
 
     def test_cli_reports_error_with_exit_code_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(runner, "build_datasets", nan_site_1)
+        monkeypatch.setattr(federation, "initial_state", nan_site_1)
         code = cli.main(["run", "--out", str(tmp_path), "--sites", "2", "--rounds", "1",
                          "--set", "image_size=16", "--set", "channels=4,8",
                          "--set", "train_per_site=3", "--set", "test_per_site=2"])
@@ -223,12 +225,14 @@ def no_training(monkeypatch):
 
 
 class TestManifest:
-    def test_a_run_on_gen_data_files_equals_the_in_memory_run(self, tmp_path):
+    @pytest.mark.parametrize("classes", ["1", "2"])
+    def test_a_run_on_gen_data_files_equals_the_in_memory_run(self, tmp_path, classes):
         shape = ["--benchmark-seed", "1", "--sites", "2"]
         assert cli.main(["gen-data", "--out", str(tmp_path / "data"), *shape,
                          "--train-per-site", "3", "--test-per-site", "2",
-                         "--image-size", "16"]) == 0
-        run = ["run", *shape, "--rounds", "2", "--set", "image_size=16",
+                         "--image-size", "16", "--classes", classes]) == 0
+        run = ["run", *shape, "--rounds", "2", "--set", f"classes={classes}",
+               "--set", "image_size=16",
                "--set", "channels=4,8", "--set", "batch_size=3", "--set", "train_per_site=3",
                "--set", "test_per_site=2", "--set", "checkpoint_every=1"]
         memory, disk = str(tmp_path / "memory"), str(tmp_path / "disk")
@@ -315,6 +319,8 @@ BAD_COMMANDS = {
                           "--image-size must be even and >= 4, got 7"),
     "gen_data_size_2": (_gen_data("--image-size", "2"),
                         "--image-size must be even and >= 4, got 2"),
+    "gen_data_no_classes": (_gen_data("--classes", "0"), "--classes must be 1 or 2, got 0"),
+    "gen_data_three_classes": (_gen_data("--classes", "3"), "--classes must be 1 or 2, got 3"),
 }
 
 
