@@ -85,11 +85,11 @@ def _cmd_gen_data(args) -> int:
         raise ValueError(f"--image-size must be even and >= 4, got {args.image_size}")
     if args.classes not in (1, 2):
         raise ValueError(f"--classes must be 1 or 2, got {args.classes}")
-    per_site = data_mod.benchmark_samples(args.benchmark_seed, args.sites,
-                                          args.train_per_site, args.test_per_site,
-                                          args.image_size, args.classes)
-    manifest = data_mod.write_dataset(per_site, args.out)
-    total = sum(len(s) for s in per_site)
+    sites = data_mod.generate_benchmark(args.benchmark_seed, args.sites,
+                                        args.train_per_site, args.test_per_site,
+                                        args.image_size, args.classes)
+    manifest = data_mod.write_dataset(sites, args.out)
+    total = args.sites * (args.train_per_site + args.test_per_site)
     print(f"wrote {total} samples across {args.sites} sites; manifest: {manifest}")
     return 0
 

@@ -6,11 +6,12 @@ appearance while sharing the same task: segment one smooth foreground shape
 per grayscale image.  Generated images are quantized to the 16-bit grid, so
 writing them to disk and reloading reproduces the arrays exactly.
 
-At rest, a site's data is held as it is stored: each image as its uint16
-pixel codes with the image's maxval, each mask as one bool plane per class.
-`Split.images` decodes one batch at a time to the run's float dtype, as
-code / maxval divided in float64.  A generated image has maxval 65535; a
-loaded one keeps its file's maxval.
+A site's data has one in-memory form, `SiteData`: `generate_site` and
+`load_directory` return it and `write_dataset` writes it.  It is held as it
+is stored: each image as its uint16 pixel codes with the image's maxval,
+each mask as one bool plane per class.  `Split.images` decodes one batch at
+a time to the run's float dtype, as code / maxval divided in float64.  A
+generated image has maxval 65535; a loaded one keeps its file's maxval.
 
 File format: portable graymaps (PGM, P5), 16-bit for generated images, 8-bit
 for masks (one file per class), plus a whitespace-separated manifest with one
@@ -54,15 +55,6 @@ class SiteStyle:
         lo, hi = self.size_range
         if not 0 < lo < hi < 1:
             raise ValueError(f"bad size range {self.size_range}")
-
-
-@dataclass
-class Sample:
-    image: np.ndarray  # (H, W) uint16 codes; the pixel values are image / maxval
-    maxval: int        # 1..65535
-    mask: np.ndarray   # (N, H, W) bool
-    site: int
-    split: str
 
 
 @dataclass
@@ -205,12 +197,14 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
     return np.ascontiguousarray(img)
 
 
-def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
-                  image_size: int = 64, classes: int = 1) -> list:
-    """n_train then n_test samples of `site` rendered per the style;
+def generate_site(style: SiteStyle, n_train: int, n_test: int, seed,
+                  image_size: int = 64, classes: int = 1) -> SiteData:
+    """A site of n_train then n_test images rendered per the style;
     deterministic in (style, n_train + n_test, seed)."""
     if n_train + n_test < 1:
         raise ValueError("need at least one sample")
+    if classes not in (1, 2):
+        raise ValueError(f"generator supports 1 or 2 classes, got {classes}")
     style.validate()
     rng = np.random.default_rng(seed)
     render = _FAMILY_RENDERERS[style.shape_family]
@@ -230,8 +224,6 @@ def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
             ys, xs = _grid(image_size)
             inner = mask & (np.hypot(ys - cy, xs - cx) <= 0.55 * r_eq)
             masks.append(inner)
-        elif classes > 2:
-            raise ValueError("generator supports 1 or 2 classes")
 
         ys, xs = _grid(image_size)
         alpha = rng.uniform(0, np.pi)
@@ -250,52 +242,38 @@ def generate_site(style: SiteStyle, site: int, n_train: int, n_test: int, seed,
     # the blur draws no random numbers, so it runs once over the whole stack
     images = _box_blur(np.stack(clean), style.blur_radius) + np.stack(noise)
     images = np.clip(images, 0.0, 1.0)
-    codes = np.round(images * 65535.0).astype(np.uint16)  # 16-bit grid; file round trips exactly
-    return [Sample(image=img, maxval=65535, mask=m, site=site,
-                   split="train" if idx < n_train else "test")
-            for idx, (img, m) in enumerate(zip(codes, sample_masks))]
-
-
-def site_data_from_samples(samples: list) -> SiteData:
-    """Stack one site's samples by split; each split needs at least one."""
-    def stack(split):
-        group = [s for s in samples if s.split == split]
-        return Split(codes=np.stack([s.image for s in group])[:, None, :, :],
-                     maxval=np.array([s.maxval for s in group],
-                                     dtype=np.uint16).reshape(-1, 1, 1, 1),
-                     masks=np.stack([s.mask for s in group]))
-
-    return SiteData(train=stack("train"), test=stack("test"))
-
-
-def benchmark_samples(benchmark_seed: int, n_sites: int, train_per_site: int,
-                      test_per_site: int, image_size: int = 64, classes: int = 1) -> list:
-    """Per-site sample lists; deterministic in the benchmark seed."""
-    return [generate_site(style, k, train_per_site, test_per_site,
-                          seed=[int(benchmark_seed), k, 0xDA7A],
-                          image_size=image_size, classes=classes)
-            for k, style in enumerate(default_styles(benchmark_seed, n_sites))]
+    # the 16-bit grid, so a file round trips exactly
+    codes = np.round(images * 65535.0).astype(np.uint16)[:, None]
+    maxval = np.full((len(codes), 1, 1, 1), 65535, dtype=np.uint16)
+    masks = np.stack(sample_masks)
+    return SiteData(train=Split(codes[:n_train], maxval[:n_train], masks[:n_train]),
+                    test=Split(codes[n_train:], maxval[n_train:], masks[n_train:]))
 
 
 def generate_benchmark(benchmark_seed: int, n_sites: int, train_per_site: int,
                        test_per_site: int, image_size: int = 64, classes: int = 1) -> list:
     """One SiteData per site; deterministic in the benchmark seed."""
-    return [site_data_from_samples(samples)
-            for samples in benchmark_samples(benchmark_seed, n_sites, train_per_site,
-                                             test_per_site, image_size, classes)]
+    return [generate_site(style, train_per_site, test_per_site,
+                          seed=[int(benchmark_seed), k, 0xDA7A],
+                          image_size=image_size, classes=classes)
+            for k, style in enumerate(default_styles(benchmark_seed, n_sites))]
 
 
 # ---------------------------------------------------------------------------
 # PGM files and manifests
 # ---------------------------------------------------------------------------
 
-def write_pgm(path: str, values: np.ndarray, maxval: int = 65535):
-    """P5 binary graymap; 16-bit values are big-endian per the format."""
-    arr = np.round(np.clip(values, 0.0, 1.0) * maxval).astype(np.uint16 if maxval > 255 else np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    body = arr.astype(">u2").tobytes() if maxval > 255 else arr.tobytes()
+def write_pgm(path: str, codes: np.ndarray, maxval: int = 65535):
+    """P5 binary graymap of unsigned integer pixel codes, the inverse of
+    `read_pgm`; 16-bit codes are big-endian per the format."""
+    if codes.dtype.kind != "u":
+        raise ValueError(f"{path}: pixel codes must be unsigned integers, not {codes.dtype}")
+    top = int(codes.max(initial=0))
+    if top > maxval:
+        raise ValueError(f"{path}: pixel value {top} exceeds maxval {maxval}")
+    header = f"P5\n{codes.shape[1]} {codes.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header + body)
+        fh.write(header + codes.astype(">u2" if maxval > 255 else np.uint8).tobytes())
 
 
 def read_pgm(path: str) -> tuple:
@@ -335,21 +313,23 @@ def read_pgm(path: str) -> tuple:
     return data.reshape(height, width).astype(np.uint16), maxval
 
 
-def write_dataset(per_site_samples: list, out_dir: str) -> str:
-    """Write each sample's image and one mask PGM per class, plus a manifest;
-    returns the manifest path."""
+def write_dataset(sites: list, out_dir: str) -> str:
+    """Write each site's train then test images, one mask PGM per class, and
+    a manifest; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     lines = []
-    for site, samples in enumerate(per_site_samples):
-        for i, s in enumerate(samples):
-            stem = f"site{site}_{s.split}_{i:04d}"
-            write_pgm(os.path.join(out_dir, f"{stem}_img.pgm"), s.image / s.maxval,
-                      maxval=s.maxval)
-            # class 0's mask has the name a 1-class dataset gives its only mask
-            mask_rels = [f"{stem}_mask{c or ''}.pgm" for c in range(len(s.mask))]
-            for rel, plane in zip(mask_rels, s.mask):
-                write_pgm(os.path.join(out_dir, rel), plane, maxval=255)
-            lines.append(" ".join([str(site), s.split, f"{stem}_img.pgm", *mask_rels]))
+    for site, site_data in enumerate(sites):
+        idx = 0  # one running index over the site's train then test rows
+        for name, split in (("train", site_data.train), ("test", site_data.test)):
+            for codes, maxval, masks in zip(split.codes[:, 0], split.maxval.ravel(), split.masks):
+                stem = f"site{site}_{name}_{idx:04d}"
+                idx += 1
+                write_pgm(os.path.join(out_dir, f"{stem}_img.pgm"), codes, maxval=int(maxval))
+                # class 0's mask has the name a 1-class dataset gives its only mask
+                mask_rels = [f"{stem}_mask{c or ''}.pgm" for c in range(len(masks))]
+                for rel, plane in zip(mask_rels, masks):
+                    write_pgm(os.path.join(out_dir, rel), plane * np.uint8(255), maxval=255)
+                lines.append(" ".join([str(site), name, f"{stem}_img.pgm", *mask_rels]))
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w") as fh:
         fh.write("# site split image mask\n")
@@ -357,14 +337,24 @@ def write_dataset(per_site_samples: list, out_dir: str) -> str:
     return manifest
 
 
+def _stack(rows: list) -> Split:
+    codes, maxval, masks = zip(*rows)
+    return Split(codes=np.stack(codes)[:, None],
+                 maxval=np.array(maxval, dtype=np.uint16).reshape(-1, 1, 1, 1),
+                 masks=np.stack(masks))
+
+
 def load_directory(manifest_path: str) -> list:
-    """Samples from a manifest of image/mask records, one mask file per
-    class; every record has the first record's class count, and masks
-    binarize at 0.5."""
+    """One SiteData per site from a manifest of image/mask records, one mask
+    file per class; masks binarize at 0.5.  Each record must have the first
+    record's image size and class count; there must be at least one record,
+    and every site 0..K-1 needs both splits.  A fault names ``path:line`` or
+    the manifest."""
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    samples = []
+    records = {}   # (site, split) -> [(codes, maxval, masks)]
+    first = None   # the first record's image shape and class count
     with open(manifest_path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
@@ -379,14 +369,18 @@ def load_directory(manifest_path: str) -> list:
                 raise ValueError(f"{manifest_path}:{ln}: bad site {site!r}")
             if split not in ("train", "test"):
                 raise ValueError(f"{manifest_path}:{ln}: bad split {split!r}")
-            if samples and len(mask_rels) != len(samples[0].mask):
+            if first and len(mask_rels) != first[1]:
                 raise ValueError(f"{manifest_path}:{ln}: {len(mask_rels)} mask(s), but the "
-                                 f"first record has {len(samples[0].mask)}")
+                                 f"first record has {first[1]}")
             paths = [os.path.join(base, rel) for rel in [img_rel, *mask_rels]]
             for p in paths:
                 if not os.path.exists(p):
                     raise FileNotFoundError(f"{manifest_path}:{ln}: missing file {p}")
             image, maxval = read_pgm(paths[0])
+            first = first or (image.shape, len(mask_rels))
+            if image.shape != first[0]:
+                raise ValueError(f"{manifest_path}:{ln}: {img_rel} is {image.shape}, but the "
+                                 f"first record's image is {first[0]}")
             planes = []
             for rel, p in zip(mask_rels, paths[1:]):
                 codes, mask_max = read_pgm(p)
@@ -395,6 +389,13 @@ def load_directory(manifest_path: str) -> list:
                         f"{manifest_path}:{ln}: size mismatch {img_rel} {image.shape} "
                         f"vs {rel} {codes.shape}")
                 planes.append(codes / mask_max >= 0.5)
-            samples.append(Sample(image=image, maxval=maxval, mask=np.stack(planes),
-                                  site=int(site), split=split))
-    return samples
+            records.setdefault((int(site), split), []).append((image, maxval, np.stack(planes)))
+    if not records:
+        raise ValueError(f"{manifest_path}: lists no samples")
+    n_sites = max(site for site, _ in records) + 1
+    for k in range(n_sites):
+        for split in ("train", "test"):
+            if (k, split) not in records:
+                raise ValueError(f"{manifest_path}: site {k} has no {split} samples")
+    return [SiteData(train=_stack(records[k, "train"]), test=_stack(records[k, "test"]))
+            for k in range(n_sites)]

@@ -52,34 +52,24 @@ def _row_line(row: dict) -> str:
 
 
 def build_datasets(cfg: ExperimentConfig) -> list:
-    if cfg.manifest:
-        samples = data_mod.load_directory(cfg.manifest)
-        if not samples:
-            raise ValueError(f"manifest {cfg.manifest} lists no samples")
-        for s in samples:
-            if s.image.shape != (cfg.image_size, cfg.image_size):
-                h, w = s.image.shape
-                raise ValueError(
-                    f"manifest {cfg.manifest}: a site {s.site} {s.split} image is {h}x{w}px "
-                    f"but config expects {cfg.image_size}x{cfg.image_size}px")
-        n_sites = max(s.site for s in samples) + 1
-        if n_sites != cfg.sites:
-            raise ValueError(f"manifest has {n_sites} sites but config expects {cfg.sites}")
-        present = {(s.site, s.split) for s in samples}
-        for k in range(n_sites):
-            for split in ("train", "test"):
-                if (k, split) not in present:
-                    raise ValueError(f"manifest {cfg.manifest}: site {k} has no {split} samples")
-        sites = [data_mod.site_data_from_samples([s for s in samples if s.site == k])
-                 for k in range(n_sites)]
-        classes = sites[0].train.masks.shape[1]
-        if classes != cfg.classes:
-            raise ValueError(
-                f"manifest masks have {classes} class(es) but config expects {cfg.classes}")
-        return sites
-    return data_mod.generate_benchmark(cfg.benchmark_seed, cfg.sites,
-                                       cfg.train_per_site, cfg.test_per_site,
-                                       cfg.image_size, cfg.classes)
+    """One SiteData per site: the generated benchmark, or the manifest's
+    sites (`data.load_directory` checks the manifest on its own) once their
+    count, image size and class count match the config."""
+    if not cfg.manifest:
+        return data_mod.generate_benchmark(cfg.benchmark_seed, cfg.sites,
+                                           cfg.train_per_site, cfg.test_per_site,
+                                           cfg.image_size, cfg.classes)
+    sites = data_mod.load_directory(cfg.manifest)
+    if len(sites) != cfg.sites:
+        raise ValueError(f"manifest has {len(sites)} sites but config expects {cfg.sites}")
+    _, classes, h, w = sites[0].train.masks.shape
+    if (h, w) != (cfg.image_size, cfg.image_size):
+        raise ValueError(f"manifest {cfg.manifest}: images are {h}x{w}px "
+                         f"but config expects {cfg.image_size}x{cfg.image_size}px")
+    if classes != cfg.classes:
+        raise ValueError(
+            f"manifest masks have {classes} class(es) but config expects {cfg.classes}")
+    return sites
 
 
 def steady_heap() -> bool:
@@ -117,6 +107,8 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
     if not cfg.out_dir:
         raise ValueError("config needs an output directory")
     steady_heap()
+    # a run whose data is bad fails before it creates any file
+    datasets = build_datasets(cfg)
     out_dir = cfg.out_dir
     os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
     digest = cfg.digest()
@@ -126,7 +118,6 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
         with open(config_path, "w") as fh:
             fh.write(cfg.to_text())
 
-    datasets = build_datasets(cfg)
     clients = federation.build_clients(cfg)
 
     if resume_state is not None:

@@ -17,21 +17,21 @@ def read_bytes(path) -> bytes:
 
 class TestPGM:
     def test_16_bit_image_round_trips_exactly_and_is_big_endian(self, tmp_path):
-        values = np.random.default_rng(0).integers(0, 65536, size=(3, 5)) / 65535.0
-        values[0, 0] = 0x0102 / 65535.0
+        image = np.random.default_rng(0).integers(0, 65536, size=(3, 5), dtype=np.uint16)
+        image[0, 0] = 0x0102
         path = str(tmp_path / "img.pgm")
-        data.write_pgm(path, values, maxval=65535)
+        data.write_pgm(path, image, maxval=65535)
         blob = read_bytes(path)
         header = b"P5\n5 3\n65535\n"
         assert blob[:len(header)] == header
         assert blob[len(header):len(header) + 2] == b"\x01\x02"
-        assert len(blob) == len(header) + 2 * values.size
+        assert len(blob) == len(header) + 2 * image.size
         codes, maxval = data.read_pgm(path)
         assert codes.dtype == np.uint16 and maxval == 65535
-        np.testing.assert_array_equal(codes / maxval, values)
+        np.testing.assert_array_equal(codes, image)
 
     def test_8_bit_mask_round_trips_exactly(self, tmp_path):
-        mask = (np.random.default_rng(1).random((4, 6)) > 0.5).astype(np.float64)
+        mask = (np.random.default_rng(1).random((4, 6)) > 0.5) * np.uint8(255)
         path = str(tmp_path / "mask.pgm")
         data.write_pgm(path, mask, maxval=255)
         blob = read_bytes(path)
@@ -39,7 +39,7 @@ class TestPGM:
         assert len(blob) == len(b"P5\n6 4\n255\n") + mask.size
         codes, maxval = data.read_pgm(path)
         assert codes.dtype == np.uint16 and maxval == 255
-        np.testing.assert_array_equal(codes / maxval, mask)
+        np.testing.assert_array_equal(codes, mask)
 
     def test_header_comment_is_skipped(self, tmp_path):
         path = str(tmp_path / "commented.pgm")
@@ -53,7 +53,7 @@ class TestPGM:
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_truncated_pixel_data_names_the_file(self, tmp_path, maxval):
         path = str(tmp_path / "cut.pgm")
-        data.write_pgm(path, np.full((4, 4), 0.5), maxval=maxval)
+        data.write_pgm(path, np.full((4, 4), maxval // 2, dtype=np.uint16), maxval=maxval)
         with open(path, "r+b") as fh:
             fh.truncate(len(read_bytes(path)) - 1)
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated pixel data")):
@@ -75,6 +75,19 @@ class TestPGM:
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}: pixel value 101 exceeds maxval 100")):
             data.read_pgm(path)
+
+    @pytest.mark.parametrize("codes, maxval, message", [
+        (np.array([[0, 100, 101]], dtype=np.uint8), 100, "pixel value 101 exceeds maxval 100"),
+        (np.array([[0, 256]], dtype=np.uint16), 255, "pixel value 256 exceeds maxval 255"),
+        (np.zeros((1, 2)), 255, "pixel codes must be unsigned integers, not float64"),
+        (np.zeros((1, 2), dtype=bool), 255, "pixel codes must be unsigned integers, not bool"),
+    ])
+    def test_codes_above_maxval_or_not_unsigned_are_not_written(self, tmp_path, codes,
+                                                                maxval, message):
+        path = str(tmp_path / "bad.pgm")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            data.write_pgm(path, codes, maxval=maxval)
+        assert not os.path.exists(path)
 
     def test_truncated_header_names_the_file(self, tmp_path):
         path = str(tmp_path / "header.pgm")
@@ -98,22 +111,21 @@ class TestWriteDataset:
 
     @staticmethod
     def assert_round_trip(tmp_path, classes):
-        per_site = data.benchmark_samples(3, 2, 2, 1, 16, classes=classes)
-        manifest = data.write_dataset(per_site, str(tmp_path))
-        loaded = data.load_directory(manifest)
-        flat = [s for samples in per_site for s in samples]
-        assert len(loaded) == len(flat)
-        for got, want in zip(loaded, flat):
-            assert (got.site, got.split, got.maxval) == (want.site, want.split, want.maxval)
-            assert got.image.dtype == np.uint16 and got.mask.dtype == bool
-            assert got.mask.shape == (classes, 16, 16)
-            np.testing.assert_array_equal(got.image, want.image)
-            np.testing.assert_array_equal(got.mask, want.mask)
+        sites = data.generate_benchmark(3, 2, 2, 1, 16, classes=classes)
+        loaded = data.load_directory(data.write_dataset(sites, str(tmp_path)))
+        assert len(loaded) == len(sites)
+        for got_site, want_site in zip(loaded, sites):
+            for got, want, n in ((got_site.train, want_site.train, 2),
+                                 (got_site.test, want_site.test, 1)):
+                assert got.masks.shape == (n, classes, 16, 16)
+                for field in ("codes", "maxval", "masks"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     def test_one_class_files_are_pinned(self, tmp_path):
         # a 1-class dataset's files stay byte for byte what every earlier
         # version wrote, so manifests already on disk reproduce their runs
-        data.write_dataset(data.benchmark_samples(3, 2, 2, 1, 16), str(tmp_path))
+        data.write_dataset(data.generate_benchmark(3, 2, 2, 1, 16), str(tmp_path))
         h = hashlib.sha256()
         names = sorted(os.listdir(tmp_path))
         for name in names:
@@ -125,12 +137,21 @@ class TestWriteDataset:
 class TestGenerator:
     def test_samples_are_a_function_of_the_benchmark_seed(self):
         def arrays(seed):
-            return [(s.site, s.split, s.image.tobytes(), s.mask.tobytes())
-                    for samples in data.benchmark_samples(seed, 2, 2, 1, 16) for s in samples]
+            return [(split.codes.shape, split.codes.tobytes(), split.masks.tobytes())
+                    for site in data.generate_benchmark(seed, 2, 2, 1, 16)
+                    for split in (site.train, site.test)]
 
         assert arrays(5) == arrays(5)
-        assert [a[:2] for a in arrays(5)] == [a[:2] for a in arrays(6)]
-        assert [a[2:] for a in arrays(5)] != [a[2:] for a in arrays(6)]
+        assert [a[0] for a in arrays(5)] == [a[0] for a in arrays(6)]
+        assert [a[1:] for a in arrays(5)] != [a[1:] for a in arrays(6)]
+
+    @pytest.mark.parametrize("classes", [0, 3])
+    def test_a_class_count_other_than_1_or_2_is_rejected_before_drawing(
+            self, classes, monkeypatch):
+        monkeypatch.setattr(data, "_FAMILY_RENDERERS", {})   # a drawn shape would fail here
+        with pytest.raises(ValueError,
+                           match=re.escape(f"generator supports 1 or 2 classes, got {classes}")):
+            data.generate_site(VALID_STYLE, 2, 1, seed=0, image_size=16, classes=classes)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
@@ -165,11 +186,12 @@ def test_site_style_rejects_each_out_of_range_field(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         style.validate()
     with pytest.raises(ValueError, match=re.escape(message)):
-        data.generate_site(style, 0, 1, 0, seed=0, image_size=16)
+        data.generate_site(style, 1, 0, seed=0, image_size=16)
 
 
 def _mask_of_another_size(out_dir):
-    data.write_pgm(os.path.join(out_dir, "small.pgm"), np.zeros((8, 8)), maxval=255)
+    data.write_pgm(os.path.join(out_dir, "small.pgm"), np.zeros((8, 8), dtype=np.uint8),
+                   maxval=255)
     return "0 train site0_train_0000_img.pgm small.pgm"
 
 
@@ -197,7 +219,7 @@ BAD_RECORDS = {
 def test_manifest_record_is_rejected_naming_its_line(case, tmp_path):
     record, error, message = BAD_RECORDS[case]
     out_dir = str(tmp_path)
-    manifest = data.write_dataset(data.benchmark_samples(3, 1, 2, 1, 16), out_dir)
+    manifest = data.write_dataset(data.generate_benchmark(3, 1, 2, 1, 16), out_dir)
     with open(manifest) as fh:
         lines = fh.read().splitlines()
     lines[1] = record(out_dir)
@@ -208,7 +230,7 @@ def test_manifest_record_is_rejected_naming_its_line(case, tmp_path):
 
 
 def test_a_record_with_another_class_count_is_rejected_naming_its_line(tmp_path):
-    manifest = data.write_dataset(data.benchmark_samples(3, 1, 2, 1, 16), str(tmp_path))
+    manifest = data.write_dataset(data.generate_benchmark(3, 1, 2, 1, 16), str(tmp_path))
     with open(manifest) as fh:
         lines = fh.read().splitlines()
     lines[2] += " " + lines[2].split()[3]   # the second record lists its mask twice
@@ -290,13 +312,13 @@ def test_a_manifest_of_8_12_and_16_bit_images_decodes_byte_for_byte(tmp_path):
     rng = np.random.default_rng(7)
     lines = []
     for i, (split, img_max, mask_max) in enumerate(MIXED):
-        image = rng.integers(0, img_max + 1, size=(8, 12))
-        mask = rng.integers(0, mask_max + 1, size=(8, 12))
-        data.write_pgm(str(tmp_path / f"img{i}.pgm"), image / img_max, maxval=img_max)
-        data.write_pgm(str(tmp_path / f"mask{i}.pgm"), mask / mask_max, maxval=mask_max)
+        image = rng.integers(0, img_max + 1, size=(8, 12)).astype(np.uint16)
+        mask = rng.integers(0, mask_max + 1, size=(8, 12)).astype(np.uint16)
+        data.write_pgm(str(tmp_path / f"img{i}.pgm"), image, maxval=img_max)
+        data.write_pgm(str(tmp_path / f"mask{i}.pgm"), mask, maxval=mask_max)
         lines.append(f"0 {split} img{i}.pgm mask{i}.pgm\n")
     (tmp_path / "manifest.txt").write_text("".join(lines))
-    site = data.site_data_from_samples(data.load_directory(str(tmp_path / "manifest.txt")))
+    [site] = data.load_directory(str(tmp_path / "manifest.txt"))
     assert site.train.maxval.ravel().tolist() == [255, 4095, 65535]
     assert site.test.maxval.ravel().tolist() == [4095, 255, 65535]
     assert decoded_digest([site]) == MIXED_DIGEST

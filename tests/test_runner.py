@@ -249,49 +249,53 @@ class TestManifest:
             name = os.path.join("checkpoints", f"round_{rnd:04d}.ckpt")
             assert after_digest(disk, name, 1) == after_digest(memory, name, 1)
 
-    def test_class_count_mismatch_fails_before_training(self, tmp_path, monkeypatch):
-        per_site = data.benchmark_samples(1, 2, 3, 2, 16)
-        manifest = data.write_dataset(per_site, str(tmp_path / "data"))
-        no_training(monkeypatch)
-        cfg = tiny_cfg(tmp_path / "run")
-        cfg.classes, cfg.manifest = 2, manifest
-        with pytest.raises(ValueError, match=r"masks have 1 class\(es\) but config expects 2"):
-            runner.run_experiment(cfg)
+
+def _shrink_last_image(lines, data_dir):
+    """Site 1's last test record (manifest line 11) points at an 8x8 image and mask."""
+    for name in ("small_img.pgm", "small_mask.pgm"):
+        data.write_pgm(os.path.join(data_dir, name), np.zeros((8, 8), dtype=np.uint8), 255)
+    return lines[:-1] + ["1 test small_img.pgm small_mask.pgm"]
 
 
-def _shrink_one_image(per_site):
-    s = per_site[1][-1]
-    per_site[1][-1] = dataclasses.replace(s, image=s.image[:8, :8], mask=s.mask[:, :8, :8])
+def _drop(prefix):
+    return lambda lines, data_dir: [ln for ln in lines if not ln.startswith(prefix)]
 
 
-def _drop(site, split):
-    def edit(per_site):
-        per_site[site] = [s for s in per_site[site] if s.split != split]
-    return edit
+def _unchanged(lines, data_dir):
+    return lines
 
 
-# (edit of a 2-site, 16 px dataset, error message)
+# (edit of the manifest lines of a 2-site, 16 px, 1-class dataset of 3 train
+# and 2 test images per site, config overrides, error message)
 BAD_MANIFESTS = {
-    "empty": (lambda per_site: per_site.clear(), "lists no samples"),
-    "one_site": (lambda per_site: per_site.pop(), "manifest has 1 sites but config expects 2"),
-    "small_image": (_shrink_one_image,
-                    "a site 1 test image is 8x8px but config expects 16x16px"),
-    "site_1_no_test": (_drop(1, "test"), "site 1 has no test samples"),
-    "site_1_no_train": (_drop(1, "train"), "site 1 has no train samples"),
-    "site_0_no_train": (_drop(0, "train"), "site 0 has no train samples"),
+    "empty": (lambda lines, data_dir: lines[:1], {}, "manifest.txt: lists no samples"),
+    "one_site": (_drop("1 "), {}, "manifest has 1 sites but config expects 2"),
+    "small_image": (_shrink_last_image, {},
+                    "manifest.txt:11: small_img.pgm is (8, 8), but the first record's "
+                    "image is (16, 16)"),
+    "site_1_no_test": (_drop("1 test "), {}, "manifest.txt: site 1 has no test samples"),
+    "site_1_no_train": (_drop("1 train "), {}, "manifest.txt: site 1 has no train samples"),
+    "site_0_no_train": (_drop("0 train "), {}, "manifest.txt: site 0 has no train samples"),
+    "image_size": (_unchanged, {"image_size": 32},
+                   "images are 16x16px but config expects 32x32px"),
+    "classes": (_unchanged, {"classes": 2}, "masks have 1 class(es) but config expects 2"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_MANIFESTS))
 def test_build_datasets_rejects_a_bad_manifest_before_training(case, tmp_path, monkeypatch):
-    edit, message = BAD_MANIFESTS[case]
-    per_site = data.benchmark_samples(1, 2, 3, 2, 16)
-    edit(per_site)
-    cfg = tiny_cfg(tmp_path / "run")
-    cfg.manifest = data.write_dataset(per_site, str(tmp_path / "data"))
+    edit, overrides, message = BAD_MANIFESTS[case]
+    data_dir = str(tmp_path / "data")
+    manifest = data.write_dataset(data.generate_benchmark(1, 2, 3, 2, 16), data_dir)
+    with open(manifest) as fh:
+        lines = fh.read().splitlines()
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(edit(lines, data_dir)) + "\n")
+    cfg = dataclasses.replace(tiny_cfg(tmp_path / "run"), manifest=manifest, **overrides)
     no_training(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(message)):
         runner.run_experiment(cfg)
+    assert not os.path.exists(cfg.out_dir)
 
 
 def _gen_data(*flags):
