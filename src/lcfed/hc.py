@@ -180,24 +180,13 @@ def gaussian_spread(u: Tensor, size: int, sigma: float) -> Tensor:
     return graph_node(correlate(u.data), (u,), grad_fn)
 
 
-def attention_from_classes(a: Tensor) -> Tensor:
-    """Average the class channels into one spatial attention map (B,1,H,W)."""
-    n = a.shape[1]
-    out_data = a.data.mean(axis=1, keepdims=True)
-
-    def grad_fn(g):
-        a.accumulate_grad(np.broadcast_to(g / n, a.shape))
-
-    return graph_node(out_data, (a,), grad_fn)
-
-
 def calibrate(f_hat: Tensor, attention: Tensor) -> Tensor:
     """Residual spatial gating: f* = a * f + f, with a the class-averaged
     attention broadcast over channels."""
     if attention.shape[-2:] != f_hat.shape[-2:]:
         raise ValueError(
             f"attention {attention.shape} does not spatially match feature {f_hat.shape}")
-    return f_hat * attention_from_classes(attention) + f_hat
+    return f_hat * attention.mean(axis=1, keepdims=True) + f_hat
 
 
 def head_calibration(f_hat: Tensor, heads: tuple, k: int, weight: Tensor, bias: Tensor,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import instance_norm
-from .tensor import Tensor, concat, global_average_pool, linear, relu, sigmoid, stop_gradient
+from .tensor import Tensor, concat, linear, relu, sigmoid, stop_gradient
 
 
 def generator_params(n_sites: int, channels: int, rng: np.random.Generator,
@@ -54,7 +54,7 @@ def augment_embedding(p: dict, f: Tensor) -> Tensor:
         raise ValueError(f"feature shape {f.shape} incompatible with {c} channels")
     b = f.shape[0]
     identities = Tensor(np.repeat(np.eye(k, dtype=f.dtype), b, axis=0))
-    descriptors = concat([global_average_pool(f)] * k, axis=0)
+    descriptors = concat([f.mean(axis=(2, 3))] * k, axis=0)
     hidden = relu(instance_norm(fc("fc1", identities), p["pcsgen.norm.g"], p["pcsgen.norm.o"]))
     fused = fc("fuse", concat([descriptors, fc("fc2", hidden)], axis=1))
     return sigmoid(fused).reshape(k, b, c)

@@ -100,12 +100,26 @@ def _due(every: int, round_index: int, cfg: ExperimentConfig) -> bool:
     return round_index == cfg.rounds or (every > 0 and round_index % every == 0)
 
 
-def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
-                   resume_state=None) -> str:
-    """Run (or continue) an experiment; returns the run directory."""
+def _latest_checkpoint(run_dir: str) -> str | None:
+    """The highest-numbered round_NNNN.ckpt in the run's checkpoints/, or None
+    (by number: round_10000 sorts before round_9999)."""
+    ckpt_dir = os.path.join(run_dir, "checkpoints")
+    names = os.listdir(ckpt_dir) if os.path.isdir(ckpt_dir) else []
+    by_round = {int(m.group(1)): m.group(0) for m in map(_CKPT_NAME.fullmatch, names) if m}
+    return os.path.join(ckpt_dir, by_round[max(by_round)]) if by_round else None
+
+
+def run_experiment(cfg: ExperimentConfig, resume_state=None) -> str:
+    """Run (or continue) an experiment; returns the run directory.  A fresh
+    run refuses a directory that already holds a round checkpoint, which a
+    later resume could take for one of this run's."""
     cfg.validate()
     if not cfg.out_dir:
         raise ValueError("config needs an output directory")
+    stale = None if resume_state is not None else _latest_checkpoint(cfg.out_dir)
+    if stale:
+        raise ValueError(f"{stale} is left from an earlier run; "
+                         f"give a fresh output directory or resume that run")
     steady_heap()
     # a run whose data is bad fails before it creates any file
     datasets = build_datasets(cfg)
@@ -132,8 +146,7 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
         csv_fh.write(f"# config {digest}\n{CSV_HEADER}\n")
 
     try:
-        last_round = cfg.rounds if stop_after_round is None else min(cfg.rounds, stop_after_round)
-        for round_index in range(start_round + 1, last_round + 1):
+        for round_index in range(start_round + 1, cfg.rounds + 1):
             state, stats = federation.run_round(state, clients, datasets, cfg)
             if _due(cfg.eval_every, round_index, cfg):
                 scores = federation.evaluate_clients(state, datasets, cfg)
@@ -147,8 +160,7 @@ def run_experiment(cfg: ExperimentConfig, stop_after_round: int | None = None,
     finally:
         csv_fh.close()
 
-    if last_round == cfg.rounds:
-        emit_report(out_dir)
+    emit_report(out_dir)
     return out_dir
 
 
@@ -179,13 +191,10 @@ def resume_experiment(run_dir: str, checkpoint_path: str | None = None) -> str:
     except ValueError as err:
         raise ValueError(f"{config_path}: {err}") from None
     if checkpoint_path is None:
-        ckpt_dir = os.path.join(run_dir, "checkpoints")
-        # the latest round by number: round_10000 sorts before round_9999
-        by_round = {int(m.group(1)): m.group(0)
-                    for m in map(_CKPT_NAME.fullmatch, os.listdir(ckpt_dir)) if m}
-        if not by_round:
-            raise FileNotFoundError(f"no round_NNNN.ckpt checkpoints in {ckpt_dir}")
-        checkpoint_path = os.path.join(ckpt_dir, by_round[max(by_round)])
+        checkpoint_path = _latest_checkpoint(run_dir)
+        if checkpoint_path is None:
+            raise FileNotFoundError(
+                f"no round_NNNN.ckpt checkpoints in {os.path.join(run_dir, 'checkpoints')}")
     state, digest, master_seed = load_checkpoint(checkpoint_path)
     if digest != cfg.digest():
         raise ValueError(f"{checkpoint_path}: checkpoint digest {digest} does not match "

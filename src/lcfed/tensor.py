@@ -18,6 +18,10 @@ Conventions:
   * the graph frees itself during backward: a node's saved arrays, and its
     gradient unless the caller still holds the tensor, go as soon as its
     closure has run,
+  * the reductions are ``sum`` and ``mean`` over any axes (None, an int or
+    a tuple, with or without ``keepdims``), one graph node whose forward is
+    numpy's own ``sum``/``mean``: a feature's spatial mean is
+    ``f.mean(axis=(2, 3))``,
   * op results and the gradients ops pass back may be non-contiguous views
     (conv2d returns channel-major memory); ops must accept any layout,
   * conv2d is a same-padded (k // 2), stride-1 cross-correlation (no kernel
@@ -42,7 +46,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "concat",
-    "global_average_pool",
     "linear",
     "conv2d",
 ]
@@ -164,14 +167,7 @@ class Tensor:
         return graph_node(out_data, (self, other), grad_fn)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out_data = self.data - other.data
-
-        def grad_fn(g):
-            self.accumulate_grad(g)
-            other.accumulate_grad(-g)
-
-        return graph_node(out_data, (self, other), grad_fn)
+        return self + -self._coerce(other)  # a - b == a + (-b) exactly in IEEE arithmetic
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -229,30 +225,25 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None):
-        if axis is None:
-            def grad_fn(g):
-                self.accumulate_grad(np.full_like(self.data, float(g)))
+    def sum(self, axis=None, keepdims=False):
+        return self._reduce(np.sum, axis, keepdims)
 
-            return graph_node(np.asarray(self.data.sum(), dtype=self.data.dtype), (self,), grad_fn)
+    def mean(self, axis=None, keepdims=False):
+        return self._reduce(np.mean, axis, keepdims)
 
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        out_data = self.data.sum(axis=axes)
-        keep_shape = tuple(1 if a in axes or a - self.data.ndim in axes else s
-                           for a, s in enumerate(self.data.shape))
-
-        def grad_fn(g):
-            self.accumulate_grad(np.broadcast_to(g.reshape(keep_shape), self.data.shape))
-
-        return graph_node(out_data, (self,), grad_fn)
-
-    def mean(self):
-        n = self.data.size
+    def _reduce(self, op, axis, keepdims):
+        """numpy's `op` (np.sum or np.mean) over `axis` (None, an int or a
+        tuple of ints); the gradient broadcasts back over the reduced axes,
+        divided by their element count for a mean."""
+        kept = op(self.data, axis=axis, keepdims=True)
+        keep_shape, count = kept.shape, self.data.size // kept.size
 
         def grad_fn(g):
-            self.accumulate_grad(np.full_like(self.data, float(g) / n))
+            g = np.reshape(g, keep_shape)
+            g = g / count if op is np.mean else g
+            self.accumulate_grad(np.broadcast_to(g, self.data.shape))
 
-        return graph_node(np.asarray(self.data.mean(), dtype=self.data.dtype), (self,), grad_fn)
+        return graph_node(kept if keepdims else kept.squeeze(axis), (self,), grad_fn)
 
     def abs(self):
         sign = np.sign(self.data)
@@ -267,7 +258,7 @@ def graph_node(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     """Create a tensor from an op result, wiring it into the graph when any
     parent tracks gradients."""
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
@@ -315,19 +306,6 @@ def concat(tensors: list, axis: int = 1) -> Tensor:
             t.accumulate_grad(piece)
 
     return graph_node(out_data, tuple(tensors), grad_fn)
-
-
-def global_average_pool(x: Tensor) -> Tensor:
-    """Per-channel spatial mean: (B, C, H, W) -> (B, C)."""
-    if x.ndim != 4:
-        raise ValueError(f"expected B x C x H x W input, got shape {x.shape}")
-    _, _, h, w = x.shape
-    out_data = x.data.mean(axis=(2, 3))
-
-    def grad_fn(g):
-        x.accumulate_grad(np.broadcast_to(g[:, :, None, None], x.shape) / (h * w))
-
-    return graph_node(out_data, (x,), grad_fn)
 
 
 def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:

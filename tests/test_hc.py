@@ -344,6 +344,19 @@ class TestCalibrate:
         out = calibrate(Tensor(f), Tensor(a))
         np.testing.assert_allclose(out.data, 1.5 * f)
 
+    def test_two_class_attention_grads_match_finite_differences(self):
+        rng = np.random.default_rng(26)
+        f = rng.standard_normal((2, 3, 4, 4))
+        a = rng.random((2, 2, 4, 4))
+        w = rng.standard_normal((2, 3, 4, 4))
+        tf, ta = Tensor(f, requires_grad=True), Tensor(a, requires_grad=True)
+        (calibrate(tf, ta) * Tensor(w)).sum().backward()
+
+        def loss(f_, a_):
+            return float(((f_ * a_.mean(axis=1, keepdims=True) + f_) * w).sum())
+
+        assert_grads_close(loss, [f, a], [tf.grad, ta.grad])
+
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ValueError):
             calibrate(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))))

@@ -3,7 +3,7 @@ import pytest
 
 from lcfed.layers import instance_norm
 from lcfed.pcs import augment_embedding, generator_params, select_channels, site_contrast_loss
-from lcfed.tensor import Tensor, concat, global_average_pool, linear, relu, sigmoid
+from lcfed.tensor import Tensor, concat, linear, relu, sigmoid
 
 
 def make_gen(n_sites=3, channels=6, seed=0):
@@ -22,7 +22,7 @@ def gate_loop(gen, k, f):
     hidden = relu(instance_norm(linear(rows, g["fc1.w"], g["fc1.b"]),
                                 g["norm.g"], g["norm.o"]))
     extended = linear(hidden, g["fc2.w"], g["fc2.b"])
-    return sigmoid(linear(concat([global_average_pool(f), extended], axis=1),
+    return sigmoid(linear(concat([f.mean(axis=(2, 3)), extended], axis=1),
                           g["fuse.w"], g["fuse.b"]))
 
 

@@ -47,6 +47,24 @@ class _WriteFails:
         return self.fh.write(blob)
 
 
+def crashed_in_round_2(cfg) -> str:
+    """Run `cfg` with `federation.run_round` raising on its second call, a
+    crash in round 2; returns the run directory, which holds round 1's files."""
+    real, calls = federation.run_round, []
+
+    def run_round(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("crash in round 2")
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(federation, "run_round", run_round)
+        with pytest.raises(RuntimeError, match="crash in round 2"):
+            runner.run_experiment(cfg)
+    return cfg.out_dir
+
+
 def fail_writes_to(monkeypatch, suffix: str):
     """Make checkpoint writes to paths ending in `suffix` raise after the header
     and one array."""
@@ -139,7 +157,7 @@ class TestResume:
         parallel = tiny_cfg(tmp_path / "parallel")
         parallel.parallel_clients = True
         parallel = runner.run_experiment(parallel)
-        cut = runner.run_experiment(tiny_cfg(tmp_path / "cut"), stop_after_round=1)
+        cut = crashed_in_round_2(tiny_cfg(tmp_path / "cut"))
         config_path = os.path.join(cut, "config.txt")
         with open(config_path) as fh:
             text = fh.read()
@@ -178,9 +196,30 @@ class TestResumeRobustness:
         with pytest.raises(FileNotFoundError, match="no round_NNNN.ckpt"):
             runner.resume_experiment(str(run))
 
+    def test_a_fresh_run_refuses_a_directory_with_an_earlier_runs_checkpoints(
+            self, tmp_path, capsys):
+        # a later run that crashed after round 1 would leave this run's
+        # round_0002.ckpt for `lcfed resume` to finish from, over its own rows
+        run = runner.run_experiment(tiny_cfg(tmp_path / "run"))
+
+        def snapshot():
+            return {os.path.relpath(os.path.join(d, n), run): read_bytes(os.path.join(d, n))
+                    for d, _, names in os.walk(run) for n in names}
+
+        before = snapshot()
+        stale = re.escape(os.path.join(run, "checkpoints", "round_0002.ckpt"))
+        again = tiny_cfg(run)
+        again.checkpoint_every = 0
+        with pytest.raises(ValueError, match=f"^{stale} is left from an earlier run"):
+            runner.run_experiment(again)
+        assert cli.main(["run", "--config", os.path.join(run, "config.txt"),
+                         "--set", "checkpoint_every=0"]) == 2
+        assert re.match(f"error: {stale} is left from an earlier run", capsys.readouterr().err)
+        assert snapshot() == before
+
     def test_resume_skips_blank_lines_in_metrics(self, tmp_path):
         whole = runner.run_experiment(tiny_cfg(tmp_path / "whole"))
-        cut = runner.run_experiment(tiny_cfg(tmp_path / "cut"), stop_after_round=1)
+        cut = crashed_in_round_2(tiny_cfg(tmp_path / "cut"))
         metrics = os.path.join(cut, "metrics.csv")
         with open(metrics, "a") as fh:
             fh.write("\n")
@@ -188,7 +227,7 @@ class TestResumeRobustness:
         assert read_bytes(metrics) == read_bytes(os.path.join(whole, "metrics.csv"))
 
     def test_failed_metrics_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch):
-        cut = runner.run_experiment(tiny_cfg(tmp_path / "cut"), stop_after_round=1)
+        cut = crashed_in_round_2(tiny_cfg(tmp_path / "cut"))
         metrics = os.path.join(cut, "metrics.csv")
         before = read_bytes(metrics)
 
@@ -370,10 +409,10 @@ def test_report_on_a_damaged_metrics_file_exits_2_naming_its_line(case, tmp_path
 
 
 def cut_run(tmp_path, mode):
-    """A run stopped after round 1 and its round-1 checkpoint path."""
+    """A run that crashed in round 2 and its round-1 checkpoint path."""
     cfg = tiny_cfg(tmp_path / mode)
     cfg.mode = mode
-    cut = runner.run_experiment(cfg, stop_after_round=1)
+    cut = crashed_in_round_2(cfg)
     return cfg, cut, os.path.join(cut, "checkpoints", "round_0001.ckpt")
 
 

@@ -412,9 +412,9 @@ class TestReductionsAndActivations:
             assert out.dtype == dtype
             assert np.array_equal(out.view(uint), masked(d).view(uint))
 
-    def test_global_average_pool_constant(self):
+    def test_spatial_mean_of_a_constant(self):
         x = np.full((2, 3, 4, 4), 1.25)
-        out = T.global_average_pool(Tensor(x))
+        out = Tensor(x).mean(axis=(2, 3))
         np.testing.assert_allclose(out.data, np.full((2, 3), 1.25))
 
     def test_abs_backward_away_from_kink(self):
@@ -442,7 +442,7 @@ class TestReductionsAndActivations:
         x = rng.standard_normal((2, 3, 4, 4))
         x[np.abs(x) < 1e-3] = 0.1  # keep away from the relu kink
         tx = Tensor(x, requires_grad=True)
-        T.global_average_pool(T.sigmoid(T.relu(tx))).sum().backward()
+        T.sigmoid(T.relu(tx)).mean(axis=(2, 3)).sum().backward()
 
         def f(x_):
             r = np.where(x_ > 0, x_, 0)
@@ -499,12 +499,46 @@ class TestGetitem:
             Tensor(np.zeros((2, 3)))[index]
 
 
-class TestBackward:
-    def test_sum_grad_is_ones(self):
-        x = Tensor(np.random.default_rng(12).standard_normal((3, 3)), requires_grad=True)
-        x.sum().backward()
-        np.testing.assert_array_equal(x.grad, np.ones((3, 3)))
+# (op, axis, keepdims): None, an int, a negative int and tuples, each both ways
+REDUCTIONS = [(op, axis, keepdims) for op in ("sum", "mean")
+              for axis in (None, 1, -1, (0, 2), (-3, -1)) for keepdims in (False, True)]
 
+
+class TestSumAndMean:
+    @pytest.mark.parametrize("op,axis,keepdims", REDUCTIONS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_values_are_numpy_bit_for_bit(self, op, axis, keepdims, dtype):
+        x = np.random.default_rng(12).standard_normal((3, 4, 5)).astype(dtype)
+        out = getattr(Tensor(x), op)(axis=axis, keepdims=keepdims)
+        expected = np.asarray(getattr(x, op)(axis=axis, keepdims=keepdims))
+        assert out.dtype == dtype and out.shape == expected.shape
+        assert np.array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("op,axis,keepdims", REDUCTIONS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grad_of_the_total_is_one_or_one_over_the_count(self, op, axis, keepdims, dtype):
+        x = Tensor(np.random.default_rng(12).standard_normal((3, 4, 5)).astype(dtype),
+                   requires_grad=True)
+        out = getattr(x, op)(axis=axis, keepdims=keepdims)
+        out.sum().backward()
+        one = dtype(1) / dtype(x.size // out.size) if op == "mean" else dtype(1)
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, np.full(x.shape, one))
+
+    @pytest.mark.parametrize("op,axis,keepdims", REDUCTIONS)
+    def test_grads_match_finite_differences(self, op, axis, keepdims):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 4, 5))
+        w = rng.standard_normal(np.shape(getattr(x, op)(axis=axis, keepdims=keepdims)))
+        tx = Tensor(x, requires_grad=True)
+        (getattr(tx, op)(axis=axis, keepdims=keepdims) * Tensor(w)).sum().backward()
+        assert tx.grad.shape == x.shape
+        assert_grads_close(
+            lambda x_: float((getattr(x_, op)(axis=axis, keepdims=keepdims) * w).sum()),
+            [x], [tx.grad])
+
+
+class TestBackward:
     def test_five_op_chain_matches_fd(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, 4)) + 2.0  # positive, away from kinks
@@ -615,7 +649,7 @@ class TestDeterminism:
 
         def run():
             out = T.conv2d(Tensor(x), Tensor(k))
-            return T.global_average_pool(T.sigmoid(out)).data.copy()
+            return T.sigmoid(out).mean(axis=(2, 3)).data.copy()
 
         a, b = run(), run()
         assert np.array_equal(a, b)
