@@ -4,12 +4,11 @@
     python scripts/identity.py REV
 
 REV is checked out with ``git worktree add`` into a temporary directory, which
-is removed again however the script ends.  In each tree, every (mode, classes)
-of the CI round trip (``.github/workflows/tests.yml``) runs in float64 and
-float32: a serial run of 2 sites, 2 rounds, 32 px, channels 8,16,32, batch 3
-and a checkpoint every round, then a ``parallel_clients = true`` resume from
-its round-1 checkpoint and ``lcfed report``.  Every file the serial run writes
-and every file the resume rewrites is hashed with sha256.
+is removed again however the script ends.  Each tree runs the round-trip list
+of `scripts/roundtrip.py`: in float64 and float32, a serial run, then a
+``parallel_clients = true`` resume from its round-1 checkpoint and
+``lcfed report``.  Every file the serial run writes and every file the resume
+rewrites is hashed with sha256.
 
 Prints a markdown table with one row per run: the first 16 hex digits of each
 serial file's digest in this tree (with REV's next to it where they differ),
@@ -22,68 +21,12 @@ named), 2 when a run fails.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-ROUND_TRIPS = [("lcfed", 1), ("fedrep-head", 1), ("fedrep-head+pcs", 1), ("fedrep-head+hc", 1),
-               ("local", 1), ("fedavg", 1), ("fedbn+pcs", 1), ("fedper-dec+pcs+hc", 1),
-               ("lg-fedavg", 1), ("lcfed", 2)]
-DTYPES = ("float64", "float32")
-SETTINGS = ("--sites", "2", "--rounds", "2", "--set", "image_size=32",
-            "--set", "channels=8,16,32", "--set", "batch_size=3", "--set", "checkpoint_every=1")
-SERIAL = ("metrics.csv", "checkpoints/round_0001.ckpt", "checkpoints/round_0002.ckpt",
-          "summary.txt", "curves.csv")
-RESUMED = ("checkpoints/round_0002.ckpt", "metrics.csv", "summary.txt", "curves.csv")
-
-
-class RunFailed(Exception):
-    pass
-
-
-def sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def lcfed(tree: str, *args: str):
-    """Run ``python -m lcfed.cli ARGS`` on `tree`'s sources, with one BLAS
-    thread as in CI."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "lcfed.cli", *args], cwd=tree, env=env,
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RunFailed(f"{tree}: lcfed {' '.join(args)} exited {done.returncode}:\n"
-                        f"{done.stderr.strip()}")
-
-
-def run_tree(tree: str, runs_dir: str) -> dict:
-    """{(mode, classes, dtype): {file: sha256}} over the round-trip list;
-    resumed files are keyed ``resumed <file>``."""
-    digests = {}
-    for mode, classes in ROUND_TRIPS:
-        for dtype in DTYPES:
-            out = os.path.join(runs_dir, f"{mode}-{classes}-{dtype}")
-            lcfed(tree, "run", "--out", out, "--mode", mode, *SETTINGS,
-                  "--set", f"dtype={dtype}", "--set", f"classes={classes}")
-            files = {f: sha256(os.path.join(out, f)) for f in SERIAL}
-            config = os.path.join(out, "config.txt")
-            with open(config) as fh:
-                text = fh.read()
-            if "parallel_clients = false\n" not in text:
-                raise RunFailed(f"{config}: no 'parallel_clients = false' line to switch")
-            with open(config, "w") as fh:
-                fh.write(text.replace("parallel_clients = false\n", "parallel_clients = true\n"))
-            lcfed(tree, "resume", out, "--checkpoint",
-                  os.path.join(out, "checkpoints", "round_0001.ckpt"))
-            lcfed(tree, "report", out)
-            files |= {f"resumed {f}": sha256(os.path.join(out, f)) for f in RESUMED}
-            digests[(mode, classes, dtype)] = files
-    return digests
+from roundtrip import REPO, SERIAL, RunFailed, label, resume_differences, run_tree
 
 
 def report(rev: str, base: dict, change: dict) -> list:
@@ -98,8 +41,8 @@ def report(rev: str, base: dict, change: dict) -> list:
             if base[key][f] != files[f]:
                 cell += f" ({rev}: `{base[key][f][:16]}`)"
             cells.append(cell)
-        resume_diff = [f for f in RESUMED if files[f"resumed {f}"] != files[f]]
-        run = f"{key[0]} {key[1]}-class {key[2]}"
+        resume_diff = resume_differences(files)
+        run = label(key)
         cells.append("≠ serial: " + ", ".join(resume_diff) if resume_diff else "= serial")
         print(f"| {run} | " + " | ".join(cells) + " |")
         differing += [f"{run}: {f}" for f in files if base[key][f] != files[f]]

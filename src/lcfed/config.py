@@ -184,8 +184,8 @@ def _set_item(cfg: ExperimentConfig, item: str, where: str):
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = dataclasses.replace(base) if base else ExperimentConfig()
     for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if line:
+        line = line.strip()
+        if line and not line.startswith("#"):  # a comment is a whole line; values may hold '#'
             _set_item(cfg, line, f"line {ln}")
     return cfg
 

@@ -11,8 +11,10 @@ import numpy as np
 
 from .tensor import Tensor, graph_node
 
+NORM_EPS = 1e-5
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize to zero mean / unit variance, then scale by gamma and shift
     by beta.
 
@@ -33,7 +35,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     # reductions over the group axes work on any memory layout, so a
     # channel-major input is never copied into rows
     xc = d - d.mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(np.einsum(group_dot, xc, xc) / m + eps)
+    inv = 1.0 / np.sqrt(np.einsum(group_dot, xc, xc) / m + NORM_EPS)
     inv = inv.reshape(inv.shape + (1,) * len(axes))
     pshape = (1, -1) + (1,) * (d.ndim - 2)
     gk = gamma.data.reshape(pshape)

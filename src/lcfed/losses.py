@@ -11,10 +11,10 @@ from .tensor import Tensor
 DICE_SMOOTH = 1e-5
 
 
-def dice_loss(s: Tensor, g, smooth: float = DICE_SMOOTH) -> Tensor:
+def dice_loss(s: Tensor, g) -> Tensor:
     """1 - 2|S*G| / (|S| + |G|), per sample and class, then averaged.
 
-    The smooth term in numerator and denominator keeps the empty-vs-empty
+    DICE_SMOOTH in numerator and denominator keeps the empty-vs-empty
     case at loss 0 instead of 0/0.
     """
     if not isinstance(g, Tensor):
@@ -26,7 +26,7 @@ def dice_loss(s: Tensor, g, smooth: float = DICE_SMOOTH) -> Tensor:
     spatial = tuple(range(2, s.ndim))
     inter = (s * g).sum(axis=spatial)
     denom = s.sum(axis=spatial) + g.sum(axis=spatial)
-    dice = (inter * 2.0 + smooth) / (denom + smooth)
+    dice = (inter * 2.0 + DICE_SMOOTH) / (denom + DICE_SMOOTH)
     return (-dice + 1.0).mean()
 
 

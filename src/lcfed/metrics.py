@@ -81,15 +81,13 @@ def assd(pred: np.ndarray, gt: np.ndarray) -> float:
     return 0.5 * (float(distances_to(bg, bp).mean()) + float(distances_to(bp, bg).mean()))
 
 
-def evaluate_site(predict, masks: np.ndarray,
-                  threshold: float = FOREGROUND_THRESHOLD,
-                  batch_size: int = 8) -> tuple[float, float]:
+def evaluate_site(predict, masks: np.ndarray, batch_size: int = 8) -> tuple[float, float]:
     """Score `predict` over a test split in batches; returns (IoU, ASSD),
     each the mean over classes of that class's mean over samples.
 
     `masks` is the split's (n, N, H, W) bool ground truth.  `predict` maps a
     slice of the split's samples to their (b, N, H, W) probabilities;
-    binarization is probability >= threshold.
+    binarization is probability >= FOREGROUND_THRESHOLD.
     """
     n = masks.shape[0]
     if n == 0:
@@ -98,7 +96,7 @@ def evaluate_site(predict, masks: np.ndarray,
     iou_sum = np.zeros(n_classes)
     assd_sum = np.zeros(n_classes)
     for start in range(0, n, batch_size):
-        binary = predict(slice(start, start + batch_size)) >= threshold
+        binary = predict(slice(start, start + batch_size)) >= FOREGROUND_THRESHOLD
         for i, truth in enumerate(masks[start:start + batch_size]):
             for c in range(n_classes):
                 iou_sum[c] += iou(binary[i, c], truth[c])

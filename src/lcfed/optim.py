@@ -1,6 +1,6 @@
 """Adam over named parameter tensors; the moments belong to the caller.
 
-`Adam` binds (name, Tensor) pairs and the hyperparameters, and keeps no
+`Adam` binds (name, Tensor) pairs and the learning rate, and keeps no
 per-site values: `step` advances a state ``{"t": int, "m": {name: array},
 "v": {name: array}}`` that the caller owns, in place, and only reads the
 gradients; `zero_grad` releases them (sets every ``.grad`` to None).
@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, named_params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, lr: float = 1e-4):
         self.params = list(named_params)  # (name, Tensor)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def zero_grad(self):
         for _, p in self.params:
@@ -28,17 +26,16 @@ class Adam:
         """One update of every bound tensor with a gradient; advances
         ``state["t"]`` and the moments ``state["m"]``, ``state["v"]`` in place."""
         state["t"] += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** state["t"]
-        bias2 = 1.0 - b2 ** state["t"]
+        bias1 = 1.0 - BETA1 ** state["t"]
+        bias2 = 1.0 - BETA2 ** state["t"]
         for name, p in self.params:
             g = p.grad
             if g is None:
                 continue
             m = state["m"][name]
             v = state["v"][name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

@@ -22,9 +22,13 @@ class TestText:
     def test_to_text_parse_round_trip(self):
         cfg = ExperimentConfig(mode="fedrep-head", sites=3, lr=3e-4, channels=(4, 8, 16),
                                image_size=32, lambda_con=0.25,
-                               parallel_clients=True, manifest="data/manifest.txt",
-                               out_dir="runs/a")
+                               parallel_clients=True, manifest="data#1/manifest.txt",
+                               out_dir="runs/#a")
         assert parse_config_text(cfg.to_text()) == cfg
+
+    def test_a_comment_is_a_whole_line_and_a_value_may_hold_a_hash(self):
+        cfg = parse_config_text("# a comment\n   # another\nmanifest = d#1/manifest.txt\n")
+        assert cfg.manifest == "d#1/manifest.txt"
 
     def test_removed_key_is_unknown(self):
         with pytest.raises(ValueError, match="unknown config key 'pcs_shared'"):
@@ -151,8 +155,10 @@ def test_resume_names_the_config_file_of_a_bad_line(tmp_path, capsys):
         f"error: {path}: line {lines + 1}: rounds: cannot parse integer from 'x'\n")
 
 
-# each passed validation once and failed only after the run directory and
-# config.txt were written
+# (override, what the error names): the first ten each passed validation once
+# and failed only after the run directory and config.txt were written; the
+# rest are the values gen-data once checked on its own
+@pytest.mark.parametrize("command", ["run", "gen-data"])
 @pytest.mark.parametrize("override,field", [
     ("channels=8,0", "channels"),
     ("channels=8,1", "channels"),
@@ -164,12 +170,21 @@ def test_resume_names_the_config_file_of_a_bad_line(tmp_path, capsys):
     ("lr=-1", "lr"),
     ("master_seed=-1", "master_seed"),
     ("benchmark_seed=-1", "benchmark_seed"),
+    ("sites=0", "at least one site"),
+    ("train_per_site=-1", "train_per_site"),
+    ("image_size=0", "image_size 0"),
+    ("image_size=-4", "image size -4"),
+    ("image_size=7", "image size 7"),
+    ("image_size=2", "image size 2"),
+    ("classes=0", "classes"),
+    ("classes=3", "classes"),
 ])
-def test_cli_rejects_bad_config_before_writing_anything(override, field, tmp_path, capsys):
-    out = tmp_path / "run"
-    assert cli.main(["run", "--out", str(out), "--sites", "2", "--rounds", "1",
-                 "--set", "train_per_site=3", "--set", "test_per_site=2",
-                 "--set", override]) == 2
+def test_cli_rejects_bad_config_before_writing_anything(command, override, field, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), "--set", "sites=2", "--set", "rounds=1",
+                     "--set", "train_per_site=3", "--set", "test_per_site=2",
+                     "--set", override]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
 

@@ -144,14 +144,15 @@ import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now raises
 from lcfed import cli
 out = sys.argv[1]
-common = ["--sites", "2", "--benchmark-seed", "1"]
-assert cli.main(["run", "--out", out + "/run", "--mode", "lcfed", "--rounds", "2", *common,
-                 "--set", "image_size=16", "--set", "channels=4,8", "--set", "batch_size=3",
+common = ["--set", "sites=2", "--set", "benchmark_seed=1", "--set", "image_size=16",
+          "--set", "channels=4,8"]
+assert cli.main(["run", "--out", out + "/run", "--set", "mode=lcfed", "--set", "rounds=2",
+                 *common, "--set", "batch_size=3",
                  "--set", "train_per_site=3", "--set", "test_per_site=2",
                  "--set", "classes=2", "--set", "checkpoint_every=1"]) == 0
 assert cli.main(["report", out + "/run"]) == 0
-assert cli.main(["gen-data", "--out", out + "/data", *common, "--train-per-site", "2",
-                 "--test-per-site", "1", "--image-size", "16"]) == 0
+assert cli.main(["gen-data", "--out", out + "/data", *common, "--set", "train_per_site=2",
+                 "--set", "test_per_site=1"]) == 0
 assert not any(name == "scipy" or name.startswith("scipy.")
                for name, mod in sys.modules.items() if mod is not None)
 """

@@ -19,7 +19,7 @@ class TestStep:
         named = params([1.0, -2.0], [3.0])
         (_, p), (_, q) = named
         q.grad = None
-        opt = Adam(named, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(named, lr=0.1)   # beta1 0.9, beta2 0.999, eps 1e-8
         state = zero_state(named)
 
         g1 = np.array([0.5, -0.1])
@@ -55,7 +55,7 @@ class TestStep:
         p.sum(axis=1).sum().backward()
         g = p.grad
         assert not g.flags.writeable   # stored as sum(axis=1) handed it over
-        opt = Adam(named, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(named, lr=0.1)   # beta1 0.9, beta2 0.999, eps 1e-8
         state = zero_state(named)
         opt.step(state)
         # first step with g = 1: m = 0.1, v = 0.001, so each entry moves by lr / (1 + eps)

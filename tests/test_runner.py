@@ -22,6 +22,12 @@ def tiny_cfg(out_dir) -> ExperimentConfig:
     return ExperimentConfig(**TINY, out_dir=str(out_dir))
 
 
+def tiny_settings(**changes) -> list:
+    """TINY, with `changes`, as the command line's ``--set`` options."""
+    settings = {**TINY, "channels": "4,8", **changes}
+    return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+
+
 def read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -142,7 +148,7 @@ class TestNonFiniteLoss:
 
     def test_cli_reports_error_with_exit_code_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(federation, "initial_state", nan_site_1)
-        code = cli.main(["run", "--out", str(tmp_path), "--sites", "2", "--rounds", "1",
+        code = cli.main(["run", "--out", str(tmp_path), "--set", "sites=2", "--set", "rounds=1",
                          "--set", "image_size=16", "--set", "channels=4,8",
                          "--set", "train_per_site=3", "--set", "test_per_site=2"])
         assert code == 2
@@ -266,17 +272,11 @@ def no_training(monkeypatch):
 class TestManifest:
     @pytest.mark.parametrize("classes", ["1", "2"])
     def test_a_run_on_gen_data_files_equals_the_in_memory_run(self, tmp_path, classes):
-        shape = ["--benchmark-seed", "1", "--sites", "2"]
-        assert cli.main(["gen-data", "--out", str(tmp_path / "data"), *shape,
-                         "--train-per-site", "3", "--test-per-site", "2",
-                         "--image-size", "16", "--classes", classes]) == 0
-        run = ["run", *shape, "--rounds", "2", "--set", f"classes={classes}",
-               "--set", "image_size=16",
-               "--set", "channels=4,8", "--set", "batch_size=3", "--set", "train_per_site=3",
-               "--set", "test_per_site=2", "--set", "checkpoint_every=1"]
+        settings = tiny_settings(classes=classes)
+        assert cli.main(["gen-data", "--out", str(tmp_path / "data"), *settings]) == 0
         memory, disk = str(tmp_path / "memory"), str(tmp_path / "disk")
-        assert cli.main([*run, "--out", memory]) == 0
-        assert cli.main([*run, "--out", disk, "--set",
+        assert cli.main(["run", "--out", memory, *settings]) == 0
+        assert cli.main(["run", "--out", disk, *settings, "--set",
                          f"manifest={tmp_path / 'data' / 'manifest.txt'}"]) == 0
 
         def after_digest(run_dir, name, lines):
@@ -287,6 +287,35 @@ class TestManifest:
         for rnd in (1, 2):
             name = os.path.join("checkpoints", f"round_{rnd:04d}.ckpt")
             assert after_digest(disk, name, 1) == after_digest(memory, name, 1)
+
+    @pytest.mark.parametrize("classes", [1, 2])
+    def test_gen_data_writes_the_generated_benchmark(self, tmp_path, classes):
+        cli_dir, direct_dir = tmp_path / "cli", tmp_path / "direct"
+        assert cli.main(["gen-data", "--out", str(cli_dir), *tiny_settings(classes=classes)]) == 0
+        data.write_dataset(data.generate_benchmark(1, 2, 3, 2, 16, classes), str(direct_dir))
+        names = sorted(os.listdir(direct_dir))
+        # the manifest, and an image and a mask per class for each of 2 x (3 + 2) samples
+        assert len(names) == 1 + 2 * (3 + 2) * (1 + classes)
+        assert sorted(os.listdir(cli_dir)) == names
+        for name in names:
+            assert read_bytes(cli_dir / name) == read_bytes(direct_dir / name), name
+
+    def test_a_run_under_paths_with_a_hash_resumes(self, tmp_path):
+        # config.txt holds the manifest and out_dir verbatim; a '#' inside a
+        # value once cut the line there, so the resumed digest did not match
+        data_dir, run = tmp_path / "d#1", str(tmp_path / "run#1")
+        data.write_dataset(data.generate_benchmark(1, 2, 3, 2, 16), str(data_dir))
+        assert cli.main(["run", "--out", run, *tiny_settings(),
+                         "--set", f"manifest={data_dir / 'manifest.txt'}"]) == 0
+        finished = {name: read_bytes(os.path.join(run, name))
+                    for name in ("metrics.csv", os.path.join("checkpoints", "round_0002.ckpt"))}
+        assert cli.main(["resume", run, "--checkpoint",
+                         os.path.join(run, "checkpoints", "round_0001.ckpt")]) == 0
+        for name, blob in finished.items():
+            assert read_bytes(os.path.join(run, name)) == blob, name
+        rerun = str(tmp_path / "rerun")
+        assert cli.main(["run", "--config", os.path.join(run, "config.txt"), "--out", rerun]) == 0
+        assert read_bytes(os.path.join(rerun, "metrics.csv")) == finished["metrics.csv"]
 
 
 def _shrink_last_image(lines, data_dir):
@@ -337,33 +366,16 @@ def test_build_datasets_rejects_a_bad_manifest_before_training(case, tmp_path, m
     assert not os.path.exists(cfg.out_dir)
 
 
-def _gen_data(*flags):
-    return lambda tmp: ["gen-data", "--out", str(tmp / "data"), *flags]
-
-
 # (argv in an empty temporary directory, error message); each command exits 2
 # with one `error:` line and writes no file
 BAD_COMMANDS = {
     "run_config_is_a_directory": (lambda tmp: ["run", "--config", str(tmp),
                                                "--out", str(tmp / "run")],
                                   "Is a directory"),
-    "gen_data_negative_seed": (_gen_data("--benchmark-seed", "-1"),
-                               "--benchmark-seed must be >= 0, got -1"),
-    "gen_data_no_sites": (_gen_data("--sites", "0"), "--sites must be >= 1, got 0"),
-    "gen_data_negative_train": (_gen_data("--train-per-site", "-1", "--sites", "2"),
-                                "--train-per-site must be >= 1, got -1"),
-    "gen_data_no_test": (_gen_data("--test-per-site", "0"),
-                         "--test-per-site must be >= 1, got 0"),
-    "gen_data_zero_size": (_gen_data("--image-size", "0"),
-                           "--image-size must be even and >= 4, got 0"),
-    "gen_data_negative_size": (_gen_data("--image-size", "-4"),
-                               "--image-size must be even and >= 4, got -4"),
-    "gen_data_odd_size": (_gen_data("--image-size", "7"),
-                          "--image-size must be even and >= 4, got 7"),
-    "gen_data_size_2": (_gen_data("--image-size", "2"),
-                        "--image-size must be even and >= 4, got 2"),
-    "gen_data_no_classes": (_gen_data("--classes", "0"), "--classes must be 1 or 2, got 0"),
-    "gen_data_three_classes": (_gen_data("--classes", "3"), "--classes must be 1 or 2, got 3"),
+    "gen_data_names_a_manifest": (lambda tmp: ["gen-data", "--out", str(tmp / "data"),
+                                               "--set", "manifest=d/manifest.txt"],
+                                  "gen-data generates sites, but the config names manifest "
+                                  "d/manifest.txt"),
 }
 
 
@@ -375,6 +387,21 @@ def test_a_bad_command_exits_2_with_one_error_line_and_writes_nothing(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert os.listdir(tmp_path) == []
+
+
+# every option that once set a config key beside --set
+@pytest.mark.parametrize("command,flag", [
+    *(("run", flag) for flag in ("--mode", "--rounds", "--sites", "--master-seed",
+                                 "--benchmark-seed")),
+    *(("gen-data", flag) for flag in ("--benchmark-seed", "--sites", "--train-per-site",
+                                      "--test-per-site", "--image-size", "--classes")),
+])
+def test_a_removed_flag_exits_2_and_writes_nothing(command, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--out", str(tmp_path / "out"), flag, "1"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
