@@ -182,11 +182,21 @@ def gaussian_spread(u: Tensor, size: int, sigma: float) -> Tensor:
 
 def calibrate(f_hat: Tensor, attention: Tensor) -> Tensor:
     """Residual spatial gating: f* = a * f + f, with a the class-averaged
-    attention broadcast over channels."""
+    attention broadcast over channels.  The gating is one graph node, so the
+    product a * f is never kept; f's gradient gains g, then g * a."""
     if attention.shape[-2:] != f_hat.shape[-2:]:
         raise ValueError(
             f"attention {attention.shape} does not spatially match feature {f_hat.shape}")
-    return f_hat * attention.mean(axis=1, keepdims=True) + f_hat
+    a = attention.mean(axis=1, keepdims=True)
+    out_data = f_hat.data * a.data
+    out_data += f_hat.data
+
+    def grad_fn(g):
+        f_hat.accumulate_grad(g)
+        f_hat.accumulate_grad(g * a.data)
+        a.accumulate_grad(g * f_hat.data)
+
+    return graph_node(out_data, (f_hat, a), grad_fn)
 
 
 def head_calibration(f_hat: Tensor, heads: tuple, k: int, weight: Tensor, bias: Tensor,

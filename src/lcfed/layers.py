@@ -15,12 +15,15 @@ NORM_EPS = 1e-5
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize to zero mean / unit variance, then scale by gamma and shift
-    by beta.
+    """Normalize to zero mean / unit variance, scale by gamma, shift by beta,
+    then apply relu, as one graph node (both callers follow the norm with a
+    relu, and nothing else reads the pre-relu map).
 
     (B, C, H, W) inputs normalize each sample-channel plane over H*W;
     (B, C) inputs normalize each sample over its C entries.  The affine
-    scale/shift is per channel in both cases.
+    scale/shift is per channel in both cases.  The node keeps its output,
+    the group means and the inverse deviations; backward recomputes
+    x - mean from the input, which the graph holds as the node's parent.
     """
     d = x.data
     if d.ndim == 4:
@@ -34,7 +37,8 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     # reductions over the group axes work on any memory layout, so a
     # channel-major input is never copied into rows
-    xc = d - d.mean(axis=axes, keepdims=True)
+    mean = d.mean(axis=axes, keepdims=True)
+    xc = d - mean
     inv = 1.0 / np.sqrt(np.einsum(group_dot, xc, xc) / m + NORM_EPS)
     inv = inv.reshape(inv.shape + (1,) * len(axes))
     pshape = (1, -1) + (1,) * (d.ndim - 2)
@@ -42,8 +46,11 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     scale = gk * inv
     out_data = xc * scale
     out_data += beta.data.reshape(pshape)
+    np.maximum(out_data, 0, out=out_data)
 
     def grad_fn(g):
+        g = g * (out_data > 0)   # through the relu
+        xc = d - mean
         # with sg = sum(g') and sgx = sum(g' * x_c) over a group, g' = gamma * g,
         # dx = a*g + b*x_c + c for a = gamma/sigma, b = -sgx/(m sigma^3), c = -sg/(m sigma)
         if d.ndim == 4:
@@ -98,17 +105,29 @@ def max_pool2x2(x: Tensor) -> Tensor:
     return graph_node(out_data, (x,), grad_fn)
 
 
-def upsample_nearest2x(x: Tensor) -> Tensor:
-    """2x nearest-neighbor upsampling; gradient sums over each 2x2 block."""
-    out_data = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
+def upsample_nearest2x(x: Tensor, skip: Tensor) -> Tensor:
+    """The decoder's skip join: [skip, x upsampled 2x nearest-neighbor]
+    along the channels, written straight into one buffer, so the upsampled
+    map never exists on its own.  The gradient of x sums over each 2x2
+    block; the skip's is its channels' slice of the output gradient."""
+    b, cs, h, w = skip.shape
+    if x.shape[0] != b or x.shape[2:] != (h // 2, w // 2) or h % 2 or w % 2:
+        raise ValueError(f"skip {skip.shape} is not twice the size of {x.shape}")
+    out_data = np.empty((b, cs + x.shape[1], h, w), dtype=np.result_type(skip.data, x.data))
+    out_data[:, :cs] = skip.data
+    up = out_data[:, cs:]
+    for i, j in _WINDOW:
+        up[:, :, i::2, j::2] = x.data
 
     def grad_fn(g):
+        skip.accumulate_grad(g[:, :cs])
+        g = g[:, cs:]
         gx = g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]
         gx += g[:, :, 1::2, 0::2]
         gx += g[:, :, 1::2, 1::2]
         x.accumulate_grad(gx)
 
-    return graph_node(out_data, (x,), grad_fn)
+    return graph_node(out_data, (skip, x), grad_fn)
 
 
 def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:

@@ -1,12 +1,15 @@
 """U-shaped segmentation network over one table of named parameters.
 
 Five encoding stages (3x3 conv block + 2x max pool between), matching
-decoder stages (1x1 up-projection, 2x upsampling, skip concatenation, conv
+decoder stages (1x1 up-projection, 2x upsampling joined to the skip, conv
 block), a channel-selection generator attached at the deepest feature, and
 two heads: a coarse head and a calibrated head applied after the
-disagreement-gated feature.  A conv block is conv3x3 -> instance norm ->
-relu; every 1x1 map, up-projection or head, is a `layers.per_pixel_linear`
-with a (Cin, Cout) weight and a bias.
+disagreement-gated feature.  A conv block is conv3x3 -> instance norm and
+relu, one graph node (`layers.instance_norm`); the skip join writes the skip
+and the upsampled map into one buffer (`layers.upsample_nearest2x`), so the
+graph keeps neither a pre-relu map nor an upsampled one.  Every 1x1 map,
+up-projection or head, is a `layers.per_pixel_linear` with a (Cin, Cout)
+weight and a bias.
 
 `SegmentationModel.__init__` names and draws every parameter in one ordered
 table, `params`.  Names say where each one sits (``enc<i>.*``, ``up<i>.*``,
@@ -26,7 +29,7 @@ import numpy as np
 
 from .layers import instance_norm, max_pool2x2, per_pixel_linear, upsample_nearest2x
 from .pcs import generator_params
-from .tensor import Tensor, concat, conv2d, relu
+from .tensor import Tensor, conv2d
 
 
 def conv_kernels(cin: int, cout: int, k: int, rng: np.random.Generator, dtype) -> np.ndarray:
@@ -58,7 +61,7 @@ class SegmentationModel:
 
         for i, c in enumerate(ch):
             block(f"enc{i}", ch[i - 1] if i else 1, c)   # grayscale input
-        # the decoder mirrors the encoder: 1x1 projection, upsample, skip concat, conv block
+        # the decoder mirrors the encoder: 1x1 projection, upsample + skip join, conv block
         for i, lvl in enumerate(range(len(ch) - 2, -1, -1)):
             # He-normal, drawn in (Cout, Cin) order (the golden pins fix these
             # draws) and stored as a (Cin, Cout) map like the heads' weights
@@ -87,8 +90,8 @@ class SegmentationModel:
 # -- forward pieces: functions of a {name: Tensor} table -------------------------
 
 def _block(p: dict, prefix: str, x: Tensor) -> Tensor:
-    return relu(instance_norm(conv2d(x, p[f"{prefix}.conv.w"]),
-                              p[f"{prefix}.norm.g"], p[f"{prefix}.norm.o"]))
+    return instance_norm(conv2d(x, p[f"{prefix}.conv.w"]),
+                         p[f"{prefix}.norm.g"], p[f"{prefix}.norm.o"])
 
 
 def head(p: dict, prefix: str, f: Tensor) -> Tensor:
@@ -113,6 +116,6 @@ def decode(p: dict, f: Tensor, skips) -> Tensor:
     for i, skip in enumerate(reversed(skips)):
         # nearest upsampling commutes with the per-pixel 1x1 projection, so
         # projecting first gives the same values on a quarter of the pixels
-        f = upsample_nearest2x(per_pixel_linear(f, p[f"up{i}.w"], p[f"up{i}.b"]))
-        f = _block(p, f"dec{i}", concat([skip, f], axis=1))
+        f = upsample_nearest2x(per_pixel_linear(f, p[f"up{i}.w"], p[f"up{i}.b"]), skip)
+        f = _block(p, f"dec{i}", f)
     return f

@@ -1,7 +1,8 @@
 """Personalized channel selection.
 
 Each site carries a fixed one-hot identity vector.  A small generator extends
-it to channel width (two FC layers with an instance norm and relu between),
+it to channel width (two FC layers with an instance norm and relu between,
+one `layers.instance_norm` node),
 fuses it with a global-average descriptor of the deepest encoder feature, and
 emits a sigmoid gate used for residual channel selection f' = f + f * gate.
 One generator pass over the K*B identity rows (the descriptor repeated once per
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import instance_norm
-from .tensor import Tensor, concat, linear, relu, sigmoid, stop_gradient
+from .tensor import Tensor, concat, linear, sigmoid, stop_gradient
 
 
 def generator_params(n_sites: int, channels: int, rng: np.random.Generator,
@@ -55,7 +56,7 @@ def augment_embedding(p: dict, f: Tensor) -> Tensor:
     b = f.shape[0]
     identities = Tensor(np.repeat(np.eye(k, dtype=f.dtype), b, axis=0))
     descriptors = concat([f.mean(axis=(2, 3))] * k, axis=0)
-    hidden = relu(instance_norm(fc("fc1", identities), p["pcsgen.norm.g"], p["pcsgen.norm.o"]))
+    hidden = instance_norm(fc("fc1", identities), p["pcsgen.norm.g"], p["pcsgen.norm.o"])
     fused = fc("fuse", concat([descriptors, fc("fc2", hidden)], axis=1))
     return sigmoid(fused).reshape(k, b, c)
 

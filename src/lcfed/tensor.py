@@ -18,6 +18,12 @@ Conventions:
   * the graph frees itself during backward: a node's saved arrays, and its
     gradient unless the caller still holds the tensor, go as soon as its
     closure has run,
+  * a closure keeps only the arrays its backward reads, recomputing what it
+    can from a parent (which the graph holds anyway); an op whose output
+    only the next op reads is one node with that op, since a separate node
+    would keep that output alive as the next node's parent
+    (``layers.instance_norm`` ends in its relu, ``layers.upsample_nearest2x``
+    writes the decoder's skip join, ``hc.calibrate`` is one node),
   * the reductions are ``sum`` and ``mean`` over any axes (None, an int or
     a tuple, with or without ``keepdims``), one graph node whose forward is
     numpy's own ``sum``/``mean``: a feature's spatial mean is
@@ -43,7 +49,6 @@ __all__ = [
     "Tensor",
     "graph_node",
     "stop_gradient",
-    "relu",
     "sigmoid",
     "concat",
     "linear",
@@ -268,15 +273,6 @@ def graph_node(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
 def stop_gradient(x: Tensor) -> Tensor:
     """Identity on values, zero map on gradients: detaches x from the graph."""
     return Tensor(x.data)
-
-
-def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0)
-
-    def grad_fn(g):
-        x.accumulate_grad(g * (out_data > 0))
-
-    return graph_node(out_data, (x,), grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:

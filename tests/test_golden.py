@@ -9,6 +9,7 @@ bounds what reassociation can move it by.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,20 +141,27 @@ def test_parameter_sums_match_pins(golden):
     assert_sums_match(sums, PINNED_SUMS)
 
 
-def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
+def step_inputs():
+    """(config, site datasets, site 1's vessel, the initial state) at STEP,
+    the vessel holding site 1's parameters."""
     cfg = ExperimentConfig(**STEP)
     datasets = data.generate_benchmark(cfg.benchmark_seed, cfg.sites, cfg.train_per_site,
                                        cfg.test_per_site, cfg.image_size, cfg.classes)
     client = federation.build_clients(cfg)[0]
     state = federation.initial_state(cfg)
+    for n, a in state.site_params(1).items():
+        client.model.params[n].data = a
+    return cfg, datasets, client, state
+
+
+def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
+    cfg, datasets, client, state = step_inputs()
     rng = np.random.default_rng(5)
     w, b = federation.relayed_heads(state)
     # one (C, N) draw per site, in site order, stacked as the heads are
     n = b.shape[0] // cfg.sites
     noise = [rng.standard_normal((w.shape[0], n)) for _ in range(cfg.sites)]
     heads = w + 0.1 * np.concatenate(noise, axis=1), b
-    for n, a in state.site_params(1).items():
-        client.model.params[n].data = a
 
     # the input image enters through encode(); the other sites' heads through
     # the concat in hc that splices the local head's live parameters between
@@ -181,3 +189,27 @@ def test_one_step_gradients_match_pins_and_constants_get_none(monkeypatch):
     grads = {n: (float(t.grad.sum()), float(np.abs(t.grad).sum()))
              for n, t in client.model.params.items()}
     assert_sums_match(grads, PINNED_GRADS)
+
+
+# Bytes one forward at STEP may leave in the graph.  It keeps about 2.9 MB
+# when each node keeps only the arrays its backward reads; a norm that kept
+# its pre-relu output and x - mean, a decoder that kept its upsampled maps
+# and an HC gate that kept f * a would hold 4.65 MB.
+KEPT_BOUND = 3.5e6
+
+
+def test_one_forward_keeps_only_what_backward_reads():
+    cfg, datasets, client, state = step_inputs()
+    site = datasets[1]
+    xb = site.train.images(slice(None), np.float64)
+    yb = site.train.masks.astype(np.float64)
+    heads = federation.relayed_heads(state)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = federation.forward_training(client.model.params, xb, yb, heads, 1, cfg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.joint.item())
+    assert kept < KEPT_BOUND, f"one forward keeps {kept / 1e6:.2f} MB"

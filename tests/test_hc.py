@@ -361,6 +361,29 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_node_equals_the_product_plus_feature_bit_for_bit(self, dtype):
+        # f also feeds a second term whose gradient reaches f first, as the
+        # coarse heads' does in the model, so the order in which the node
+        # adds g and g * a to f's gradient shows in the last bits
+        rng = np.random.default_rng(27)
+        f = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
+        f = np.ascontiguousarray(f.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        a = rng.random((3, 2, 5, 6)).astype(dtype)
+        w, v = (Tensor(rng.standard_normal(f.shape).astype(dtype)) for _ in range(2))
+
+        def run(gate):
+            tf, ta = Tensor(f, requires_grad=True), Tensor(a, requires_grad=True)
+            out = gate(tf, ta)
+            ((out * w).sum() + (tf * v).sum()).backward()
+            return out.data, tf.grad, ta.grad
+
+        got = run(calibrate)
+        want = run(lambda tf, ta: tf * ta.mean(axis=1, keepdims=True) + tf)
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype == dtype
+            np.testing.assert_array_equal(x, y)
+
 
 class TestPermutationInvariance:
     def test_consistent_site_permutation_leaves_u_unchanged(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lcfed import tensor as T
-from lcfed.tensor import Tensor, sigmoid
-from lcfed.layers import instance_norm, max_pool2x2, upsample_nearest2x, per_pixel_linear
+from lcfed.tensor import Tensor, concat, graph_node, sigmoid
+from lcfed.layers import NORM_EPS, instance_norm, max_pool2x2, upsample_nearest2x, per_pixel_linear
 from lcfed.model import SegmentationModel, decode, encode, head
 
 from gradcheck import assert_grads_close
@@ -46,11 +46,16 @@ class TestInstanceNorm:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_normalization_statistics(self):
+        # negating x negates the normalized map z exactly, and
+        # relu(z) - relu(-z) == z, so the difference shows the pre-relu map
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 8, 4, 4)))
-        out = instance_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
-        assert np.all(np.abs(out.mean(axis=(2, 3))) < 1e-6)
-        assert np.all(np.abs(out.var(axis=(2, 3)) - 1.0) < 1e-4)
+        x = rng.standard_normal((2, 8, 4, 4))
+        gamma, beta = Tensor(np.ones(8)), Tensor(np.zeros(8))
+        out = instance_norm(Tensor(x), gamma, beta).data
+        assert out.min() == 0.0
+        z = out - instance_norm(Tensor(-x), gamma, beta).data
+        assert np.all(np.abs(z.mean(axis=(2, 3))) < 1e-6)
+        assert np.all(np.abs(z.var(axis=(2, 3)) - 1.0) < 1e-4)
 
     def test_vector_form_backward_matches_fd(self):
         rng = np.random.default_rng(1)
@@ -64,7 +69,7 @@ class TestInstanceNorm:
         def f(x_, g_, b_):
             mu = x_.mean(axis=1, keepdims=True)
             sd = np.sqrt(x_.var(axis=1, keepdims=True) + 1e-5)
-            o = (x_ - mu) / sd * g_ + b_
+            o = np.maximum((x_ - mu) / sd * g_ + b_, 0)
             return float((o * o).sum())
 
         assert_grads_close(f, [x, g, b], [tx.grad, tg.grad, tb.grad])
@@ -81,6 +86,7 @@ class TestInstanceNorm:
             mu = x_.mean(axis=(2, 3), keepdims=True)
             sd = np.sqrt(x_.var(axis=(2, 3), keepdims=True) + 1e-5)
             o = (x_ - mu) / sd * g_[None, :, None, None] + b_[None, :, None, None]
+            o = np.maximum(o, 0)
             return float((o * o * 0.5).sum())
 
         assert_grads_close(f, [x, gam, bet], [tx.grad, tg.grad, tb.grad])
@@ -100,7 +106,7 @@ class TestInstanceNorm:
         def f(x_, g_, b_):
             mu = x_.mean(axis=(2, 3), keepdims=True)
             o = (x_ - mu) / np.sqrt(x_.var(axis=(2, 3), keepdims=True) + 1e-5)
-            o = o * g_[None, :, None, None] + b_[None, :, None, None]
+            o = np.maximum(o * g_[None, :, None, None] + b_[None, :, None, None], 0)
             return float((o * o * w).sum())
 
         assert_grads_close(f, [x, gam, bet], [tx.grad, tg.grad, tb.grad])
@@ -128,12 +134,19 @@ class TestResampling:
     def test_down_of_up_is_identity(self):
         rng = np.random.default_rng(3)
         x = np.abs(rng.standard_normal((2, 3, 4, 4)))
-        out = max_pool2x2(upsample_nearest2x(Tensor(x)))
+        out = max_pool2x2(upsample_nearest2x(Tensor(x), Tensor(np.ones((2, 0, 8, 8)))))
         np.testing.assert_array_equal(out.data, x)
 
     def test_up_doubles_spatial_dims(self):
-        out = upsample_nearest2x(Tensor(np.ones((1, 2, 5, 7))))
-        assert out.shape == (1, 2, 10, 14)
+        skip = np.random.default_rng(12).standard_normal((1, 3, 10, 14))
+        out = upsample_nearest2x(Tensor(np.ones((1, 2, 5, 7))), Tensor(skip))
+        assert out.shape == (1, 5, 10, 14)
+        np.testing.assert_array_equal(out.data[:, :3], skip)
+        np.testing.assert_array_equal(out.data[:, 3:], 1.0)
+
+    def test_skip_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match="twice the size"):
+            upsample_nearest2x(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 6, 8))))
 
     def test_maxpool_routes_gradient_to_argmax(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -181,17 +194,128 @@ class TestResampling:
     def test_upsample_backward_sums_blocks(self):
         x = np.random.default_rng(4).standard_normal((1, 1, 2, 2))
         tx = Tensor(x, requires_grad=True)
-        upsample_nearest2x(tx).sum().backward()
+        upsample_nearest2x(tx, Tensor(np.ones((1, 0, 4, 4)))).sum().backward()
         np.testing.assert_array_equal(tx.grad, np.full((1, 1, 2, 2), 4.0))
 
     def test_upsample_backward_matches_block_reshape_sum(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 3, 4, 5))
-        g = rng.standard_normal((2, 3, 8, 10))
+        g = rng.standard_normal((2, 5, 8, 10))
         tx = Tensor(x, requires_grad=True)
-        (upsample_nearest2x(tx) * Tensor(g)).sum().backward()
-        blocks = g.reshape(2, 3, 4, 2, 5, 2).sum(axis=(3, 5))
+        tskip = Tensor(rng.standard_normal((2, 2, 8, 10)), requires_grad=True)
+        (upsample_nearest2x(tx, tskip) * Tensor(g)).sum().backward()
+        blocks = g[:, 2:].reshape(2, 3, 4, 2, 5, 2).sum(axis=(3, 5))
         np.testing.assert_allclose(tx.grad, blocks, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(tskip.grad, g[:, :2])
+
+
+# -- the separate nodes that instance_norm and upsample_nearest2x merge -------
+
+def relu_node(x):
+    out_data = np.maximum(x.data, 0)
+
+    def grad_fn(g):
+        x.accumulate_grad(g * (out_data > 0))
+
+    return graph_node(out_data, (x,), grad_fn)
+
+
+def norm_node(x, gamma, beta):
+    """The plain instance norm as its own node, keeping x - mean."""
+    d = x.data
+    if d.ndim == 4:
+        axes, group_dot, m = (2, 3), "bchw,bchw->bc", d.shape[2] * d.shape[3]
+    else:
+        axes, group_dot, m = (1,), "bc,bc->b", d.shape[1]
+    xc = d - d.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum(group_dot, xc, xc) / m + NORM_EPS)
+    inv = inv.reshape(inv.shape + (1,) * len(axes))
+    pshape = (1, -1) + (1,) * (d.ndim - 2)
+    gk = gamma.data.reshape(pshape)
+    scale = gk * inv
+    out_data = xc * scale
+    out_data += beta.data.reshape(pshape)
+
+    def grad_fn(g):
+        if d.ndim == 4:
+            sg = g.sum(axis=axes, keepdims=True)
+            sgx = np.einsum(group_dot, g, xc).reshape(sg.shape)
+            gamma.accumulate_grad((sgx * inv).sum(axis=(0, 2, 3)))
+            beta.accumulate_grad(sg.sum(axis=(0, 2, 3)))
+            sg, sgx = gk * sg, gk * sgx
+        else:
+            gamma.accumulate_grad((g * xc * inv).sum(axis=0))
+            beta.accumulate_grad(g.sum(axis=0))
+            gy = gk * g
+            sg = gy.sum(axis=axes, keepdims=True)
+            sgx = np.einsum(group_dot, gy, xc).reshape(sg.shape)
+        dx = scale * g
+        dx += (-inv ** 3 / m * sgx) * xc
+        dx += -inv / m * sg
+        x.accumulate_grad(dx)
+
+    return graph_node(out_data, (x, gamma, beta), grad_fn)
+
+
+def upsample_node(x):
+    """Nearest-neighbor 2x upsampling as its own node."""
+    out_data = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
+
+    def grad_fn(g):
+        gx = g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]
+        gx += g[:, :, 1::2, 0::2]
+        gx += g[:, :, 1::2, 1::2]
+        x.accumulate_grad(gx)
+
+    return graph_node(out_data, (x,), grad_fn)
+
+
+def channel_major(a):
+    """A (B, C, ...) view of (C, B, ...) memory, the layout conv2d returns."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def values_and_grads(op, arrays, g):
+    """op's output and every input's gradient for the output gradient g."""
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*ts)
+    (out * Tensor(g)).sum().backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestMergedNodesEqualTheSeparateNodes:
+    """Bit for bit: a merged node changes which arrays the graph keeps, not
+    one rounding."""
+
+    def assert_same(self, merged, separate, arrays, g):
+        got = values_and_grads(merged, arrays, g)
+        want = values_and_grads(separate, arrays, g)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 6, 7), (6, 5)])
+    def test_instance_norm_is_relu_of_the_plain_norm(self, dtype, shape):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal(shape).astype(dtype)
+        c = shape[1]
+        gamma = (1 + 0.3 * rng.standard_normal(c)).astype(dtype)
+        beta = (0.2 * rng.standard_normal(c)).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        if len(shape) == 4:
+            x, g = channel_major(x), channel_major(g)
+        self.assert_same(instance_norm, lambda *ts: relu_node(norm_node(*ts)),
+                         [x, gamma, beta], g)
+
+    def test_upsample_is_the_concat_of_skip_and_upsampled_map(self, dtype):
+        rng = np.random.default_rng(31)
+        x = channel_major(rng.standard_normal((3, 4, 5, 6)).astype(dtype))
+        skip = channel_major(rng.standard_normal((3, 2, 10, 12)).astype(dtype))
+        g = channel_major(rng.standard_normal((3, 6, 10, 12)).astype(dtype))
+        self.assert_same(lambda s, t: upsample_nearest2x(t, s),
+                         lambda s, t: concat([s, upsample_node(t)], axis=1), [skip, x], g)
 
 
 class TestPerPixelLinear:

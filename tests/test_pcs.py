@@ -3,7 +3,7 @@ import pytest
 
 from lcfed.layers import instance_norm
 from lcfed.pcs import augment_embedding, generator_params, select_channels, site_contrast_loss
-from lcfed.tensor import Tensor, concat, linear, relu, sigmoid
+from lcfed.tensor import Tensor, concat, linear, sigmoid
 
 
 def make_gen(n_sites=3, channels=6, seed=0):
@@ -14,13 +14,12 @@ def make_gen(n_sites=3, channels=6, seed=0):
 
 def gate_loop(gen, k, f):
     """Per-site oracle: site k's gate from its own B one-hot rows, through
-    fc1 -> instance norm -> relu -> fc2, then the fusion FC over
+    fc1 -> instance norm and relu (one node) -> fc2, then the fusion FC over
     [descriptor, extension]."""
     g = {n.removeprefix("pcsgen."): t for n, t in gen.items()}
     n_sites = g["fc1.w"].shape[0]
     rows = Tensor(np.tile(np.eye(n_sites, dtype=f.dtype)[k], (f.shape[0], 1)))
-    hidden = relu(instance_norm(linear(rows, g["fc1.w"], g["fc1.b"]),
-                                g["norm.g"], g["norm.o"]))
+    hidden = instance_norm(linear(rows, g["fc1.w"], g["fc1.b"]), g["norm.g"], g["norm.o"])
     extended = linear(hidden, g["fc2.w"], g["fc2.b"])
     return sigmoid(linear(concat([f.mean(axis=(2, 3)), extended], axis=1),
                           g["fuse.w"], g["fuse.b"]))

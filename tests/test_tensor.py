@@ -437,16 +437,15 @@ class TestReductionsAndActivations:
         np.testing.assert_allclose(ta.grad, 2 * a)
         np.testing.assert_allclose(tb.grad, 2 * b)
 
-    def test_relu_sigmoid_gap_grads_match_fd(self):
+    def test_sigmoid_gap_grads_match_fd(self):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((2, 3, 4, 4))
-        x[np.abs(x) < 1e-3] = 0.1  # keep away from the relu kink
+        # a relu'd map, as the model's blocks emit: a quarter of it exactly 0
+        x = np.maximum(rng.standard_normal((2, 3, 4, 4)), 0)
         tx = Tensor(x, requires_grad=True)
-        T.sigmoid(T.relu(tx)).mean(axis=(2, 3)).sum().backward()
+        T.sigmoid(tx).mean(axis=(2, 3)).sum().backward()
 
         def f(x_):
-            r = np.where(x_ > 0, x_, 0)
-            s = 1 / (1 + np.exp(-r))
+            s = 1 / (1 + np.exp(-x_))
             return float(s.mean(axis=(2, 3)).sum())
 
         assert_grads_close(f, [x], [tx.grad])
