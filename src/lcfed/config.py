@@ -181,8 +181,8 @@ def _set_item(cfg: ExperimentConfig, item: str, where: str):
         raise ValueError(f"{where}: {key}: cannot parse {kind} from {raw!r}") from None
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = dataclasses.replace(base) if base else ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):  # a comment is a whole line; values may hold '#'
@@ -190,12 +190,12 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
     return cfg
 
 
-def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     """Parse a config file; an error names `path` as well as the line."""
     with open(path) as fh:
         text = fh.read()
     try:
-        return parse_config_text(text, base)
+        return parse_config_text(text)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

@@ -33,6 +33,7 @@ from . import pcs
 from .config import MODES, ExperimentConfig, Mode
 from .data import SiteData
 from .hc import head_calibration
+from .layers import gate
 from .losses import LOSS_TERMS, LossBreakdown, dice_loss, joint_loss
 from .metrics import evaluate_site
 from .model import SegmentationModel, decode, encode, head
@@ -142,7 +143,7 @@ def _forward(params: dict, xb: np.ndarray, heads: tuple, site: int, cfg: Experim
     gates = None
     if mode.pcs:
         gates = pcs.augment_embedding(params, deep)
-        deep = pcs.select_channels(deep, gates[site])
+        deep = gate(deep, gates[site].reshape(*deep.shape[:2], 1, 1))
     f_hat = decode(params, deep, skips)
     if mode.hc:
         coarse, f_star = head_calibration(

@@ -6,8 +6,9 @@ weight and (K*N,) bias, and the local coarse head's live weight and bias
 tensors (from the model's parameter table) take site k's columns.  The
 per-pixel deviation of the local prediction from the full set becomes a
 disagreement map (one graph node with an analytic backward), sharpened by
-window-max suppression, spread by a peak-normalized Gaussian, and applied as
-residual spatial attention before the calibrated head.  The relayed
+window-max suppression, spread by a peak-normalized Gaussian, averaged over
+the classes and applied as residual spatial attention (`layers.gate`, the
+gating PCS applies too) before the calibrated head.  The relayed
 heads' shapes and dtypes are checked once, when a checkpoint is resumed, not
 here on every step.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import per_pixel_linear
+from .layers import gate, per_pixel_linear
 from .tensor import Tensor, concat, graph_node, sigmoid
 
 
@@ -180,30 +181,12 @@ def gaussian_spread(u: Tensor, size: int, sigma: float) -> Tensor:
     return graph_node(correlate(u.data), (u,), grad_fn)
 
 
-def calibrate(f_hat: Tensor, attention: Tensor) -> Tensor:
-    """Residual spatial gating: f* = a * f + f, with a the class-averaged
-    attention broadcast over channels.  The gating is one graph node, so the
-    product a * f is never kept; f's gradient gains g, then g * a."""
-    if attention.shape[-2:] != f_hat.shape[-2:]:
-        raise ValueError(
-            f"attention {attention.shape} does not spatially match feature {f_hat.shape}")
-    a = attention.mean(axis=1, keepdims=True)
-    out_data = f_hat.data * a.data
-    out_data += f_hat.data
-
-    def grad_fn(g):
-        f_hat.accumulate_grad(g)
-        f_hat.accumulate_grad(g * a.data)
-        a.accumulate_grad(g * f_hat.data)
-
-    return graph_node(out_data, (f_hat, a), grad_fn)
-
-
 def head_calibration(f_hat: Tensor, heads: tuple, k: int, weight: Tensor, bias: Tensor,
                      delta: int, size: int, sigma: float):
     """Full HC pipeline with the local coarse head's `weight` and `bias`;
-    returns (local coarse map, calibrated feature)."""
+    returns (local coarse map, calibrated feature f* = f_hat * (1 + a)), with
+    a the attention averaged over the classes."""
     maps = evaluate_heads(f_hat, heads, k, weight, bias)
     u = disagreement_map(maps, k)
     attention = gaussian_spread(nms2d(u, delta), size, sigma)
-    return maps[:, k], calibrate(f_hat, attention)
+    return maps[:, k], gate(f_hat, attention.mean(axis=1, keepdims=True))

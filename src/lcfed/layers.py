@@ -2,7 +2,8 @@
 
 Each op takes its parameters as tensor arguments and owns none: the model
 holds every parameter in one name table (`model.SegmentationModel.params`)
-and passes the tensors in.
+and passes the tensors in.  `gate` is the residual gating of both
+calibrations: PCS's over the deepest feature's channels, HC's over pixels.
 """
 
 from __future__ import annotations
@@ -159,3 +160,22 @@ def per_pixel_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             x.accumulate_grad((w.data @ g_cm).reshape(c, b, h, w_sp).transpose(1, 0, 2, 3))
 
     return graph_node(out_cm.reshape(n, b, h, w_sp).transpose(1, 0, 2, 3), (x, w, bias), grad_fn)
+
+
+def gate(f: Tensor, s: Tensor) -> Tensor:
+    """Residual gating f * s + f = f * (1 + s), with `s` broadcast over `f`:
+    PCS's (B, C, 1, 1) channel gate and HC's (B, 1, H, W) attention.  One
+    graph node, so the product f * s is never kept; f's gradient gains g,
+    then g * s, and s's gains g * f summed back to its own shape."""
+    # shapes that do not broadcast at all raise numpy's ValueError, naming both
+    if np.broadcast_shapes(f.shape, s.shape) != f.shape:
+        raise ValueError(f"gate {s.shape} would grow feature {f.shape}")
+    out_data = f.data * s.data
+    out_data += f.data
+
+    def grad_fn(g):
+        f.accumulate_grad(g)
+        f.accumulate_grad(g * s.data)
+        s.accumulate_grad(g * f.data)
+
+    return graph_node(out_data, (f, s), grad_fn)

@@ -4,11 +4,12 @@ Each site carries a fixed one-hot identity vector.  A small generator extends
 it to channel width (two FC layers with an instance norm and relu between,
 one `layers.instance_norm` node),
 fuses it with a global-average descriptor of the deepest encoder feature, and
-emits a sigmoid gate used for residual channel selection f' = f + f * gate.
+emits a sigmoid gate used for residual channel selection f' = f * (1 + gate).
 One generator pass over the K*B identity rows (the descriptor repeated once per
 site) yields every site's gate as a (K, B, C) tensor; site k selects with
-`gates[k]`.  A contrast term pushes site k's gate away from all K gates, which
-enter as constants, so no gradient flows through the foreign branches.  The
+`gates[k]` through `layers.gate`, the residual gating HC applies too.  A
+contrast term pushes site k's gate away from all K gates, which enter as
+constants, so no gradient flows through the foreign branches.  The
 generator's parameters are named ``pcsgen.*`` by `generator_params`, and
 `augment_embedding` reads them by those names from the model's whole
 parameter table.
@@ -59,14 +60,6 @@ def augment_embedding(p: dict, f: Tensor) -> Tensor:
     hidden = instance_norm(fc("fc1", identities), p["pcsgen.norm.g"], p["pcsgen.norm.o"])
     fused = fc("fuse", concat([descriptors, fc("fc2", hidden)], axis=1))
     return sigmoid(fused).reshape(k, b, c)
-
-
-def select_channels(f: Tensor, xi_hat: Tensor) -> Tensor:
-    """Residual gating: f'[b,c] = f[b,c] * (1 + gate[b,c])."""
-    b, c = f.shape[0], f.shape[1]
-    if xi_hat.shape != (b, c):
-        raise ValueError(f"gate shape {xi_hat.shape} does not match feature {f.shape}")
-    return f + f * xi_hat.reshape(b, c, 1, 1)
 
 
 def site_contrast_loss(gates: Tensor, k: int) -> Tensor:

@@ -23,7 +23,8 @@ Conventions:
     only the next op reads is one node with that op, since a separate node
     would keep that output alive as the next node's parent
     (``layers.instance_norm`` ends in its relu, ``layers.upsample_nearest2x``
-    writes the decoder's skip join, ``hc.calibrate`` is one node),
+    writes the decoder's skip join, ``layers.gate`` is PCS's and HC's
+    residual gating in one node),
   * the reductions are ``sum`` and ``mean`` over any axes (None, an int or
     a tuple, with or without ``keepdims``), one graph node whose forward is
     numpy's own ``sum``/``mean``: a feature's spatial mean is

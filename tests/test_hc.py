@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from lcfed import hc
-from lcfed.hc import (
-    calibrate, disagreement_map, evaluate_heads, gaussian_spread, head_calibration, nms2d,
-)
+from lcfed.hc import disagreement_map, evaluate_heads, gaussian_spread, head_calibration, nms2d
 from lcfed.layers import per_pixel_linear
 from lcfed.tensor import Tensor, sigmoid
 
@@ -319,72 +317,6 @@ class TestGaussianSpread:
             gaussian_spread(Tensor(np.zeros((1, 1, 4, 4))), 5, 0.0)
 
 
-class TestCalibrate:
-    def test_zero_attention_is_identity(self):
-        f = np.random.default_rng(19).standard_normal((2, 3, 4, 4))
-        out = calibrate(Tensor(f), Tensor(np.zeros((2, 1, 4, 4))))
-        np.testing.assert_allclose(out.data, f)
-
-    def test_unit_attention_doubles(self):
-        f = np.random.default_rng(20).standard_normal((2, 3, 4, 4))
-        out = calibrate(Tensor(f), Tensor(np.ones((2, 1, 4, 4))))
-        np.testing.assert_allclose(out.data, 2 * f)
-
-    def test_nonnegative_attention_never_attenuates(self):
-        rng = np.random.default_rng(21)
-        f = rng.standard_normal((1, 3, 4, 4))
-        a = rng.random((1, 2, 4, 4))
-        out = calibrate(Tensor(f), Tensor(a)).data
-        assert np.all(np.abs(out) >= np.abs(f) - 1e-15)
-
-    def test_multiclass_attention_averages_channels(self):
-        f = np.ones((1, 2, 2, 2))
-        a = np.zeros((1, 2, 2, 2))
-        a[0, 0] = 1.0  # mean over classes = 0.5
-        out = calibrate(Tensor(f), Tensor(a))
-        np.testing.assert_allclose(out.data, 1.5 * f)
-
-    def test_two_class_attention_grads_match_finite_differences(self):
-        rng = np.random.default_rng(26)
-        f = rng.standard_normal((2, 3, 4, 4))
-        a = rng.random((2, 2, 4, 4))
-        w = rng.standard_normal((2, 3, 4, 4))
-        tf, ta = Tensor(f, requires_grad=True), Tensor(a, requires_grad=True)
-        (calibrate(tf, ta) * Tensor(w)).sum().backward()
-
-        def loss(f_, a_):
-            return float(((f_ * a_.mean(axis=1, keepdims=True) + f_) * w).sum())
-
-        assert_grads_close(loss, [f, a], [tf.grad, ta.grad])
-
-    def test_spatial_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 1, 5, 5))))
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_one_node_equals_the_product_plus_feature_bit_for_bit(self, dtype):
-        # f also feeds a second term whose gradient reaches f first, as the
-        # coarse heads' does in the model, so the order in which the node
-        # adds g and g * a to f's gradient shows in the last bits
-        rng = np.random.default_rng(27)
-        f = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
-        f = np.ascontiguousarray(f.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-        a = rng.random((3, 2, 5, 6)).astype(dtype)
-        w, v = (Tensor(rng.standard_normal(f.shape).astype(dtype)) for _ in range(2))
-
-        def run(gate):
-            tf, ta = Tensor(f, requires_grad=True), Tensor(a, requires_grad=True)
-            out = gate(tf, ta)
-            ((out * w).sum() + (tf * v).sum()).backward()
-            return out.data, tf.grad, ta.grad
-
-        got = run(calibrate)
-        want = run(lambda tf, ta: tf * ta.mean(axis=1, keepdims=True) + tf)
-        for x, y in zip(got, want, strict=True):
-            assert x.dtype == y.dtype == dtype
-            np.testing.assert_array_equal(x, y)
-
-
 class TestPermutationInvariance:
     def test_consistent_site_permutation_leaves_u_unchanged(self):
         rng = np.random.default_rng(22)
@@ -411,3 +343,27 @@ class TestHeadCalibration:
         np.testing.assert_allclose(coarse.data, sigmoid(per_pixel_linear(f, weight, bias)).data,
                                    rtol=1e-14)
         assert f_star.shape == f.shape
+
+    def test_two_class_attention_is_averaged_over_the_classes(self, monkeypatch):
+        a = np.zeros((1, 2, 2, 2))
+        a[0, 0] = 1.0  # class 0 attends everywhere, class 1 nowhere: the mean is 0.5
+
+        def spread(u, size, sigma):
+            assert u.shape == a.shape
+            return Tensor(a)
+
+        monkeypatch.setattr(hc, "gaussian_spread", spread)
+        heads = random_heads(2, 2, 2, seed=28)
+        f = np.ones((1, 2, 2, 2))
+        _, f_star = head_calibration(Tensor(f), heads, 0, *local_head_from(heads, 0, 2),
+                                     delta=3, size=5, sigma=1.0)
+        np.testing.assert_allclose(f_star.data, 1.5 * f)
+
+    def test_one_site_leaves_the_feature_unchanged(self):
+        # with no other head there is no disagreement, so the attention is 0
+        rng = np.random.default_rng(29)
+        heads = random_heads(1, 3, 2, seed=30)
+        f = rng.standard_normal((2, 3, 6, 6))
+        _, f_star = head_calibration(Tensor(f), heads, 0, *local_head_from(heads, 0, 2),
+                                     delta=3, size=5, sigma=1.0)
+        np.testing.assert_array_equal(f_star.data, f)

@@ -3,7 +3,9 @@ import pytest
 
 from lcfed import tensor as T
 from lcfed.tensor import Tensor, concat, graph_node, sigmoid
-from lcfed.layers import NORM_EPS, instance_norm, max_pool2x2, upsample_nearest2x, per_pixel_linear
+from lcfed.layers import (
+    NORM_EPS, gate, instance_norm, max_pool2x2, per_pixel_linear, upsample_nearest2x,
+)
 from lcfed.model import SegmentationModel, decode, encode, head
 
 from gradcheck import assert_grads_close
@@ -388,6 +390,84 @@ class TestPerPixelLinear:
         with pytest.raises(ValueError):
             per_pixel_linear(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((4, 2))),
                              Tensor(np.zeros(2)))
+
+
+# (feature, gate, a gate that does not broadcast over the feature) for PCS's
+# channel gate and HC's class-averaged attention
+GATE_SHAPES = {"pcs": ((2, 4, 3, 3), (2, 4, 1, 1), (2, 5, 1, 1)),
+               "hc": ((2, 3, 4, 4), (2, 1, 4, 4), (2, 1, 5, 5))}
+
+# the residual sum built from generic nodes, in both orders of its add;
+# the one gate node must equal both bit for bit
+SEPARATE_GATES = {"f + f * s": lambda tf, ts: tf + tf * ts,
+                  "f * s + f": lambda tf, ts: tf * ts + tf}
+
+
+@pytest.mark.parametrize("case", list(GATE_SHAPES))
+class TestGate:
+    def test_zero_gate_is_identity(self, case):
+        f_shape, s_shape, _ = GATE_SHAPES[case]
+        f = np.random.default_rng(40).standard_normal(f_shape)
+        np.testing.assert_array_equal(gate(Tensor(f), Tensor(np.zeros(s_shape))).data, f)
+
+    def test_unit_gate_doubles(self, case):
+        f_shape, s_shape, _ = GATE_SHAPES[case]
+        f = np.random.default_rng(41).standard_normal(f_shape)
+        np.testing.assert_array_equal(gate(Tensor(f), Tensor(np.ones(s_shape))).data, 2 * f)
+
+    def test_gate_in_unit_interval_never_attenuates_or_flips_a_sign(self, case):
+        f_shape, s_shape, _ = GATE_SHAPES[case]
+        rng = np.random.default_rng(42)
+        f, s = rng.standard_normal(f_shape), rng.random(s_shape)
+        out = gate(Tensor(f), Tensor(s)).data
+        assert np.all(np.abs(out) >= np.abs(f) - 1e-15)
+        assert np.all(np.sign(out) == np.sign(f))
+        fp = np.abs(f)
+        outp = gate(Tensor(fp), Tensor(s)).data
+        assert np.all(outp >= fp - 1e-15) and np.all(outp <= 2 * fp + 1e-15)
+
+    @pytest.mark.parametrize("wrong", ["mismatched", "extra_axis"])
+    def test_gate_of_the_wrong_shape_rejected(self, case, wrong):
+        f_shape, s_shape, bad = GATE_SHAPES[case]
+        # a gate with an extra leading axis broadcasts, but would grow the feature
+        s_shape = bad if wrong == "mismatched" else (1,) + s_shape
+        with pytest.raises(ValueError):
+            gate(Tensor(np.zeros(f_shape)), Tensor(np.zeros(s_shape)))
+
+    def test_grads_match_finite_differences(self, case):
+        f_shape, s_shape, _ = GATE_SHAPES[case]
+        rng = np.random.default_rng(43)
+        f, s, w = rng.standard_normal(f_shape), rng.random(s_shape), rng.standard_normal(f_shape)
+        tf, ts = Tensor(f, requires_grad=True), Tensor(s, requires_grad=True)
+        (gate(tf, ts) * Tensor(w)).sum().backward()
+        assert ts.grad.shape == s_shape   # summed back to the gate's own shape
+
+        def loss(f_, s_):
+            return float(((f_ * s_ + f_) * w).sum())
+
+        assert_grads_close(loss, [f, s], [tf.grad, ts.grad])
+
+    @pytest.mark.parametrize("separate", list(SEPARATE_GATES))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_node_equals_the_separate_nodes_bit_for_bit(self, case, dtype, separate):
+        # f also feeds a second term whose gradient reaches f first, as the
+        # coarse heads' and PCS's descriptor's do in the model, so the order in
+        # which the node adds g and g * s to f's gradient shows in the last bits
+        f_shape, s_shape, _ = GATE_SHAPES[case]
+        rng = np.random.default_rng(44)
+        f = channel_major(rng.standard_normal(f_shape).astype(dtype))
+        s = rng.random(s_shape).astype(dtype)
+        w, v = (Tensor(rng.standard_normal(f_shape).astype(dtype)) for _ in range(2))
+
+        def run(op):
+            tf, ts = Tensor(f, requires_grad=True), Tensor(s, requires_grad=True)
+            out = op(tf, ts)
+            ((out * w).sum() + (tf * v).sum()).backward()
+            return out.data, tf.grad, ts.grad
+
+        for got, want in zip(run(gate), run(SEPARATE_GATES[separate]), strict=True):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestParameterNames:

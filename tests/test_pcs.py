@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lcfed.layers import instance_norm
-from lcfed.pcs import augment_embedding, generator_params, select_channels, site_contrast_loss
+from lcfed.pcs import augment_embedding, generator_params, site_contrast_loss
 from lcfed.tensor import Tensor, concat, linear, sigmoid
 
 
@@ -77,33 +77,6 @@ class TestAugment:
         gen = make_gen(channels=6)
         with pytest.raises(ValueError):
             augment_embedding(gen, Tensor(np.zeros((1, 5, 4, 4))))
-
-
-class TestSelectChannels:
-    def test_zero_gate_is_identity(self):
-        f = np.random.default_rng(3).standard_normal((2, 4, 3, 3))
-        out = select_channels(Tensor(f), Tensor(np.zeros((2, 4))))
-        np.testing.assert_allclose(out.data, f)
-
-    def test_unit_gate_doubles(self):
-        f = np.random.default_rng(4).standard_normal((2, 4, 3, 3))
-        out = select_channels(Tensor(f), Tensor(np.ones((2, 4))))
-        np.testing.assert_allclose(out.data, 2 * f)
-
-    def test_never_attenuates(self):
-        rng = np.random.default_rng(5)
-        f = rng.standard_normal((2, 4, 3, 3))
-        gate = rng.random((2, 4))
-        out = select_channels(Tensor(f), Tensor(gate)).data
-        assert np.all(np.abs(out) >= np.abs(f) - 1e-15)
-        assert np.all(np.sign(out) == np.sign(f))
-        fp = np.abs(f)
-        outp = select_channels(Tensor(fp), Tensor(gate)).data
-        assert np.all(outp >= fp - 1e-15) and np.all(outp <= 2 * fp + 1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            select_channels(Tensor(np.zeros((2, 4, 3, 3))), Tensor(np.zeros((2, 5))))
 
 
 class TestSiteContrastLoss:

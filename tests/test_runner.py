@@ -33,6 +33,19 @@ def read_bytes(path) -> bytes:
         return fh.read()
 
 
+def after_first_line(run_dir, name) -> bytes:
+    """A run file's bytes after its first line: the digest line of
+    `metrics.csv`, the header line of a checkpoint, both of which name the
+    config."""
+    return read_bytes(os.path.join(run_dir, name)).split(b"\n", 1)[1]
+
+
+def run_files(rounds: int) -> list:
+    """The names of `metrics.csv` and the checkpoint of every round."""
+    return ["metrics.csv"] + [os.path.join("checkpoints", f"round_{rnd:04d}.ckpt")
+                              for rnd in range(1, rounds + 1)]
+
+
 class _WriteFails:
     """A binary file whose write raises after `n` successful writes."""
 
@@ -269,6 +282,19 @@ def no_training(monkeypatch):
     monkeypatch.setattr(federation, "forward_training", forward_training)
 
 
+# with one site there is no other head to disagree with, so HC's attention is
+# 0 and its gate leaves the feature as it is: HC changes nothing
+@pytest.mark.parametrize("with_hc,without_hc", [("lcfed", "fedrep-head+pcs"),
+                                                ("fedrep-head+hc", "fedrep-head")])
+def test_a_one_site_run_with_hc_equals_the_run_without(with_hc, without_hc, tmp_path):
+    dirs = []
+    for mode in (with_hc, without_hc):
+        cfg = dataclasses.replace(tiny_cfg(tmp_path / mode), mode=mode, sites=1)
+        dirs.append(runner.run_experiment(cfg))
+    for name in run_files(TINY["rounds"]):
+        assert after_first_line(dirs[0], name) == after_first_line(dirs[1], name)
+
+
 class TestManifest:
     @pytest.mark.parametrize("classes", ["1", "2"])
     def test_a_run_on_gen_data_files_equals_the_in_memory_run(self, tmp_path, classes):
@@ -279,14 +305,9 @@ class TestManifest:
         assert cli.main(["run", "--out", disk, *settings, "--set",
                          f"manifest={tmp_path / 'data' / 'manifest.txt'}"]) == 0
 
-        def after_digest(run_dir, name, lines):
-            return read_bytes(os.path.join(run_dir, name)).split(b"\n", lines)[lines]
-
         # the manifest is part of the config digest; everything else must agree
-        assert after_digest(disk, "metrics.csv", 1) == after_digest(memory, "metrics.csv", 1)
-        for rnd in (1, 2):
-            name = os.path.join("checkpoints", f"round_{rnd:04d}.ckpt")
-            assert after_digest(disk, name, 1) == after_digest(memory, name, 1)
+        for name in run_files(TINY["rounds"]):
+            assert after_first_line(disk, name) == after_first_line(memory, name)
 
     @pytest.mark.parametrize("classes", [1, 2])
     def test_gen_data_writes_the_generated_benchmark(self, tmp_path, classes):
