@@ -2,11 +2,10 @@
 
 The `FederationState` owns every array: each site's local parameters, step
 count and Adam moments (zero before the first round) beside the averaged
-parameters.  A `Client` is a model/optimizer vessel that serves training
-only and holds tensor identities and the last step's gradients, no values of
-a site: a local update rebinds the vessel's tensors to fresh copies of the
-site's arrays, steps a copy of its moments, and hands those very arrays to the
-new state.  One vessel serves a serial run, one per site a parallel one.
+parameters, and nothing writes an array a state holds.  A `Client` is a
+model/optimizer vessel that serves training only: a local update binds its
+tensors to the site's arrays, and Adam binds the fresh ones the new state
+keeps.  One vessel serves a serial run, one per site a parallel one.
 Each round re-seeds every site's batch sampling from (master seed, site,
 round), so sites can run sequentially or in parallel workers and produce
 bit-identical results.  The mode's split in `config.SPLITS` names the local
@@ -108,12 +107,11 @@ def build_clients(cfg: ExperimentConfig) -> list:
 
 
 def initial_state(cfg: ExperimentConfig) -> FederationState:
-    """Every site starts from the same master-seeded initialization."""
+    """Every site starts from the same master-seeded initialization: the same arrays."""
     reference = new_model(cfg, np.random.default_rng([int(cfg.master_seed), 0x1A17]))
     params = {n: t.data for n, t in reference.params.items()}
     theta, beta = split_params(params, MODES[cfg.mode])
-    betas = [ParamSet({n: a.copy() for n, a in beta.values.items()})
-             for _ in range(cfg.sites)]
+    betas = [ParamSet(beta.values) for _ in range(cfg.sites)]
     zeros = {n: np.zeros_like(a) for n, a in params.items()}
     return FederationState(round=0, theta_g=theta, betas=betas,
                            adam_states=[{"t": 0, "m": zeros, "v": zeros}
@@ -178,24 +176,20 @@ def batch_rng(master_seed: int, site: int, round_index: int) -> np.random.Genera
     return np.random.default_rng([int(master_seed), site, round_index, 0xBA7C])
 
 
-def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSet,
-                 adam_state: dict, heads: tuple, data: SiteData,
-                 cfg: ExperimentConfig, round_index: int) -> ClientUpdate:
-    """Exactly cfg.local_epochs epochs of minibatch Adam on the joint loss,
-    for `site` on the borrowed vessel `client`.  Trains copies of the inputs'
-    arrays and moments, and returns them; writes no input."""
+def local_update(client: Client, state: FederationState, site: int, heads: tuple,
+                 data: SiteData, cfg: ExperimentConfig) -> ClientUpdate:
+    """Exactly cfg.local_epochs epochs of minibatch Adam on the joint loss for
+    `site` on the borrowed vessel `client`, from its arrays in `state` (never written)."""
     n = len(data.train.codes)
     dtype = np_dtype(cfg)
     params = client.model.params
-    # the one copy: training writes these arrays, and the input state must stay intact
-    for name, a in {**theta_in.values, **beta_in.values}.items():
-        params[name].data = a.copy()
-    adam = {"t": adam_state["t"],
-            "m": {name: adam_state["m"][name].copy() for name in params},
-            "v": {name: adam_state["v"][name].copy() for name in params}}
+    for name, a in state.site_params(site).items():
+        params[name].data = a
+    moments = state.adam_states[site]
+    adam = {"t": moments["t"], "m": dict(moments["m"]), "v": dict(moments["v"])}
     opt = client.optimizer
 
-    rng = batch_rng(cfg.master_seed, site, round_index)
+    rng = batch_rng(cfg.master_seed, site, state.round)
     sums = dict.fromkeys(LOSS_TERMS, 0.0)
     batches = 0
     for _ in range(cfg.local_epochs):
@@ -208,7 +202,7 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
                 breakdown = forward_training(params, xb, yb, heads, site, cfg)
             except FloatingPointError as err:
                 raise FloatingPointError(
-                    f"site {site}, round {round_index + 1}: {err}") from err
+                    f"site {site}, round {state.round + 1}: {err}") from err
             opt.zero_grad()
             breakdown.joint.backward()
             opt.step(adam)
@@ -216,8 +210,6 @@ def local_update(client: Client, site: int, theta_in: ParamSet, beta_in: ParamSe
                 sums[key] += value
             batches += 1
 
-    # the trained arrays themselves go to the new state; the next update rebinds
-    # the vessel's tensors to fresh copies before it writes any
     theta, beta = split_params({name: t.data for name, t in params.items()}, MODES[cfg.mode])
     stats = {key: value / batches for key, value in sums.items()}
     return ClientUpdate(theta=theta, beta=beta, stats=stats, optimizer_state=adam)
@@ -230,12 +222,10 @@ def run_round(state: FederationState, clients: list, datasets: list,
     The input state is never mutated: a failing client aborts the round with
     the previous state intact.
     """
-    round_index = state.round
     heads = relayed_heads(state)
 
     def job(k):
-        return local_update(clients[k % len(clients)], k, state.theta_g, state.betas[k],
-                            state.adam_states[k], heads, datasets[k], cfg, round_index)
+        return local_update(clients[k % len(clients)], state, k, heads, datasets[k], cfg)
 
     if cfg.parallel_clients and len(clients) > 1:
         with ThreadPoolExecutor(max_workers=len(clients)) as pool:
@@ -244,7 +234,7 @@ def run_round(state: FederationState, clients: list, datasets: list,
         updates = [job(k) for k in range(cfg.sites)]
 
     new_state = FederationState(
-        round=round_index + 1,
+        round=state.round + 1,
         theta_g=fedavg([u.theta for u in updates]),
         betas=[u.beta for u in updates],
         adam_states=[u.optimizer_state for u in updates],

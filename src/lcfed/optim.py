@@ -2,8 +2,10 @@
 
 `Adam` binds (name, Tensor) pairs and the learning rate, and keeps no
 per-site values: `step` advances a state ``{"t": int, "m": {name: array},
-"v": {name: array}}`` that the caller owns, in place, and only reads the
-gradients; `zero_grad` releases them (sets every ``.grad`` to None).
+"v": {name: array}}`` that the caller owns.  It rebinds the state's entries
+and each tensor's ``.data`` to fresh arrays and writes no array it was
+handed, neither a parameter, a moment nor a gradient; `zero_grad` releases
+the gradients (sets every ``.grad`` to None).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class Adam:
 
     def step(self, state: dict):
         """One update of every bound tensor with a gradient; advances
-        ``state["t"]`` and the moments ``state["m"]``, ``state["v"]`` in place."""
+        ``state["t"]`` and binds new moments in ``state["m"]``, ``state["v"]``."""
         state["t"] += 1
         bias1 = 1.0 - BETA1 ** state["t"]
         bias2 = 1.0 - BETA2 ** state["t"]
@@ -32,10 +34,9 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            m = state["m"][name]
-            v = state["v"][name]
-            m *= BETA1
+            # each += writes only the array the line above it made
+            m = state["m"][name] = state["m"][name] * BETA1
             m += (1 - BETA1) * g
-            v *= BETA2
+            v = state["v"][name] = state["v"][name] * BETA2
             v += (1 - BETA2) * (g * g)
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+            p.data = p.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

@@ -8,10 +8,13 @@ each in reverse topological order, releasing every node as soon as its closure
 has run.
 
 Conventions:
-  * ``.grad`` is None until a gradient arrives; the first is kept as the op
-    handed it over (maybe a read-only broadcast or a view another tensor
-    shares), a later one binds a new sum, and nothing writes into a ``.grad``,
-    so setting it to None releases it (``Adam.zero_grad`` does, between steps),
+  * nothing writes into an array once it is handed over: ``.grad`` is None
+    until a gradient arrives; the first is kept as the op handed it over
+    (maybe a read-only broadcast or a view another tensor shares), a later
+    one binds a new sum, so setting it to None releases it
+    (``Adam.zero_grad`` does, between steps); ``Adam.step`` likewise binds a
+    parameter's ``.data`` and its moments to new arrays, so a tensor may wrap
+    another owner's array (a federation state's) without a copy,
   * constants (tensors that neither require a gradient nor come out of a
     tracked op) receive no gradient: their ``.grad`` stays None and ops skip
     computing it,

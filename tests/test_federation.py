@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcfed import data, federation, runner
+from lcfed import checkpoint, data, federation, runner
 from lcfed.config import MODES, ExperimentConfig
 from lcfed.federation import ParamSet, fedavg
 from lcfed.tensor import Tensor
@@ -31,9 +31,9 @@ def test_a_serial_run_builds_one_vessel_and_a_parallel_run_one_per_site(
         built.append(build(cfg))
         return built[-1]
 
-    def spy_update(client, site, *args):
+    def spy_update(client, state, site, *args):
         borrowed.append((site, client))
-        return update(client, site, *args)
+        return update(client, state, site, *args)
 
     monkeypatch.setattr(federation, "build_clients", spy_build)
     monkeypatch.setattr(federation, "local_update", spy_update)
@@ -70,9 +70,7 @@ def test_a_vessel_that_trained_another_site_gives_the_same_update_as_a_fresh_one
     heads = federation.relayed_heads(state)
 
     def site_update(client, k):
-        return federation.local_update(client, k, state.theta_g, state.betas[k],
-                                       state.adam_states[k], heads, datasets[k], cfg,
-                                       state.round)
+        return federation.local_update(client, state, k, heads, datasets[k], cfg)
 
     used = federation.build_clients(cfg)[0]
     site_update(used, 0)
@@ -193,12 +191,48 @@ def test_two_rounds_leave_both_input_states_unchanged(parallel):
     first, _ = federation.run_round(start, clients, datasets, cfg)
     before_first = state_bytes(first)
     # the vessel that trained the last site still holds that site's arrays of
-    # `first`, so round 2 writes `first` unless it trains copies
+    # `first`, and round 2 trains them uncopied: Adam must bind new arrays
     held = clients[-1].model.params
     assert all(held[n].data is a for n, a in first.betas[-1].values.items())
     federation.run_round(first, clients, datasets, cfg)
     assert state_bytes(start) == before_start
     assert state_bytes(first) == before_first
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_two_rounds_from_read_only_states_equal_the_writable_run(parallel):
+    cfg = ExperimentConfig(**TINY, parallel_clients=parallel)
+    datasets = tiny_datasets(cfg)
+
+    def two_rounds(read_only: bool) -> list:
+        clients, state = federation.build_clients(cfg), federation.initial_state(cfg)
+        for _ in range(2):
+            if read_only:   # a write into any array of the input state raises
+                for _, group in checkpoint._groups(state):
+                    for a in group.values():
+                        a.flags.writeable = False
+            state, _ = federation.run_round(state, clients, datasets, cfg)
+        return state_bytes(state)
+
+    assert two_rounds(read_only=True) == two_rounds(read_only=False)
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_a_local_update_trains_the_states_own_arrays(parallel, monkeypatch):
+    cfg = ExperimentConfig(**TINY, parallel_clients=parallel)
+    first, datasets = trained_state(cfg)
+    forward, bound = federation.forward_training, {}
+
+    def spy(params, xb, yb, heads, site, cfg):
+        if site not in bound:   # the site's first step: nothing has trained yet
+            own = first.site_params(site)
+            bound[site] = (sorted(params) == sorted(own)
+                           and all(params[n].data is a for n, a in own.items()))
+        return forward(params, xb, yb, heads, site, cfg)
+
+    monkeypatch.setattr(federation, "forward_training", spy)
+    federation.run_round(first, federation.build_clients(cfg), datasets, cfg)
+    assert bound == dict.fromkeys(range(cfg.sites), True)
 
 
 @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from lcfed.optim import Adam
+from lcfed.optim import BETA1, BETA2, EPS, Adam
 from lcfed.tensor import Tensor
 
 
@@ -73,6 +74,50 @@ class TestStep:
         Adam(named).zero_grad()
         # a released gradient is a zero one: step skips it
         assert all(t.grad is None for _, t in named)
+
+
+def in_place_step(params: list, grads: list, state: dict, lr: float):
+    """Adam as it once wrote its arrays: every parameter and moment in place."""
+    state["t"] += 1
+    bias1 = 1.0 - BETA1 ** state["t"]
+    bias2 = 1.0 - BETA2 ** state["t"]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m, v = state["m"][f"p{i}"], state["v"][f"p{i}"]
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * (g * g)
+        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_steps_write_no_array_they_were_handed_and_match_the_in_place_step(dtype):
+    rng = np.random.default_rng(2)
+    start = [rng.standard_normal(shape).astype(dtype) for shape in ((3, 2), (4,))]
+    grads = [[rng.standard_normal(a.shape).astype(dtype) for a in start] for _ in range(2)]
+    named = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(start)]
+    opt, state = Adam(named, lr=1e-2), zero_state(named)
+    expected, expected_state = [a.copy() for a in start], zero_state(named)
+    for gs in grads:
+        for (_, t), g in zip(named, gs):
+            read_only(t.data)
+            t.grad = read_only(g.copy())
+        for key in ("m", "v"):
+            for a in state[key].values():
+                read_only(a)
+        opt.step(state)
+        in_place_step(expected, gs, expected_state, lr=1e-2)
+    assert state["t"] == expected_state["t"] == 2
+    for (name, t), want in zip(named, expected):
+        assert t.data.dtype == dtype and t.data.tobytes() == want.tobytes()
+        for key in ("m", "v"):
+            got = state[key][name]
+            assert got.dtype == dtype and got.tobytes() == expected_state[key][name].tobytes()
 
 
 class TestResume:

@@ -149,7 +149,10 @@ def nan_site_1(cfg):
     """The initial state with a NaN in site 1's calibrated head, which no
     other site reads, so site 1 alone fails at joint_loss's finite check."""
     state = _initial_state(cfg)
-    state.betas[1].values["head_calib.b"][0] = np.nan
+    # the sites share their initial arrays, so site 1 gets a NaN copy of its own
+    bias = state.betas[1].values["head_calib.b"].copy()
+    bias[0] = np.nan
+    state.betas[1].values["head_calib.b"] = bias
     return state
 
 
@@ -673,7 +676,7 @@ class TestRelayedHeads:
         current, seen = {}, []
 
         def spy_update(*args):
-            current["round"] = args[-1]
+            current["round"] = args[1].round
             try:
                 return update(*args)
             finally:

@@ -657,3 +657,26 @@ class TestDeterminism:
         x = Tensor(np.ones((2, 2), dtype=np.float32))
         out = T.sigmoid(x * 2.0)
         assert out.dtype == np.float32
+
+
+class TestGradcheckHelper:
+    def test_a_node_that_drops_a_parents_gradient_fails_the_check(self):
+        # x * y whose backward passes x its gradient and forgets y's
+        def dropping_mul(tx, ty):
+            def grad_fn(g):
+                tx.accumulate_grad(g * ty.data)
+
+            return T.graph_node(tx.data * ty.data, (tx, ty), grad_fn)
+
+        rng = np.random.default_rng(15)
+        x, y = rng.standard_normal(3), rng.standard_normal(3)
+        tx, ty = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+        dropping_mul(tx, ty).sum().backward()
+        assert tx.grad is not None and ty.grad is None
+
+        def f(x_, y_):
+            return float((x_ * y_).sum())
+
+        assert_grads_close(lambda x_: f(x_, y), [x], [tx.grad])   # the one it passed is right
+        with pytest.raises(AssertionError, match="input 1: no analytic gradient"):
+            assert_grads_close(f, [x, y], [tx.grad, ty.grad])
