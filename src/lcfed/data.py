@@ -3,7 +3,8 @@
 Each site gets a deterministic rendering style (intensity, contrast, noise,
 blur, texture, shape family, size prior), so the sites genuinely disagree in
 appearance while sharing the same task: segment one smooth foreground shape
-per grayscale image.  Generated images are quantized to the 16-bit grid, so
+per grayscale image (with ``classes=2``, also a concentric inner structure
+inside it).  Generated images are quantized to the 16-bit grid, so
 writing them to disk and reloading reproduces the arrays exactly.
 
 A site's data has one in-memory form, `SiteData`: `generate_site` and
@@ -104,46 +105,24 @@ def default_styles(benchmark_seed: int, n_sites: int) -> list:
 # shape rendering
 # ---------------------------------------------------------------------------
 
-def _grid(size: int):
-    ys, xs = np.mgrid[0:size, 0:size]
-    return ys.astype(np.float64), xs.astype(np.float64)
-
-
-def _render_star_shape(size: int, cy: float, cx: float, radius_of_angle) -> np.ndarray:
-    """Fill the star-shaped region {r <= radius(phi)} around (cy, cx)."""
-    ys, xs = _grid(size)
-    dy, dx = ys - cy, xs - cx
-    r = np.hypot(dy, dx)
-    phi = np.arctan2(dy, dx)
-    return r <= radius_of_angle(phi)
-
-
-def _ellipse_mask(size, cy, cx, r_eq, rng):
+def _ellipse_mask(ys, xs, cy, cx, r, phi, r_eq, rng):
     q = rng.uniform(0.55, 0.95)
     theta = rng.uniform(0, np.pi)
     a, b = r_eq / np.sqrt(q), r_eq * np.sqrt(q)
-
-    def radius(phi):
-        c, s = np.cos(phi - theta), np.sin(phi - theta)
-        return a * b / np.sqrt((b * c) ** 2 + (a * s) ** 2)
-
-    return _render_star_shape(size, cy, cx, radius)
+    c, s = np.cos(phi - theta), np.sin(phi - theta)
+    return r <= a * b / np.sqrt((b * c) ** 2 + (a * s) ** 2)
 
 
-def _blob_mask(size, cy, cx, r_eq, rng):
+def _blob_mask(ys, xs, cy, cx, r, phi, r_eq, rng):
     amps = rng.uniform(0.0, 0.22, size=4)
     phases = rng.uniform(0, 2 * np.pi, size=4)
-
-    def radius(phi):
-        r = np.ones_like(phi)
-        for h, (a, p) in enumerate(zip(amps, phases), start=2):
-            r = r + a * np.cos(h * phi + p)
-        return r_eq * np.clip(r, 0.4, None)
-
-    return _render_star_shape(size, cy, cx, radius)
+    radius = np.ones_like(phi)
+    for h, (a, p) in enumerate(zip(amps, phases), start=2):
+        radius = radius + a * np.cos(h * phi + p)
+    return r <= r_eq * np.clip(radius, 0.4, None)
 
 
-def _polygon_mask(size, cy, cx, r_eq, rng):
+def _polygon_mask(ys, xs, cy, cx, r, phi, r_eq, rng):
     n_vertices = int(rng.integers(5, 9))
     base = rng.uniform(0, 2 * np.pi)
     angles = base + 2 * np.pi * np.arange(n_vertices) / n_vertices
@@ -151,9 +130,8 @@ def _polygon_mask(size, cy, cx, r_eq, rng):
     vy = cy + radii * np.sin(angles)
     vx = cx + radii * np.cos(angles)
 
-    ys, xs = _grid(size)
-    phi = np.mod(np.arctan2(ys - cy, xs - cx) - base, 2 * np.pi)
-    sector = np.minimum((phi / (2 * np.pi / n_vertices)).astype(int), n_vertices - 1)
+    from_base = np.mod(phi - base, 2 * np.pi)
+    sector = np.minimum((from_base / (2 * np.pi / n_vertices)).astype(int), n_vertices - 1)
     nxt = (sector + 1) % n_vertices
     # star-shaped fill: a pixel is inside iff it sits on the same side of its
     # angular sector's edge as the center does
@@ -163,6 +141,9 @@ def _polygon_mask(size, cy, cx, r_eq, rng):
     return cross_pixel * cross_center >= 0
 
 
+# Each renderer draws its shape's parameters from `rng` and returns the mask.
+# It reads the float pixel grid (ys, xs), the center (cy, cx), each pixel's
+# radius `r` and angle `phi` about the center, and the equivalent radius r_eq.
 _FAMILY_RENDERERS = {"ellipse": _ellipse_mask, "blob": _blob_mask, "polygon": _polygon_mask}
 
 
@@ -174,8 +155,9 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
     for bit: in double, the first window summed from 0.0 in order, then the
     running sum tmp += x[l + size] - x[l] over the edge-padded line, each
     written out as tmp / size and cast to the input's dtype.  The running sum
-    steps along the axis for every line at once.  lcfed does not import
-    scipy: `scipy.ndimage` takes each process longer to import than numpy.
+    is one `np.cumsum` along the axis, a sequential scan over every line at
+    once.  lcfed does not import scipy: `scipy.ndimage` takes each process
+    longer to import than numpy.
     """
     if radius == 0:
         return img
@@ -190,8 +172,7 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
         for i in range(size):
             sums[0] += padded[i]
         np.subtract(padded[size:], padded[:n - 1], out=sums[1:])
-        for i in range(1, n):
-            sums[i] += sums[i - 1]
+        np.cumsum(sums, axis=0, out=sums)
         sums /= size
         img = np.moveaxis(sums.astype(img.dtype, copy=False), 0, axis)
     return np.ascontiguousarray(img)
@@ -208,31 +189,30 @@ def generate_site(style: SiteStyle, n_train: int, n_test: int, seed,
     style.validate()
     rng = np.random.default_rng(seed)
     render = _FAMILY_RENDERERS[style.shape_family]
+    ys, xs = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     sample_masks, clean, noise = [], [], []
     for idx in range(n_train + n_test):
         cy = image_size * rng.uniform(0.3, 0.7)
         cx = image_size * rng.uniform(0.3, 0.7)
         area = rng.uniform(*style.size_range) * image_size * image_size
         r_eq = np.sqrt(area / np.pi)
-        mask = render(image_size, cy, cx, r_eq, rng)
+        dy, dx = ys - cy, xs - cx
+        r, phi = np.hypot(dy, dx), np.arctan2(dy, dx)
+        mask = render(ys, xs, cy, cx, r, phi, r_eq, rng)
         if not mask.any():
             raise ValueError("degenerate style produced an empty shape")
 
         masks = [mask]
         if classes == 2:
             # concentric inner structure, contained in the outer shape
-            ys, xs = _grid(image_size)
-            inner = mask & (np.hypot(ys - cy, xs - cx) <= 0.55 * r_eq)
-            masks.append(inner)
+            masks.append(mask & (r <= 0.55 * r_eq))
 
-        ys, xs = _grid(image_size)
         alpha = rng.uniform(0, np.pi)
         phase = rng.uniform(0, 2 * np.pi)
         wave = np.sin(2 * np.pi * style.texture_freq *
                       (xs * np.cos(alpha) + ys * np.sin(alpha)) / image_size + phase)
         background = 0.38 + 0.1 * wave
-        dist = np.hypot(ys - cy, xs - cx) / max(r_eq, 1.0)
-        foreground = 0.78 - 0.18 * np.clip(dist, 0, 1) + 0.03 * wave
+        foreground = 0.78 - 0.18 * np.clip(r / max(r_eq, 1.0), 0, 1) + 0.03 * wave
         canonical = np.where(mask, foreground, background)
 
         sample_masks.append(np.stack(masks))
@@ -315,8 +295,13 @@ def read_pgm(path: str) -> tuple:
 
 def write_dataset(sites: list, out_dir: str) -> str:
     """Write each site's train then test images, one mask PGM per class, and
-    a manifest; returns the manifest path."""
+    a manifest; returns the manifest path.  An earlier dataset's manifest is
+    removed before the first file is written, and the new one is renamed into
+    place last, so a write that fails partway leaves no manifest to load."""
     os.makedirs(out_dir, exist_ok=True)
+    manifest = os.path.join(out_dir, "manifest.txt")
+    if os.path.exists(manifest):
+        os.remove(manifest)
     lines = []
     for site, site_data in enumerate(sites):
         idx = 0  # one running index over the site's train then test rows
@@ -330,10 +315,10 @@ def write_dataset(sites: list, out_dir: str) -> str:
                 for rel, plane in zip(mask_rels, masks):
                     write_pgm(os.path.join(out_dir, rel), plane * np.uint8(255), maxval=255)
                 lines.append(" ".join([str(site), name, f"{stem}_img.pgm", *mask_rels]))
-    manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w") as fh:
+    with open(manifest + ".tmp", "w") as fh:
         fh.write("# site split image mask\n")
         fh.write("\n".join(lines) + "\n")
+    os.replace(manifest + ".tmp", manifest)
     return manifest
 
 

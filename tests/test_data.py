@@ -126,12 +126,44 @@ class TestWriteDataset:
         # a 1-class dataset's files stay byte for byte what every earlier
         # version wrote, so manifests already on disk reproduce their runs
         data.write_dataset(data.generate_benchmark(3, 2, 2, 1, 16), str(tmp_path))
+        assert self.files_digest(tmp_path) == (13, "131ba17edb39eab9")
+
+    def test_two_class_files_are_pinned(self, tmp_path):
+        # the mask1 files and the manifest that names them; a manifest is
+        # part of a run's digest
+        data.write_dataset(data.generate_benchmark(3, 2, 2, 1, 16, classes=2), str(tmp_path))
+        assert self.files_digest(tmp_path) == (19, "ddfb0c6bcc1432b9")
+
+    @staticmethod
+    def files_digest(out_dir) -> tuple:
+        """The file count and the sha256 of every file's name and bytes."""
         h = hashlib.sha256()
-        names = sorted(os.listdir(tmp_path))
+        names = sorted(os.listdir(out_dir))
         for name in names:
             h.update(name.encode())
-            h.update(read_bytes(tmp_path / name))
-        assert (len(names), h.hexdigest()[:16]) == (13, "131ba17edb39eab9")
+            h.update(read_bytes(out_dir / name))
+        return len(names), h.hexdigest()[:16]
+
+    def test_a_write_that_fails_partway_over_a_dataset_leaves_no_manifest(
+            self, tmp_path, monkeypatch):
+        data.write_dataset(data.generate_benchmark(1, 2, 2, 1, 16), str(tmp_path))
+        write_pgm, calls = data.write_pgm, []
+
+        def failing_write_pgm(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 7:   # site 1's first image, after all of site 0's files
+                raise OSError("disk full")
+            write_pgm(*args, **kwargs)
+
+        monkeypatch.setattr(data, "write_pgm", failing_write_pgm)
+        with pytest.raises(OSError, match="disk full"):
+            data.write_dataset(data.generate_benchmark(2, 2, 2, 1, 16), str(tmp_path))
+        # site 0 now holds seed 2's files and site 1 seed 1's: no manifest
+        # may list that mix
+        assert not (tmp_path / "manifest.txt").exists()
+        assert not (tmp_path / "manifest.txt.tmp").exists()
+        with pytest.raises(FileNotFoundError, match="manifest not found"):
+            data.load_directory(str(tmp_path / "manifest.txt"))
 
 
 class TestGenerator:
