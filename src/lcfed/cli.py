@@ -34,7 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("run_dir")
 
     gen = sub.add_parser("gen-data", help="write a run's synthetic sites to disk")
-    gen.add_argument("--out", required=True, help="data directory")
+    gen.add_argument("--out", required=True,
+                     help="data directory; a write removes the site*_*.pgm files in its own "
+                          "naming that the new manifest does not list, and no other file")
 
     for configured in (run, gen):
         configured.add_argument("--config", help="key=value config file")

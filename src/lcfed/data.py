@@ -4,8 +4,10 @@ Each site gets a deterministic rendering style (intensity, contrast, noise,
 blur, texture, shape family, size prior), so the sites genuinely disagree in
 appearance while sharing the same task: segment one smooth foreground shape
 per grayscale image (with ``classes=2``, also a concentric inner structure
-inside it).  Generated images are quantized to the 16-bit grid, so
-writing them to disk and reloading reproduces the arrays exactly.
+inside it).  One rule draws every mask: the pixel at radius r and angle φ
+about the center is foreground iff r <= radius(φ), its shape family's
+boundary.  Generated images are quantized to the 16-bit grid, so writing
+them to disk and reloading reproduces the arrays exactly.
 
 A site's data has one in-memory form, `SiteData`: `generate_site` and
 `load_directory` return it and `write_dataset` writes it.  It is held as it
@@ -23,13 +25,12 @@ relative to the manifest).
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 # numpy 2 loads numpy.random on first use; load it with the other imports
 import numpy.random  # noqa: F401
-
-SHAPE_FAMILIES = ("ellipse", "blob", "polygon")
 
 
 @dataclass(frozen=True)
@@ -102,49 +103,44 @@ def default_styles(benchmark_seed: int, n_sites: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# shape rendering
+# shape families
 # ---------------------------------------------------------------------------
 
-def _ellipse_mask(ys, xs, cy, cx, r, phi, r_eq, rng):
+def _ellipse_radius(phi, r_eq, rng):
     q = rng.uniform(0.55, 0.95)
     theta = rng.uniform(0, np.pi)
     a, b = r_eq / np.sqrt(q), r_eq * np.sqrt(q)
     c, s = np.cos(phi - theta), np.sin(phi - theta)
-    return r <= a * b / np.sqrt((b * c) ** 2 + (a * s) ** 2)
+    return a * b / np.sqrt((b * c) ** 2 + (a * s) ** 2)
 
 
-def _blob_mask(ys, xs, cy, cx, r, phi, r_eq, rng):
+def _blob_radius(phi, r_eq, rng):
     amps = rng.uniform(0.0, 0.22, size=4)
     phases = rng.uniform(0, 2 * np.pi, size=4)
     radius = np.ones_like(phi)
     for h, (a, p) in enumerate(zip(amps, phases), start=2):
         radius = radius + a * np.cos(h * phi + p)
-    return r <= r_eq * np.clip(radius, 0.4, None)
+    return r_eq * np.clip(radius, 0.4, None)
 
 
-def _polygon_mask(ys, xs, cy, cx, r, phi, r_eq, rng):
-    n_vertices = int(rng.integers(5, 9))
+def _polygon_radius(phi, r_eq, rng):
+    n = int(rng.integers(5, 9))
     base = rng.uniform(0, 2 * np.pi)
-    angles = base + 2 * np.pi * np.arange(n_vertices) / n_vertices
-    radii = r_eq * rng.uniform(0.9, 1.25, size=n_vertices)
-    vy = cy + radii * np.sin(angles)
-    vx = cx + radii * np.cos(angles)
-
-    from_base = np.mod(phi - base, 2 * np.pi)
-    sector = np.minimum((from_base / (2 * np.pi / n_vertices)).astype(int), n_vertices - 1)
-    nxt = (sector + 1) % n_vertices
-    # star-shaped fill: a pixel is inside iff it sits on the same side of its
-    # angular sector's edge as the center does
-    ey, ex = vy[nxt] - vy[sector], vx[nxt] - vx[sector]
-    cross_pixel = ex * (ys - vy[sector]) - ey * (xs - vx[sector])
-    cross_center = ex * (cy - vy[sector]) - ey * (cx - vx[sector])
-    return cross_pixel * cross_center >= 0
+    angles = base + 2 * np.pi * np.arange(n + 1) / n   # vertex n closes the polygon
+    radii = np.resize(r_eq * rng.uniform(0.9, 1.25, size=n), n + 1)
+    s = np.minimum((np.mod(phi - base, 2 * np.pi) / (2 * np.pi / n)).astype(int), n - 1)
+    # the ray at phi meets edge e, vertex s to s + 1, at dist / cos(phi - psi), where
+    # dist is e's distance from the center and psi the angle of e's outward normal
+    ey, ex = np.diff(radii * np.sin(angles)), np.diff(radii * np.cos(angles))
+    dist = radii[:-1] * radii[1:] * np.sin(np.diff(angles)) / np.hypot(ey, ex)
+    psi = np.arctan2(-ex, ey)
+    return dist[s] / np.cos(phi - psi[s])
 
 
-# Each renderer draws its shape's parameters from `rng` and returns the mask.
-# It reads the float pixel grid (ys, xs), the center (cy, cx), each pixel's
-# radius `r` and angle `phi` about the center, and the equivalent radius r_eq.
-_FAMILY_RENDERERS = {"ellipse": _ellipse_mask, "blob": _blob_mask, "polygon": _polygon_mask}
+# Each family draws its shape from `rng` and returns the boundary radius(phi) at every
+# pixel's angle, for equivalent radius r_eq; the one rule r <= radius(phi) draws a mask.
+_FAMILY_RADIUS = {"ellipse": _ellipse_radius, "blob": _blob_radius, "polygon": _polygon_radius}
+SHAPE_FAMILIES = tuple(_FAMILY_RADIUS)
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
@@ -188,7 +184,6 @@ def generate_site(style: SiteStyle, n_train: int, n_test: int, seed,
         raise ValueError(f"generator supports 1 or 2 classes, got {classes}")
     style.validate()
     rng = np.random.default_rng(seed)
-    render = _FAMILY_RENDERERS[style.shape_family]
     ys, xs = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     sample_masks, clean, noise = [], [], []
     for idx in range(n_train + n_test):
@@ -198,7 +193,7 @@ def generate_site(style: SiteStyle, n_train: int, n_test: int, seed,
         r_eq = np.sqrt(area / np.pi)
         dy, dx = ys - cy, xs - cx
         r, phi = np.hypot(dy, dx), np.arctan2(dy, dx)
-        mask = render(ys, xs, cy, cx, r, phi, r_eq, rng)
+        mask = r <= _FAMILY_RADIUS[style.shape_family](phi, r_eq, rng)
         if not mask.any():
             raise ValueError("degenerate style produced an empty shape")
 
@@ -296,8 +291,9 @@ def read_pgm(path: str) -> tuple:
 def write_dataset(sites: list, out_dir: str) -> str:
     """Write each site's train then test images, one mask PGM per class, and
     a manifest; returns the manifest path.  An earlier dataset's manifest is
-    removed before the first file is written, and the new one is renamed into
-    place last, so a write that fails partway leaves no manifest to load."""
+    removed first and the new one renamed into place last, so a failed write
+    leaves no manifest to load; then the ``site*_*.pgm`` files in the writer's
+    naming that the manifest does not list are removed, and no other file."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.txt")
     if os.path.exists(manifest):
@@ -319,6 +315,9 @@ def write_dataset(sites: list, out_dir: str) -> str:
         fh.write("# site split image mask\n")
         fh.write("\n".join(lines) + "\n")
     os.replace(manifest + ".tmp", manifest)
+    for name in set(os.listdir(out_dir)) - {rel for ln in lines for rel in ln.split()[2:]}:
+        if re.fullmatch(r"site\d+_(train|test)_\d{4,}_(img|mask\d*)\.pgm", name):
+            os.remove(os.path.join(out_dir, name))
     return manifest
 
 

@@ -54,7 +54,8 @@ def _row_line(row: dict) -> str:
 def build_datasets(cfg: ExperimentConfig) -> list:
     """One SiteData per site: the generated benchmark, or the manifest's
     sites (`data.load_directory` checks the manifest on its own) once their
-    count, image size and class count match the config."""
+    count, image size, class count and each site's train and test counts
+    match the config."""
     if not cfg.manifest:
         return data_mod.generate_benchmark(cfg.benchmark_seed, cfg.sites,
                                            cfg.train_per_site, cfg.test_per_site,
@@ -69,6 +70,12 @@ def build_datasets(cfg: ExperimentConfig) -> list:
     if classes != cfg.classes:
         raise ValueError(
             f"manifest masks have {classes} class(es) but config expects {cfg.classes}")
+    for k, site in enumerate(sites):
+        for name, split, want in (("train", site.train, cfg.train_per_site),
+                                  ("test", site.test, cfg.test_per_site)):
+            if len(split.codes) != want:
+                raise ValueError(f"manifest {cfg.manifest}: site {k} has {len(split.codes)} "
+                                 f"{name} samples but config expects {name}_per_site={want}")
     return sites
 
 

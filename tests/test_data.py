@@ -165,6 +165,28 @@ class TestWriteDataset:
         with pytest.raises(FileNotFoundError, match="manifest not found"):
             data.load_directory(str(tmp_path / "manifest.txt"))
 
+    def test_a_smaller_dataset_removes_the_files_its_manifest_does_not_list(self, tmp_path):
+        # 3 sites of 2-class masks, then 2 sites of 1: every site2_* file and
+        # every *_mask1.pgm is the earlier dataset's
+        data.write_dataset(data.generate_benchmark(1, 3, 2, 1, 16, classes=2), str(tmp_path))
+        assert len(os.listdir(tmp_path)) == 1 + 3 * (2 + 1) * 3
+        manifest = data.write_dataset(data.generate_benchmark(2, 2, 2, 1, 16), str(tmp_path))
+        with open(manifest) as fh:
+            listed = {rel for line in fh.read().splitlines()[1:] for rel in line.split()[2:]}
+        assert len(listed) == 2 * (2 + 1) * 2
+        assert set(os.listdir(tmp_path)) == listed | {"manifest.txt"}
+
+    def test_files_outside_the_writers_naming_are_left_alone(self, tmp_path):
+        kept = ["notes.txt", "scan.pgm", "site0_notes.pgm", "site0_valid_0000_img.pgm",
+                "site0_train_0000_overlay.pgm", "site0_train_0000_img.png",
+                "site0_train_0000_mask.pgm.bak", "site0_train_00_img.pgm"]
+        for name in kept:
+            (tmp_path / name).write_bytes(name.encode())
+        data.write_dataset(data.generate_benchmark(2, 2, 2, 1, 16), str(tmp_path))
+        for name in kept:
+            assert read_bytes(tmp_path / name) == name.encode()
+        assert len(os.listdir(tmp_path)) == len(kept) + 1 + 2 * (2 + 1) * 2
+
 
 class TestGenerator:
     def test_samples_are_a_function_of_the_benchmark_seed(self):
@@ -180,10 +202,44 @@ class TestGenerator:
     @pytest.mark.parametrize("classes", [0, 3])
     def test_a_class_count_other_than_1_or_2_is_rejected_before_drawing(
             self, classes, monkeypatch):
-        monkeypatch.setattr(data, "_FAMILY_RENDERERS", {})   # a drawn shape would fail here
+        monkeypatch.setattr(data, "_FAMILY_RADIUS", {})   # a drawn shape would fail here
         with pytest.raises(ValueError,
                            match=re.escape(f"generator supports 1 or 2 classes, got {classes}")):
             data.generate_site(VALID_STYLE, 2, 1, seed=0, image_size=16, classes=classes)
+
+    def test_the_polygon_radius_is_an_even_odd_point_in_polygon_test(self):
+        size = 32
+        ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+        vertex_counts = set()
+        for seed in range(16):
+            cy, cx = size * np.random.default_rng([seed, 1]).uniform(0.3, 0.7, size=2)
+            r_eq = np.random.default_rng([seed, 2]).uniform(3.0, 10.0)
+            dy, dx = ys - cy, xs - cx
+            r, phi = np.hypot(dy, dx), np.arctan2(dy, dx)
+            inside = r <= data._polygon_radius(phi, r_eq, np.random.default_rng(seed))
+            # the vertices, rebuilt from the same draws in the same order
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 9))
+            base = rng.uniform(0, 2 * np.pi)
+            radii = r_eq * rng.uniform(0.9, 1.25, size=n)
+            angles = base + 2 * np.pi * np.arange(n) / n
+            vy, vx = cy + radii * np.sin(angles), cx + radii * np.cos(angles)
+            vertex_counts.add(n)
+            # even-odd rule: a ray from the pixel towards +x crosses the
+            # boundary an odd number of times iff the pixel is inside
+            odd = np.zeros(ys.shape, dtype=bool)
+            near_edge = np.zeros(ys.shape, dtype=bool)
+            for i in range(n):
+                y0, x0, y1, x1 = vy[i], vx[i], vy[(i + 1) % n], vx[(i + 1) % n]
+                if y0 != y1:
+                    x_cross = x0 + (ys - y0) * (x1 - x0) / (y1 - y0)
+                    odd ^= ((y0 > ys) != (y1 > ys)) & (xs < x_cross)
+                ey, ex = y1 - y0, x1 - x0
+                t = np.clip(((ys - y0) * ey + (xs - x0) * ex) / (ey * ey + ex * ex), 0, 1)
+                near_edge |= np.hypot(ys - y0 - t * ey, xs - x0 - t * ex) <= 1e-9
+            assert inside.any() and not inside.all()
+            np.testing.assert_array_equal(inside[~near_edge], odd[~near_edge])
+        assert vertex_counts == {5, 6, 7, 8}
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])

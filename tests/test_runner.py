@@ -324,6 +324,13 @@ class TestManifest:
         for name in names:
             assert read_bytes(cli_dir / name) == read_bytes(direct_dir / name), name
 
+    def test_gen_data_help_states_which_files_a_write_removes(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "400")   # one line per option
+        with pytest.raises(SystemExit):
+            cli.main(["gen-data", "--help"])
+        assert ("a write removes the site*_*.pgm files in its own naming that the new "
+                "manifest does not list, and no other file") in capsys.readouterr().out
+
     def test_a_run_under_paths_with_a_hash_resumes(self, tmp_path):
         # config.txt holds the manifest and out_dir verbatim; a '#' inside a
         # value once cut the line there, so the resumed digest did not match
@@ -371,6 +378,10 @@ BAD_MANIFESTS = {
     "image_size": (_unchanged, {"image_size": 32},
                    "images are 16x16px but config expects 32x32px"),
     "classes": (_unchanged, {"classes": 2}, "masks have 1 class(es) but config expects 2"),
+    "site_0_short_train": (_drop("0 train site0_train_0002_"), {},
+                           "site 0 has 2 train samples but config expects train_per_site=3"),
+    "test_per_site": (_unchanged, {"test_per_site": 3},
+                      "site 0 has 2 test samples but config expects test_per_site=3"),
 }
 
 
